@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .config import CONFIG
-from .polys import DegreeOverflowError, Poly
+from .polys import Poly, _extend_iterates
 from .scalars import (
     ApproxComplex,
     CyclotomicNumber,
@@ -72,16 +71,7 @@ class Presentation:
 
     def f_iterate(self, i: int) -> Poly:
         """f^(i), the i-fold self-composition (f^(0) = h)."""
-        while len(self._iterates) <= i:
-            prev = self._iterates[-1]
-            d, pd = self.f.degree, prev.degree
-            if d > 0 and pd > 0 and d * pd > CONFIG.max_compose_degree:
-                raise DegreeOverflowError(
-                    f"f^({len(self._iterates)}) would have degree {d * pd}; "
-                    "raise CONFIG.max_compose_degree to allow it"
-                )
-            self._iterates.append(self.f.compose(prev))
-        return self._iterates[i]
+        return _extend_iterates(self.f, self._iterates, i)
 
     def f_power(self, j: int) -> Poly:
         """f(h)**j as a polynomial (plain power, not composition)."""
@@ -133,11 +123,10 @@ class Presentation:
     def _middle(self, k: int, i: int) -> dict[tuple[int, int], Poly]:
         """Normal form of y^k x^i as a map (a, b) -> polynomial.
 
-        Recurrence: y^k x^i = (y^(k-1) x)(y x^(i-1)) + y^(k-1) x^(i-1) q(h)
-        with q = (f - h) o f^(i-1), using y*x = x*y + f(h) - h once.  Both
-        pieces only involve middles with smaller (k, i), so filling the
-        (k+1) x (i+1) rectangle bottom-up terminates after at most
-        (k+1)*(i+1) reductions; the memo persists on the presentation.
+        Each (k, i) comes from two smaller ones by peeling off one y (see
+        ``_compute_middle``), so filling the (k+1) x (i+1) rectangle
+        bottom-up terminates after at most (k+1)*(i+1) reductions; the
+        memo persists on the presentation.
         """
         hit = self._middles.get((k, i))
         if hit is not None:
@@ -149,19 +138,25 @@ class Presentation:
         return self._middles[(k, i)]
 
     def _compute_middle(self, k: int, i: int) -> None:
+        """Store y^k x^i, given the middles (k-1, i) and (k-1, i-1).
+
+        The relations telescope to y x^i = x^i y + x^(i-1) (f^(i)(h) - h), so
+
+            y^k x^i = (y^(k-1) x^i) y + (y^(k-1) x^(i-1)) (f^(i)(h) - h).
+
+        Right multiplication by y sends the key (a, b) to (a, b+1); right
+        multiplication by g(h) sends x^a p y^b to x^a p (g o f^(b)) y^b, and
+        for g = f^(i) - h that factor is f^(i+b) - f^(b).  So y^k x^i needs
+        f-iterates up to f^(i + min(k, i) - 1) and no other composition.
+        """
         self.middle_reductions += 1
-        one = Poly.constant(1, self.f.backend)
-        if k == 0:
-            out = {(i, 0): one}
-        elif i == 0:
-            out = {(0, k): one}
-        else:
-            out = self._mul_terms(self._middles[(k - 1, 1)], self._middles[(1, i - 1)])
-            q = (self.f - Poly.variable(self.f.backend)).compose(self.f_iterate(i - 1))
-            for (a, b), p in self._middles[(k - 1, i - 1)].items():
-                extra = p * q.compose(self.f_iterate(b))
-                _accumulate(out, (a, b), extra)
-        self._middles[(k, i)] = {ik: g for ik, g in out.items() if not g.is_zero()}
+        if k == 0 or i == 0:
+            self._middles[(k, i)] = {(i, k): Poly.constant(1, self.f.backend)}
+            return
+        out = {(a, b + 1): p for (a, b), p in self._middles[(k - 1, i)].items()}
+        for (a, b), p in self._middles[(k - 1, i - 1)].items():
+            _accumulate(out, (a, b), p * (self.f_iterate(i + b) - self.f_iterate(b)))
+        self._middles[(k, i)] = {ab: g for ab, g in out.items() if not g.is_zero()}
 
     def _mul_terms(
         self,

@@ -143,9 +143,7 @@ def _cmd_simples(args) -> int:
         if args.samples < 1:
             raise _CliError("--samples must be at least 1", INPUT_ERROR)
         cfg = EnumerationConfig(instantiations=args.samples, orbit_samples=args.samples)
-    fams = enumerate_simples(
-        f, args.n, cfg, conductor=args.conductor, workers=args.threads
-    )
+    fams = enumerate_simples(f, args.n, cfg, conductor=args.conductor)
     _emit(families_to_json(str(f), args.n, f.backend, fams))
     return 0
 
@@ -211,13 +209,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="T",
         help="equality tolerance for the approx backend",
-    )
-    top.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        metavar="K",
-        help="worker threads for enumeration",
     )
     top.add_argument(
         "--json",
@@ -288,9 +279,6 @@ def main(argv=None) -> int:
         CONFIG.tol = args.tol
     if args.conductor is not None and args.conductor < 1:
         print("error: --conductor must be a positive integer", file=sys.stderr)
-        return INPUT_ERROR
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
         return INPUT_ERROR
     try:
         return args.func(args)

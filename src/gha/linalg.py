@@ -131,10 +131,6 @@ def poly_at_matrix(g: Poly, a: Matrix) -> Matrix:
     return out
 
 
-def max_abs_entry(a: Matrix) -> float:
-    return max((abs(complex(x.embed() if hasattr(x, "embed") else x.value)) for row in a for x in row), default=0.0)
-
-
 def charpoly(a: Matrix) -> Poly:
     """Monic characteristic polynomial det(t*I - a) via Faddeev-LeVerrier.
 

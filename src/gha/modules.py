@@ -24,7 +24,6 @@ sampled instantiations; it never pretends a continuum is a finite list.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from math import lcm
 
@@ -584,7 +583,6 @@ def enumerate_simples(
     cfg: EnumerationConfig | None = None,
     *,
     conductor: int | None = None,
-    workers: int = 1,
 ) -> list[ModuleFamily]:
     """All families of n-dimensional simple modules over H(f).
 
@@ -623,23 +621,12 @@ def enumerate_simples(
             "this family is numeric (build against f.approx())",
         )
     families: list[ModuleFamily] = []
-    jobs = []
-
-    def orbit_jobs(orb: Orbit):
+    for orb in orbit_set.orbits:
         fams = [_cyclic_x_family(orb, f_orb, cfg, orbit_set.continuum)]
         fams.extend(_cyclic_y_families(orb, f_orb, cfg, orbit_set.continuum))
         if orbit_notes:
             fams = [replace(fam, notes=fam.notes + orbit_notes) for fam in fams]
-        return fams
-
-    if workers > 1 and len(orbit_set.orbits) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            jobs = [pool.submit(orbit_jobs, orb) for orb in orbit_set.orbits]
-            for job in jobs:
-                families.extend(job.result())
-    else:
-        for orb in orbit_set.orbits:
-            families.extend(orbit_jobs(orb))
+        families.extend(fams)
     families.extend(_nilpotent_families(f, n, cfg, conductor))
     if orbit_set.residual_roots:
         families.append(

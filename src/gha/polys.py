@@ -298,15 +298,8 @@ class Poly:
     def compose(self, inner: "Poly") -> "Poly":
         """self(inner(h)), by Horner over polynomials."""
         self._check(inner)
-        if (
-            self.degree > 0
-            and inner.degree > 1
-            and self.degree * inner.degree > CONFIG.max_compose_degree
-        ):
-            raise DegreeOverflowError(
-                f"composition would have degree {self.degree * inner.degree}; "
-                "raise CONFIG.max_compose_degree to allow it"
-            )
+        if inner.degree > 1:
+            _check_degree(self.degree * inner.degree)
         acc = Poly([])
         for c in reversed(self.coeffs):
             acc = acc * inner + Poly([c])
@@ -384,26 +377,40 @@ def _coeff_body(c: Scalar, k: int) -> tuple[str, bool]:
     return f"{text}*{mono}", negated
 
 
+def _check_degree(degree: int) -> None:
+    """The degree guard: refuse to build a polynomial of degree past
+    CONFIG.max_compose_degree.  Callers pass the predicted degree, so the
+    refusal comes before any work is done."""
+    if degree > CONFIG.max_compose_degree:
+        raise DegreeOverflowError(
+            f"degree {degree} exceeds the degree guard {CONFIG.max_compose_degree}; "
+            "raise CONFIG.max_compose_degree to allow it"
+        )
+
+
+def _extend_iterates(f: Poly, iterates: list[Poly], i: int) -> Poly:
+    """f^(i), extending the cache iterates = [f^(0), f^(1), ...] in place.
+
+    f^(i) has degree deg(f)**i when deg(f) >= 2, so the guard sees that
+    number before the first composition.
+    """
+    if i >= len(iterates):
+        if f.degree >= 2:
+            _check_degree(f.degree**i)
+        while len(iterates) <= i:
+            iterates.append(f.compose(iterates[-1]))
+    return iterates[i]
+
+
 def iterate(f: Poly, i: int) -> Poly:
     """i-fold composition of f with itself; f^(0) is the identity h.
 
     Degree grows like deg(f)**i, so growth past
-    CONFIG.max_compose_degree raises DegreeOverflowError.
+    CONFIG.max_compose_degree raises DegreeOverflowError up front.
     """
     if i < 0:
         raise ValueError("iteration count must be >= 0")
-    out = Poly.variable(f.backend)
-    if f.degree >= 2 and i > 0 and f.degree**i > CONFIG.max_compose_degree:
-        raise DegreeOverflowError(
-            f"deg(f)^i = {f.degree}^{i} exceeds the degree guard {CONFIG.max_compose_degree}"
-        )
-    for _ in range(i):
-        out = f.compose(out)
-        if out.degree > CONFIG.max_compose_degree:
-            raise DegreeOverflowError(
-                f"iterated degree {out.degree} exceeds the guard {CONFIG.max_compose_degree}"
-            )
-    return out
+    return _extend_iterates(f, [Poly.variable(f.backend)], i)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from gha.algebra import (
 )
 from gha.config import CONFIG
 from gha.parser import parse_element, parse_poly
-from gha.polys import DegreeOverflowError, Poly
+from gha.polys import DegreeOverflowError, Poly, iterate
 from gha.scalars import exact, zeta
 
 H2 = Presentation(parse_poly("h^2"))
@@ -53,6 +53,15 @@ class TestDefiningRelations:
         assert parse_element("x^0", H2) == H2.one()
 
 
+@pytest.fixture
+def compose_calls(monkeypatch):
+    """A list that grows by one entry per Poly.compose call."""
+    calls = []
+    compose = Poly.compose
+    monkeypatch.setattr(Poly, "compose", lambda g, inner: calls.append(1) or compose(g, inner))
+    return calls
+
+
 class TestRewriteEngine:
     def test_middle_table_is_bounded(self):
         pres = Presentation(parse_poly("h^2 + 1"))
@@ -79,6 +88,20 @@ class TestRewriteEngine:
                 (y ** 4) * (x ** 4)
         finally:
             CONFIG.max_compose_degree = old
+
+    def test_middle_needs_no_composition_beyond_iterates(self, compose_calls):
+        # y^k x^i only composes to extend the f-iterates, up to f^(k+i-1)
+        Presentation(parse_poly("2*h - 1"))._middle(12, 12)
+        assert len(compose_calls) <= 12 + 12
+
+    def test_degree_guard_refuses_up_front(self, compose_calls):
+        # deg f^(13) = 2^13 exceeds the default guard of 4096
+        f = parse_poly("h^2")
+        with pytest.raises(DegreeOverflowError):
+            iterate(f, 13)
+        with pytest.raises(DegreeOverflowError):
+            Presentation(f).f_iterate(13)
+        assert compose_calls == []
 
     def test_presentations_do_not_mix(self):
         with pytest.raises(PresentationMismatchError):
@@ -134,6 +157,32 @@ class TestOracle:
             g = Poly([exact(0)] * j + [exact(1)], ) if j else Poly([exact(1)])
             rebuilt = rebuilt + H2.monomial(i, g, k).scale(c)
         assert rebuilt == a
+
+    @pytest.mark.parametrize(
+        "f, top",
+        [
+            ("0", 6),
+            ("5", 6),
+            ("2*h - 1", 6),
+            ("h/2 + 1/3", 6),
+            ("h^2", 3),
+            ("h^2 + 1", 3),
+            ("h^3 - h", 3),
+            ("zeta(3)*h", 6),
+            ("zeta(3)*h + 1", 6),
+        ],
+    )
+    def test_middles_match_letter_by_letter_action(self, f, top):
+        # the normal form of y^k x^i acts on 1 like x i times, then y k times
+        pres = Presentation(parse_poly(f))
+        x, y = pres.generator("x"), pres.generator("y")
+        xs = FreeModuleElement.one()
+        for i in range(top + 1):
+            v = xs
+            for k in range(top + 1):
+                assert free_module_action(y**k * x**i, FreeModuleElement.one()) == v, (k, i)
+                v = free_module_action(y, v)
+            xs = free_module_action(x, xs)
 
 
 class TestDegreeLaw:

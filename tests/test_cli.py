@@ -148,7 +148,6 @@ class TestExitCodes:
     def test_bad_flag_values(self, capsys):
         assert run(capsys, "--tol", "-1", "center", "-f", "h^2")[0] == 2
         assert run(capsys, "--conductor", "0", "center", "-f", "h^2")[0] == 2
-        assert run(capsys, "--threads", "0", "center", "-f", "h^2")[0] == 2
 
 
 class TestBackends:

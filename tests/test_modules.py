@@ -263,12 +263,6 @@ class TestEnumerate:
         assert nil.zdot_free
         assert tuple(str(v) for v in nil.excluded_zdot) == ("0",)
 
-    def test_workers_deterministic(self):
-        f = W4
-        one = enumerate_simples(f, 2, conductor=4, workers=1)
-        two = enumerate_simples(f, 2, conductor=4, workers=2)
-        assert one == two
-
     def test_family_instantiations_respect_exclusions(self):
         w3 = parse_poly("zeta(3)*h")
         fams = enumerate_simples(w3, 3, EnumerationConfig(instantiations=3, orbit_samples=1))
