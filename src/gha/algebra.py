@@ -131,6 +131,10 @@ class Presentation:
         hit = self._middles.get((k, i))
         if hit is not None:
             return hit
+        if k and i:
+            # the highest iterate the rectangle needs, built first so that the
+            # degree guard refuses before any reduction is done
+            self.f_iterate(i + min(k, i) - 1)
         for kk in range(k + 1):
             for ii in range(i + 1):
                 if (kk, ii) not in self._middles:
@@ -170,13 +174,15 @@ class Presentation:
         g(h) x^a = x^a g(f^(a)(h)) and y^b g(h) = g(f^(b)(h)) y^b:
 
             x^(i1+a) * g1(f^(a)) p g2(f^(b)) * y^(b+k2).
+
+        A constant g1 or g2 equals its own composite and is not composed.
         """
         out: dict[tuple[int, int], Poly] = {}
         for (i1, k1), g1 in t1.items():
             for (i2, k2), g2 in t2.items():
                 for (a, b), p in self._middle(k1, i2).items():
-                    left = g1 if a == 0 else g1.compose(self.f_iterate(a))
-                    right = g2 if b == 0 else g2.compose(self.f_iterate(b))
+                    left = g1 if a == 0 or g1.is_constant() else g1.compose(self.f_iterate(a))
+                    right = g2 if b == 0 or g2.is_constant() else g2.compose(self.f_iterate(b))
                     _accumulate(out, (i1 + a, b + k2), left * p * right)
         return {ik: g for ik, g in out.items() if not g.is_zero()}
 

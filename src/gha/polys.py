@@ -5,6 +5,18 @@ Cartan-type generator of the algebra).  Coefficients are stored densely in
 ascending order and live entirely in one backend; neutral int/Fraction
 literals lift to whichever backend the other coefficients use.
 
+An exact :class:`Poly` over one field Q(zeta_N) is stored in integer form:
+the conductor N, one common denominator, and phi(N) integer numerators per
+coefficient (the FLINT ``fmpq_poly`` layout, one row per coefficient).
+Sums, negation and equality work on the numerators directly, and a
+product is one big-integer product by Kronecker substitution (Harvey,
+"Faster polynomial multiplication via multipoint Kronecker substitution",
+2009) followed by one reduction mod Phi_N per coefficient.  The
+approximate backend, and an exact polynomial whose coefficients mix two
+different non-rational conductors, keep a tuple of scalars and the
+coefficientwise scalar loops.  ``Poly.coeffs`` is always a tuple of
+scalars; for the integer form it is built on each access.
+
 Root finding comes in two flavours:
 
 * :func:`roots` finds all complex roots with multiplicity, by simultaneous
@@ -22,6 +34,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .config import CONFIG
 from .scalars import (
@@ -31,6 +44,7 @@ from .scalars import (
     Scalar,
     approx,
     backend_of,
+    cyclotomic_polynomial,
     divisors,
     euler_phi,
     exact,
@@ -101,18 +115,40 @@ def _strictly_zero(s: Scalar) -> bool:
 class Poly:
     """Dense univariate polynomial in h over one scalar backend.
 
+    An exact polynomial whose coefficients all lie in one Q(zeta_N) is held
+    in integer form ``(N, den, num)``: ``num`` lists, coefficient after
+    coefficient in ascending degree, the phi(N) integer numerators of each
+    coefficient in the power basis 1, zeta_N, ..., zeta_N^(phi(N)-1), and
+    ``den > 0`` is their one common denominator.  The form is canonical: no
+    trailing zero coefficient, gcd(den, num) = 1, and N = 1 whenever every
+    coefficient is rational.  ``+``, ``-``, negation, ``*`` and ``==`` run
+    on it, products as one big-integer product (Kronecker substitution).
+
+    The approximate backend, and an exact polynomial whose coefficients
+    need two different non-rational conductors, keep a tuple of scalars
+    instead and run the coefficientwise scalar loops.
+
+    ``coeffs`` is a tuple of scalars either way.  For the integer form it
+    is built on each access and not kept, so read it once per loop;
+    ``coefficient(k)`` builds a single scalar.
+
     >>> Poly([1, 2]) * Poly([1, 2])
     Poly(4*h^2 + 4*h + 1)
     >>> Poly([0, 1]).compose(Poly([-3, 0, 1]))
     Poly(h^2 - 3)
     """
 
-    __slots__ = ("coeffs", "backend")
+    # _n is the conductor N of the integer form, or 0 when _scalars holds
+    # the coefficients instead
+    __slots__ = ("backend", "_n", "_den", "_num", "_scalars")
 
     def __init__(self, coeffs=()) -> None:
         lifted, backend = _lift_all(coeffs)
-        object.__setattr__(self, "coeffs", lifted)
-        object.__setattr__(self, "backend", backend)
+        form = _integer_form(lifted) if backend == "exact" else None
+        if form is None:
+            _fill(self, backend, 0, 1, (), lifted)
+        else:
+            _fill(self, backend, *form, None)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Poly is immutable")
@@ -133,33 +169,52 @@ class Poly:
     # -- basic queries ------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Scalar, ...]:
+        """The coefficients in ascending degree, as scalars."""
+        if not self._n:
+            return self._scalars
+        return tuple(self._scalar(k) for k in range(self.degree + 1))
+
+    def _scalar(self, k: int) -> CyclotomicNumber:
+        if self._n == 1:
+            return CyclotomicNumber(1, (Fraction(self._num[k], self._den),))
+        phi = euler_phi(self._n)
+        return CyclotomicNumber(
+            self._n, [Fraction(x, self._den) for x in self._num[k * phi : (k + 1) * phi]]
+        )
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        if self._n == 1:
+            return len(self._num) - 1
+        if self._n:
+            return len(self._num) // euler_phi(self._n) - 1
+        return len(self._scalars) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        # the integer form keeps _scalars None, the scalar form keeps _num ()
+        return not (self._num or self._scalars)
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return self.degree <= 0
 
     @property
     def leading(self) -> Scalar:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.coefficient(self.degree)
 
     def coefficient(self, k: int) -> Scalar:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return exact(0) if self.backend == "exact" else approx(0)
+        if 0 <= k <= self.degree:
+            return self._scalar(k) if self._n else self._scalars[k]
+        return self._zero()
 
     def is_identity(self) -> bool:
         """True when this polynomial is exactly h."""
-        return (
-            len(self.coeffs) == 2
-            and self.coeffs[1] == 1
-            and self.coeffs[0] == zero_like(self.coeffs[0])
-        )
+        if self._n:
+            return self._n == 1 and self._den == 1 and self._num == (0, 1)
+        cs = self._scalars
+        return len(cs) == 2 and cs[1] == 1 and cs[0] == zero_like(cs[0])
 
     def _zero(self) -> Scalar:
         return exact(0) if self.backend == "exact" else approx(0)
@@ -189,13 +244,23 @@ class Poly:
         if other.is_zero():
             return self
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self.coefficient(k) + other.coefficient(k) for k in range(n)])
+        n = _shared_conductor(self, other)
+        if n:
+            return _add_forms(self, other, n)
+        a, b, zero = self.coeffs, other.coeffs, self._zero()
+        return Poly(
+            [
+                (a[k] if k < len(a) else zero) + (b[k] if k < len(b) else zero)
+                for k in range(max(len(a), len(b)))
+            ]
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        if self._n:
+            return _raw(self._n, self._den, tuple([-x for x in self._num]))
+        return Poly([-c for c in self._scalars])
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -210,19 +275,26 @@ class Poly:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (CyclotomicNumber, ApproxComplex)):
-            return Poly([c * other for c in self.coeffs])
-        if isinstance(other, _NEUTRAL):
+        if self._n and isinstance(other, _NEUTRAL):
+            q = Fraction(other)
+            return _scale(self, q.numerator, q.denominator)
+        if self._n and isinstance(other, CyclotomicNumber):
+            return self * Poly([other])
+        if isinstance(other, (CyclotomicNumber, ApproxComplex) + _NEUTRAL):
             return Poly([c * other for c in self.coeffs])
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
         if self.is_zero() or other.is_zero():
             return Poly([])
-        out = [self._zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
+        n = _shared_conductor(self, other)
+        if n:
+            return _mul_forms(self, other, n)
+        a, b = self.coeffs, other.coeffs
+        out = [self._zero()] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = out[i + j] + x * y
         return Poly(out)
 
     __rmul__ = __mul__
@@ -247,13 +319,14 @@ class Poly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
+        divisor = other.coeffs
         dd = other.degree
-        lead_inv = one_like(other.leading) / other.leading
+        lead_inv = one_like(divisor[-1]) / divisor[-1]
         q = [self._zero()] * max(0, len(rem) - dd)
         for i in range(len(rem) - dd - 1, -1, -1):
             c = rem[i + dd] * lead_inv
             q[i] = c
-            for j, b in enumerate(other.coeffs):
+            for j, b in enumerate(divisor):
                 rem[i + j] = rem[i + j] - c * b
         return Poly(q), Poly(rem[:dd])
 
@@ -267,14 +340,20 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_zero() != other.is_zero():
+        if _shared_conductor(self, other):
+            # canonical integer forms: equal values have equal forms
+            return self._n == other._n and self._den == other._den and self._num == other._num
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
             # compare an all-but-trimmed approx poly against zero coefficientwise
-            longer = self if not self.is_zero() else other
-            return all(c == zero_like(c) for c in longer.coeffs)
-        if not self.is_zero() and self.backend != other.backend:
+            return all(c == zero_like(c) for c in a or b)
+        if self.backend != other.backend:
             return False
-        n = max(len(self.coeffs), len(other.coeffs))
-        return all(self.coefficient(k) == other.coefficient(k) for k in range(n))
+        zero = self._zero()
+        return all(
+            (a[k] if k < len(a) else zero) == (b[k] if k < len(b) else zero)
+            for k in range(max(len(a), len(b)))
+        )
 
     def __ne__(self, other):
         eq = self.__eq__(other)
@@ -300,9 +379,15 @@ class Poly:
         self._check(inner)
         if inner.degree > 1:
             _check_degree(self.degree * inner.degree)
+        if self._n:
+            phi = euler_phi(self._n)
+            num = self._num
+            consts = [_exact(self._n, self._den, num[k : k + phi]) for k in range(0, len(num), phi)]
+        else:
+            consts = [Poly([c]) for c in self._scalars]
         acc = Poly([])
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly([c])
+        for c in reversed(consts):
+            acc = acc * inner + c
         return acc
 
     def derivative(self) -> "Poly":
@@ -320,20 +405,23 @@ class Poly:
         """lcm of the coefficient conductors (exact backend only)."""
         if self.backend != "exact":
             raise BackendMismatchError("conductor is an exact-backend notion")
+        if self._n:
+            return self._n
         out = 1
-        for c in self.coeffs:
+        for c in self._scalars:
             out = math.lcm(out, c.conductor)
         return out
 
     # -- canonical text form ---------------------------------------------------
 
     def __str__(self) -> str:
-        if self.is_zero():
+        cs = self.coeffs
+        if not cs:
             return "0"
         pieces = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k] if k < len(self.coeffs) else None
-            if c is None or c == zero_like(c):
+        for k in range(len(cs) - 1, -1, -1):
+            c = cs[k]
+            if c == zero_like(c):
                 continue
             body, negated = _coeff_body(c, k)
             if not pieces:
@@ -344,6 +432,178 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
+
+
+# ---------------------------------------------------------------------------
+# the integer form
+# ---------------------------------------------------------------------------
+
+
+def _fill(p: Poly, backend: str, n: int, den: int, num: tuple, scalars) -> None:
+    set_ = object.__setattr__
+    set_(p, "backend", backend)
+    set_(p, "_n", n)
+    set_(p, "_den", den)
+    set_(p, "_num", num)
+    set_(p, "_scalars", scalars)
+
+
+def _raw(n: int, den: int, num: tuple) -> Poly:
+    """The exact Poly of an integer form that is already canonical."""
+    p = object.__new__(Poly)
+    _fill(p, "exact", n, den, num, None)
+    return p
+
+
+def _exact(n: int, den: int, num) -> Poly:
+    """The exact Poly of the integer form (n, den, num), made canonical."""
+    phi = euler_phi(n)
+    end = len(num)
+    while end and not any(num[end - phi : end]):
+        end -= phi
+    num = tuple(num[:end])
+    if n > 1 and num and not any(any(num[j::phi]) for j in range(1, phi)):
+        n, num = 1, num[::phi]
+    if not num:
+        n, den = 1, 1
+    elif den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            den //= g
+            num = tuple([x // g for x in num])
+    return _raw(n, den, num)
+
+
+def _integer_form(lifted: tuple[CyclotomicNumber, ...]):
+    """(N, den, num) for exact scalars of at most one non-rational conductor
+    N, else None."""
+    n = 1
+    for c in lifted:
+        if c.conductor not in (1, n):
+            if n != 1:
+                return None
+            n = c.conductor
+    pad = (0,) * (euler_phi(n) - 1)
+    fracs = [q for c in lifted for q in (c.coords if c.conductor == n else c.coords + pad)]
+    den = math.lcm(*[q.denominator for q in fracs])
+    return n, den, tuple([q.numerator * (den // q.denominator) for q in fracs])
+
+
+def _shared_conductor(a: Poly, b: Poly) -> int:
+    """The conductor both integer forms live in, or 0 when either has none
+    or they are over two different non-rational conductors."""
+    if a._n == b._n or b._n == 1:
+        return a._n
+    return b._n if a._n == 1 else 0
+
+
+def _num_in(p: Poly, n: int):
+    """p's numerators over conductor n (p is rational or already over n)."""
+    if p._n == n:
+        return p._num
+    out = [0] * (len(p._num) * euler_phi(n))
+    out[:: euler_phi(n)] = p._num
+    return out
+
+
+def _add_forms(a: Poly, b: Poly, n: int) -> Poly:
+    x, y, den = _num_in(a, n), _num_in(b, n), a._den
+    if a._den != b._den:
+        den = math.lcm(a._den, b._den)
+        x = [v * (den // a._den) for v in x]
+        y = [v * (den // b._den) for v in y]
+    if len(x) < len(y):
+        x, y = y, x
+    out = [u + v for u, v in zip(x, y)]
+    out += x[len(y) :]
+    return _exact(n, den, out)
+
+
+def _mul_forms(a: Poly, b: Poly, n: int) -> Poly:
+    """a*b by Kronecker substitution: h and zeta_N become powers of 2.
+
+    Coefficient k of a, a polynomial of degree < pa in zeta, goes to the
+    slots k*stride .. k*stride + pa - 1 of one integer, with
+    stride = pa + pb - 1 so the zeta-degrees of a product cannot spill into
+    the next h-degree.  A slot holds any product coefficient with a sign
+    bit to spare, so the product of the two integers carries every
+    coefficient of a*b in Z[h, zeta]; each one is then reduced mod Phi_N.
+    """
+    if a._n == 1 and len(a._num) == 1:
+        return _scale(b, a._num[0], a._den)
+    if b._n == 1 and len(b._num) == 1:
+        return _scale(a, b._num[0], b._den)
+    pa, pb = euler_phi(a._n), euler_phi(b._n)
+    stride = pa + pb - 1
+    la, lb = len(a._num) // pa, len(b._num) // pb
+    bound = min(la, lb) * min(pa, pb) * _max_abs(a._num) * _max_abs(b._num)
+    width = (bound.bit_length() + 8) // 8  # bytes per slot, sign bit included
+    va = _pack(a._num, pa, stride, width)
+    vb = va if b is a else _pack(b._num, pb, stride, width)
+    digits = _unpack(va * vb, width, (la + lb - 1) * stride)
+    if stride > euler_phi(n):
+        digits = _reduce_rows(digits, stride, n)
+    return _exact(n, a._den * b._den, digits)
+
+
+def _scale(p: Poly, num: int, den: int) -> Poly:
+    """p * num/den for integers num and den > 0."""
+    return _exact(p._n, p._den * den, [x * num for x in p._num])
+
+
+def _max_abs(num) -> int:
+    return max(max(num), -min(num))
+
+
+def _pack(num, phi: int, stride: int, width: int) -> int:
+    """sum of num[k*phi + j] * 2^(8*width*(k*stride + j)), signed entries."""
+    if stride > phi:
+        gap = [0] * (stride - phi)
+        digits = []
+        for k in range(0, len(num), phi):
+            digits += num[k : k + phi]
+            digits += gap
+    else:
+        digits = num
+    zero = bytes(width)
+    out = int.from_bytes(
+        b"".join([d.to_bytes(width, "little") if d > 0 else zero for d in digits]), "little"
+    )
+    if min(digits) < 0:
+        out -= int.from_bytes(
+            b"".join([(-d).to_bytes(width, "little") if d < 0 else zero for d in digits]),
+            "little",
+        )
+    return out
+
+
+def _unpack(value: int, width: int, count: int) -> list[int]:
+    """The count signed slots of value, each below 2^(8*width - 1) in size."""
+    raw = value.to_bytes(width * count, "little", signed=True)
+    slots = [
+        int.from_bytes(raw[o : o + width], "little", signed=True)
+        for o in range(0, width * count, width)
+    ]
+    # each slot reads as two's complement; one that reads negative lent one
+    # to the slot above it
+    return [d + (below < 0) for d, below in zip(slots, chain((0,), slots))]
+
+
+def _reduce_rows(digits: list[int], stride: int, n: int) -> list[int]:
+    """Reduce each row of stride zeta-coefficients mod Phi_n to phi(n) ones."""
+    cp = cyclotomic_polynomial(n)
+    phi = len(cp) - 1
+    taps = [(i, c) for i, c in enumerate(cp[:phi]) if c]
+    out: list[int] = []
+    for start in range(0, len(digits), stride):
+        row = digits[start : start + stride]
+        for j in range(stride - 1, phi - 1, -1):
+            t = row[j]
+            if t:
+                for i, c in taps:
+                    row[j - phi + i] -= t * c
+        out += row[:phi]
+    return out
 
 
 def _scalar_sign_split(c: Scalar) -> tuple[bool, Scalar | None]:

@@ -89,10 +89,27 @@ class TestRewriteEngine:
         finally:
             CONFIG.max_compose_degree = old
 
+    def test_degree_guard_refuses_before_any_reduction(self):
+        # y^7 x^7 over h^2 needs f^(13), of degree 8192 > 4096
+        pres = Presentation(parse_poly("h^2"))
+        y7, x7 = pres.generator("y") ** 7, pres.generator("x") ** 7
+        before = pres.middle_reductions
+        with pytest.raises(DegreeOverflowError):
+            y7 * x7
+        assert pres.middle_reductions == before
+
     def test_middle_needs_no_composition_beyond_iterates(self, compose_calls):
         # y^k x^i only composes to extend the f-iterates, up to f^(k+i-1)
         Presentation(parse_poly("2*h - 1"))._middle(12, 12)
         assert len(compose_calls) <= 12 + 12
+
+    def test_product_composes_only_to_extend_iterates(self, compose_calls):
+        # constant coefficients are not composed with f^(a), so the product
+        # y^12 * x^12 composes exactly the 23 times that build f^(1..23)
+        pres = Presentation(parse_poly("2*h - 1"))
+        y, x = pres.generator("y"), pres.generator("x")
+        _ = (y ** 12) * (x ** 12)
+        assert len(compose_calls) == 23
 
     def test_degree_guard_refuses_up_front(self, compose_calls):
         # deg f^(13) = 2^13 exceeds the default guard of 4096

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from gha.polys import (
     DegreeOverflowError,
     Orbit,
     Poly,
+    _coeff_body,
     exact_roots,
     iterate,
     orbit_through,
@@ -17,7 +20,14 @@ from gha.polys import (
     poly_gcd,
     roots,
 )
-from gha.scalars import BackendMismatchError, approx, exact, zeta
+from gha.scalars import (
+    BackendMismatchError,
+    CyclotomicNumber,
+    approx,
+    euler_phi,
+    exact,
+    zeta,
+)
 
 
 def P(*coeffs):
@@ -59,6 +69,151 @@ class TestArithmetic:
         assert f.coefficient(0) == exact(1)
         assert f.coefficient(1) == exact(0)
         assert f.coefficient(99) == exact(0)
+
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and cs[-1].is_zero():
+        cs.pop()
+    return cs
+
+
+def _ref_add(a, b):
+    zero = exact(0)
+    n = max(len(a), len(b))
+    return _trim(
+        [(a[k] if k < len(a) else zero) + (b[k] if k < len(b) else zero) for k in range(n)]
+    )
+
+
+def _ref_mul(a, b):
+    if not a or not b:
+        return []
+    out = [exact(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return _trim(out)
+
+
+def _ref_str(cs):
+    pieces = []
+    for k in range(len(cs) - 1, -1, -1):
+        if cs[k].is_zero():
+            continue
+        body, negated = _coeff_body(cs[k], k)
+        sign = ("-" if negated else "") if not pieces else ("- " if negated else "+ ")
+        pieces.append(sign + body)
+    return " ".join(pieces) or "0"
+
+
+def _layout(cs):
+    # conductor and coordinates per coefficient: what the text is made from
+    return [(c.conductor, c.coords) for c in cs]
+
+
+def _element(rng, n, bits):
+    roll = rng.random()
+    if roll < 0.1:
+        return exact(0)
+    den = rng.choice([1, 1, 2, 3, 12, 2**61 - 1])
+    width = euler_phi(n) if roll > 0.3 else 1
+    coords = [Fraction(rng.randint(-(2**bits), 2**bits), den) for _ in range(width)]
+    return CyclotomicNumber(n, coords + [0] * (euler_phi(n) - width))
+
+
+def _conjugate(cs, k):
+    """Apply the field automorphism zeta_n -> zeta_n^k to every coefficient."""
+    return [
+        sum((q * zeta(c.conductor, j * k) for j, q in enumerate(c.coords)), exact(0))
+        for c in cs
+    ]
+
+
+FIELDS = [1, 3, 4, 5, 12]
+
+
+def _differential_pairs(n):
+    """(a, b) coefficient lists over Q(zeta_n) for the schoolbook comparison."""
+    rng = random.Random(1000 + n)
+    phi = euler_phi(n)
+    pairs = []
+    # random coefficients: degrees 0 to 40 and sizes from 1 to 200 bits
+    for deg in (0, 1, 2, 3, 5, 8, 13, 21, 40):
+        a = [_element(rng, n, rng.choice([0, 3, 64, 200])) for _ in range(deg + 1)]
+        b = [_element(rng, n, rng.choice([0, 3, 64, 200])) for _ in range(rng.randint(1, 12))]
+        pairs.append((a, b))
+    pairs.append(([], pairs[5][0]))
+    pairs.append((pairs[7][0], []))
+    row = CyclotomicNumber(n, [-(2**63)] * phi)
+    pairs.append(([row] * 41, [row] * 3))
+    # values at the Kronecker slot boundaries: every product term has the
+    # same sign, so a product coefficient reaches len*phi*M*M exactly
+    for bits in (1, 8, 64, 200):
+        for m in (2 ** (bits - 1), 2**bits - 1):
+            row = CyclotomicNumber(n, [m] * phi)
+            for length in (1, 8):
+                plus, minus = [row] * length, [-row] * length
+                pairs.append((plus, plus))
+                pairs.append((plus, minus))
+                pairs.append((minus, [row if k % 2 else -row for k in range(length)]))
+    # cancellation: to a rational result and to zero
+    a = [_element(rng, n, 64) for _ in range(10)]
+    rational = [exact(rng.randint(-5, 5)) for _ in range(12)]
+    pairs.append((a, _ref_add(rational, [-c for c in a])))
+    pairs.append((a, [-c for c in a]))
+    norm = a
+    for k in range(2, n):
+        if n > 1 and math.gcd(k, n) == 1:
+            norm = _ref_mul(norm, _conjugate(a, k))
+    assert all(c.is_rational() for c in norm)
+    pairs.append((norm, [exact(Fraction(1, 3))]))
+    return pairs
+
+
+class TestIntegerFormAgainstSchoolbook:
+    """Exact Poly arithmetic against a coefficient-by-coefficient schoolbook
+    on CyclotomicNumber scalars."""
+
+    @pytest.mark.parametrize("n", FIELDS)
+    def test_ring_operations(self, n):
+        for a, b in _differential_pairs(n):
+            a, b = _trim(a), _trim(b)
+            pa, pb = Poly(a), Poly(b)
+            assert _layout(pa.coeffs) == _layout(a)
+            cases = [
+                (pa * pb, _ref_mul(a, b)),
+                (pa + pb, _ref_add(a, b)),
+                (pa - pb, _ref_add(a, [-c for c in b])),
+                (-pa, [-c for c in a]),
+            ]
+            if len(b) <= 8:
+                cases.append((pb * pb, _ref_mul(b, b)))
+            for got, want in cases:
+                assert _layout(got.coeffs) == _layout(want)
+                assert str(got) == _ref_str(want)
+                assert got == Poly(want)
+                assert got.degree == len(want) - 1
+            assert (pa == pb) == (_layout(a) == _layout(b))
+            assert pa + Poly([exact(1)]) != pa
+
+    def test_cancellation_reaches_rational_and_zero(self):
+        a = Poly([zeta(3), exact(2), zeta(3) ** 2])
+        conj = Poly([zeta(3) ** 2, exact(2), zeta(3)])
+        assert (a * conj).conductor() == 1
+        assert str(a * conj) == "h^4 - 2*h^3 + 3*h^2 - 2*h + 1"
+        assert (a - a).is_zero() and str(a - a) == "0"
+        assert (a + Poly([-zeta(3)])).coefficient(0) == exact(0)
+
+    def test_mixed_conductors_keep_the_scalar_text(self):
+        assert str(Poly([zeta(4), 1]) * Poly([zeta(3), 1])) == (
+            "h^2 + (-1 + zeta(12)^2 + zeta(12)^3)*h + -zeta(12)"
+        )
+        assert str(Poly([zeta(4)]) + Poly([0, zeta(3)])) == "zeta(3)*h + zeta(4)"
+
+    def test_sparse_iterate(self):
+        assert iterate(H * H, 6) == Poly([0] * 64 + [1])
+        assert str(iterate(H * H, 6)) == "h^64"
 
 
 class TestComposeEvaluate:
