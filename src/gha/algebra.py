@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .polys import Poly, _extend_iterates
+from .polys import Poly, _extend_iterates, _terms_text
 from .scalars import (
     ApproxComplex,
     CyclotomicNumber,
@@ -44,9 +44,10 @@ class Presentation:
     Carries per-presentation caches: iterates f^(i), the normal forms of
     y^k x^i, and the recursive y-action on free-module monomials.
     ``middle_reductions`` counts distinct y^k x^i reductions actually
-    computed; it is bounded by (k+1)*(i+1) for a product with top
-    exponents k and i, which is the termination certificate for the
-    rewriting recursion.
+    computed.  y^k x^i fills only the trapezoid of cells (kk, ii) with
+    max(0, i-(k-kk)) <= ii <= i, which is sum over kk = 0..k of
+    min(i, k-kk) + 1 reductions, at most (k+1)*(i+1); that bound is the
+    termination certificate for the rewriting recursion.
     """
 
     def __init__(self, f: Poly) -> None:
@@ -123,25 +124,29 @@ class Presentation:
     def _middle(self, k: int, i: int) -> dict[tuple[int, int], Poly]:
         """Normal form of y^k x^i as a map (a, b) -> polynomial.
 
-        Each (k, i) comes from two smaller ones by peeling off one y (see
-        ``_compute_middle``), so filling the (k+1) x (i+1) rectangle
-        bottom-up terminates after at most (k+1)*(i+1) reductions; the
-        memo persists on the presentation.
+        Each (k, i) comes from (k-1, i) and (k-1, i-1) by peeling off one y
+        (see ``_compute_middle``), so y^k x^i reads only the trapezoid of
+        cells (kk, ii) with max(0, i-(k-kk)) <= ii <= i.  Filled bottom-up,
+        that is sum over kk = 0..k of min(i, k-kk) + 1 reductions, not the
+        (k+1)*(i+1) of the whole rectangle: 6 instead of 18 for (2, 5), 91
+        instead of 169 for (12, 12).  The memo persists on the presentation;
+        the factors f^(ii+b) - f^(b) are kept for one fill only.
         """
         hit = self._middles.get((k, i))
         if hit is not None:
             return hit
         if k and i:
-            # the highest iterate the rectangle needs, built first so that the
+            # the highest iterate the trapezoid needs, built first so that the
             # degree guard refuses before any reduction is done
             self.f_iterate(i + min(k, i) - 1)
+        shifts: dict[tuple[int, int], Poly] = {}
         for kk in range(k + 1):
-            for ii in range(i + 1):
+            for ii in range(max(0, i - (k - kk)), i + 1):
                 if (kk, ii) not in self._middles:
-                    self._compute_middle(kk, ii)
+                    self._compute_middle(kk, ii, shifts)
         return self._middles[(k, i)]
 
-    def _compute_middle(self, k: int, i: int) -> None:
+    def _compute_middle(self, k: int, i: int, shifts: dict[tuple[int, int], Poly]) -> None:
         """Store y^k x^i, given the middles (k-1, i) and (k-1, i-1).
 
         The relations telescope to y x^i = x^i y + x^(i-1) (f^(i)(h) - h), so
@@ -150,8 +155,9 @@ class Presentation:
 
         Right multiplication by y sends the key (a, b) to (a, b+1); right
         multiplication by g(h) sends x^a p y^b to x^a p (g o f^(b)) y^b, and
-        for g = f^(i) - h that factor is f^(i+b) - f^(b).  So y^k x^i needs
-        f-iterates up to f^(i + min(k, i) - 1) and no other composition.
+        for g = f^(i) - h that factor is f^(i+b) - f^(b), kept in ``shifts``
+        under (i, b).  So y^k x^i needs f-iterates up to f^(i + min(k, i) - 1)
+        and no other composition.
         """
         self.middle_reductions += 1
         if k == 0 or i == 0:
@@ -159,7 +165,10 @@ class Presentation:
             return
         out = {(a, b + 1): p for (a, b), p in self._middles[(k - 1, i)].items()}
         for (a, b), p in self._middles[(k - 1, i - 1)].items():
-            _accumulate(out, (a, b), p * (self.f_iterate(i + b) - self.f_iterate(b)))
+            shift = shifts.get((i, b))
+            if shift is None:
+                shift = shifts[(i, b)] = self.f_iterate(i + b) - self.f_iterate(b)
+            _accumulate(out, (a, b), p * shift)
         self._middles[(k, i)] = {ab: g for ab, g in out.items() if not g.is_zero()}
 
     def _mul_terms(
@@ -175,15 +184,35 @@ class Presentation:
 
             x^(i1+a) * g1(f^(a)) p g2(f^(b)) * y^(b+k2).
 
-        A constant g1 or g2 equals its own composite and is not composed.
+        The work is staged: for each distinct k1, y^k1 * t2 is summed once
+        into terms x^a q y^c with q = sum p g2(f^(b)) and c = b + k2, and only
+        then is each term of t1 with that k1 applied on the left as
+        x^i1 g1(f^(a)).  Each composite g(f^(a)) is built at most once per
+        call; a constant g equals its own composite and is not composed.
         """
-        out: dict[tuple[int, int], Poly] = {}
+        # keyed by id(g): every g is held by t1 or t2 for the whole call
+        composites: dict[tuple[int, int], Poly] = {}
+
+        def composite(g: Poly, a: int) -> Poly:
+            if a == 0 or g.is_constant():
+                return g
+            c = composites.get((id(g), a))
+            if c is None:
+                c = composites[(id(g), a)] = g.compose(self.f_iterate(a))
+            return c
+
+        lefts: dict[int, list[tuple[int, Poly]]] = {}
         for (i1, k1), g1 in t1.items():
+            lefts.setdefault(k1, []).append((i1, g1))
+        out: dict[tuple[int, int], Poly] = {}
+        for k1, terms in lefts.items():
+            right: dict[tuple[int, int], Poly] = {}
             for (i2, k2), g2 in t2.items():
                 for (a, b), p in self._middle(k1, i2).items():
-                    left = g1 if a == 0 or g1.is_constant() else g1.compose(self.f_iterate(a))
-                    right = g2 if b == 0 or g2.is_constant() else g2.compose(self.f_iterate(b))
-                    _accumulate(out, (i1 + a, b + k2), left * p * right)
+                    _accumulate(right, (a, b + k2), p * composite(g2, b))
+            for i1, g1 in terms:
+                for (a, c), q in right.items():
+                    _accumulate(out, (i1 + a, c), composite(g1, a) * q)
         return {ik: g for ik, g in out.items() if not g.is_zero()}
 
     # -- free-module oracle ---------------------------------------------------
@@ -367,13 +396,12 @@ class GHAElement:
         return i, k, self.terms[(i, k)]
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
+        # a term whose polynomial prints as 0 (approximate coefficients all
+        # within CONFIG.tol of 0) is left out of the text, not of the terms
         pieces = []
         for (i, k) in sorted(self.terms, reverse=True):
-            g = self.terms[(i, k)]
-            pieces.extend(_term_strings(i, g, k))
-        return " + ".join(pieces)
+            pieces.extend(_term_strings(i, self.terms[(i, k)], k))
+        return " + ".join(pieces) or "0"
 
     def __repr__(self) -> str:
         return f"GHAElement({self})"
@@ -395,14 +423,16 @@ def _scalar_atom(s: Scalar) -> str:
 
 
 def _term_strings(i: int, g: Poly, k: int) -> list[str]:
-    """Render x^i * g(h) * y^k as one or more canonical summands."""
+    """Render x^i * g(h) * y^k as canonical summands, none when g prints as 0."""
     xpart = "" if i == 0 else ("x" if i == 1 else f"x^{i}")
     ypart = "" if k == 0 else ("y" if k == 1 else f"y^{k}")
-    nonzero = [(j, c) for j, c in enumerate(g.coeffs) if not _is_zero_scalar(c)]
+    nonzero = g._nonzero_terms()
+    if not nonzero:
+        return []
     if i == 0 and k == 0:
         # splice the polynomial into the sum directly
         out = []
-        for j, c in sorted(nonzero, reverse=True):
+        for j, c in reversed(nonzero):
             mono = "" if j == 0 else ("h" if j == 1 else f"h^{j}")
             if not mono:
                 out.append(_scalar_atom(c))
@@ -426,7 +456,7 @@ def _term_strings(i: int, g: Poly, k: int) -> list[str]:
         if not parts:
             parts = ["1"]
         return ["*".join(parts)]
-    return ["*".join(p for p in (xpart, f"({g})", ypart) if p)]
+    return ["*".join(p for p in (xpart, f"({_terms_text(nonzero)})", ypart) if p)]
 
 
 # ---------------------------------------------------------------------------

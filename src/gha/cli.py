@@ -272,14 +272,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.tol is not None:
-        if args.tol <= 0:
-            print("error: --tol must be positive", file=sys.stderr)
-            return INPUT_ERROR
-        CONFIG.tol = args.tol
+    if args.tol is not None and args.tol <= 0:
+        print("error: --tol must be positive", file=sys.stderr)
+        return INPUT_ERROR
     if args.conductor is not None and args.conductor < 1:
         print("error: --conductor must be a positive integer", file=sys.stderr)
         return INPUT_ERROR
+    # --tol holds for this call only; later calls in the process see the old value
+    old_tol = CONFIG.tol
+    if args.tol is not None:
+        CONFIG.tol = args.tol
     try:
         return args.func(args)
     except _CliError as err:
@@ -300,6 +302,8 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return INPUT_ERROR
+    finally:
+        CONFIG.tol = old_tol
 
 
 if __name__ == "__main__":

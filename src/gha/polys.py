@@ -414,21 +414,23 @@ class Poly:
 
     # -- canonical text form ---------------------------------------------------
 
+    def _nonzero_terms(self) -> list[tuple[int, Scalar]]:
+        """(k, coefficient k) for each nonzero coefficient, k ascending.
+
+        The integer form tells a zero coefficient by its numerators, so it
+        builds a scalar only for the nonzero ones; an approximate
+        coefficient within CONFIG.tol of 0 counts as zero."""
+        if self._n:
+            phi, num = euler_phi(self._n), self._num
+            return [
+                (k, self._scalar(k))
+                for k in range(len(num) // phi)
+                if any(num[k * phi : (k + 1) * phi])
+            ]
+        return [(k, c) for k, c in enumerate(self._scalars) if c != zero_like(c)]
+
     def __str__(self) -> str:
-        cs = self.coeffs
-        if not cs:
-            return "0"
-        pieces = []
-        for k in range(len(cs) - 1, -1, -1):
-            c = cs[k]
-            if c == zero_like(c):
-                continue
-            body, negated = _coeff_body(c, k)
-            if not pieces:
-                pieces.append(("-" if negated else "") + body)
-            else:
-                pieces.append(("- " if negated else "+ ") + body)
-        return " ".join(pieces)
+        return _terms_text(self._nonzero_terms())
 
     def __repr__(self) -> str:
         return f"Poly({self})"
@@ -604,6 +606,19 @@ def _reduce_rows(digits: list[int], stride: int, n: int) -> list[int]:
                     row[j - phi + i] -= t * c
         out += row[:phi]
     return out
+
+
+def _terms_text(terms: list[tuple[int, Scalar]]) -> str:
+    """The canonical text of the polynomial with these nonzero terms
+    (ascending, as ``Poly._nonzero_terms`` lists them); "0" for none."""
+    pieces = []
+    for k, c in reversed(terms):
+        body, negated = _coeff_body(c, k)
+        if not pieces:
+            pieces.append(("-" if negated else "") + body)
+        else:
+            pieces.append(("- " if negated else "+ ") + body)
+    return " ".join(pieces) or "0"
 
 
 def _scalar_sign_split(c: Scalar) -> tuple[bool, Scalar | None]:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gha.algebra import (
     FreeModuleElement,
+    GHAElement,
     Presentation,
     PresentationMismatchError,
     commutator,
@@ -16,7 +17,7 @@ from gha.algebra import (
 from gha.config import CONFIG
 from gha.parser import parse_element, parse_poly
 from gha.polys import DegreeOverflowError, Poly, iterate
-from gha.scalars import exact, zeta
+from gha.scalars import approx, exact, zeta
 
 H2 = Presentation(parse_poly("h^2"))
 W3 = Presentation(parse_poly("zeta(3)*h"))
@@ -110,6 +111,45 @@ class TestRewriteEngine:
         y, x = pres.generator("y"), pres.generator("x")
         _ = (y ** 12) * (x ** 12)
         assert len(compose_calls) == 23
+
+    def test_middle_fills_only_the_trapezoid(self):
+        # y^k x^i reads the cells (kk, ii) with max(0, i-(k-kk)) <= ii <= i
+        for (k, i), cells in {(2, 5): 6, (5, 2): 15, (4, 8): 15}.items():
+            pres = Presentation(parse_poly("h^2 + 1"))
+            pres._middle(k, i)
+            assert pres.middle_reductions == cells, (k, i)
+
+    def test_trapezoids_filled_in_any_order_agree(self):
+        f = parse_poly("zeta(3)*h + 1")
+        pres = Presentation(f)
+        for k, i in ((2, 5), (5, 2), (5, 5)):
+            pres._middle(k, i)
+        # 6 + 15 + the 9 cells of the (5, 5) trapezoid not filled before
+        assert pres.middle_reductions == 30
+        fresh = Presentation(f)
+        fresh._middle(5, 5)
+        for cell, terms in fresh._middles.items():
+            assert pres._middles[cell] == terms, cell
+        oracle = Presentation(f)
+        x, y = oracle.generator("x"), oracle.generator("y")
+        one = FreeModuleElement.one()
+        for (k, i), terms in pres._middles.items():
+            v = one
+            for letter in [x] * i + [y] * k:
+                v = free_module_action(letter, v)
+            assert free_module_action(GHAElement(oracle, terms), one) == v, (k, i)
+
+    def test_product_composes_each_composite_once(self, compose_calls):
+        pres = Presentation(parse_poly("2*h - 1"))
+        pres._middle(3, 3)
+        a = parse_element("x*(h^2+1)*y^3 + (h-2)*y^2 + x^2*h*y^3", pres)
+        b = parse_element("x^3*(h+1)*y + x^2*(2*h^2-1) + x^3*h*y^2", pres)
+        compose_calls.clear()
+        product = a * b
+        # each g(f^(a)) once per product: 18 compositions, not one per middle term
+        assert len(compose_calls) == 18
+        one = FreeModuleElement.one()
+        assert free_module_action(product, one) == free_module_action(a, free_module_action(b, one))
 
     def test_degree_guard_refuses_up_front(self, compose_calls):
         # deg f^(13) = 2^13 exceeds the default guard of 4096
@@ -275,3 +315,13 @@ class TestPrinting:
         assert str(e) == "x^2*(h^2 + 1)*y + (-1)*h"
         assert str(H2.scalar(0)) == "0"
         assert str(H2.one()) == "1"
+
+    def test_terms_that_print_as_zero_are_left_out(self):
+        # a coefficient within CONFIG.tol of 0 prints as 0; the term stays
+        pres = Presentation(parse_poly("0.5*h", "approx"))
+        tiny = Poly([approx(1e-12)])
+        e = pres.monomial(1, tiny, 1)
+        assert str(tiny) == "0"
+        assert str(e) == "0" and not e.is_zero()
+        assert str(e + pres.generator("x")) == "x"
+        assert str(pres.from_poly(tiny)) == "0"

@@ -10,6 +10,7 @@ import pytest
 
 from gha import schemas
 from gha.cli import main
+from gha.config import CONFIG
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -154,6 +155,28 @@ class TestBackends:
     def test_approx_decimals(self, capsys):
         code, out, _ = run(capsys, "--backend", "approx", "normalize", "-f", "0.5*h", "-e", "y*x")
         assert code == 0 and out.strip() == "x*y + (-0.5)*h"
+
+    def test_approx_zero_terms_are_left_out(self, capsys):
+        # the lower terms of y^k x^k over zeta(3)*h vanish up to rounding
+        code, out, _ = run(capsys, "--backend", "approx", "normalize", "-f", "zeta(3)*h", "-e", "y^4*x^4")
+        assert code == 0 and "()" not in out
+        assert out.startswith("x^4*y^4 + x^3*(") and out.strip().endswith(")*h*y^3")
+        assert out.count(" + x") == 1
+        code, out, _ = run(
+            capsys, "--json", "--backend", "approx", "normalize", "-f", "zeta(3)*h", "-e", "y^3*x^3"
+        )
+        doc = json.loads(out)
+        jsonschema.validate(doc, schemas.NORMALIZE_SCHEMA)
+        assert code == 0 and doc["normal_form"] == "x^3*y^3"
+
+    def test_tol_holds_for_one_call(self, capsys):
+        before = CONFIG.tol
+        argv = ["--backend", "approx", "normalize", "-f", "0.5*h", "-e", "y*x"]
+        assert run(capsys, "--tol", "0.5", *argv)[1].strip() == "x*y"
+        assert CONFIG.tol == before
+        assert run(capsys, *argv)[1].strip() == "x*y + (-0.5)*h"
+        assert run(capsys, "--tol", "0.5", "normalize", "-f", "h^2", "-e", "y*")[0] == 2
+        assert CONFIG.tol == before
 
     def test_exact_rejects_decimals(self, capsys):
         code, _, err = run(capsys, "normalize", "-f", "0.5*h", "-e", "x")
