@@ -31,6 +31,7 @@ from .config import CONFIG, EnumerationConfig
 from .linalg import (
     EchelonBasis,
     Matrix,
+    charpoly,
     flatten,
     identity,
     is_diagonal,
@@ -42,7 +43,8 @@ from .linalg import (
     poly_at_matrix,
     zeros,
 )
-from .polys import ContinuumOfOrbitsError, Orbit, Poly, exact_roots, iterate, periodic_points, roots
+from .polys import ContinuumOfOrbitsError, Orbit, Poly, exact_roots, iterate, least_period
+from .polys import _group_orbits, orbit_match, periodic_points, roots
 from .scalars import BackendMismatchError, Scalar, as_scalar, backend_of, zero_like
 
 CYCLIC_X = "cyclic_x"
@@ -105,7 +107,7 @@ class MatrixModule:
 
 
 def _mag(s: Scalar) -> float:
-    return abs(complex(s.embed() if hasattr(s, "embed") else s.value))
+    return abs(s.embed())
 
 
 def _orbit_problems(orbit: Orbit, f: Poly) -> list[str]:
@@ -116,10 +118,9 @@ def _orbit_problems(orbit: Orbit, f: Poly) -> list[str]:
         if f.evaluate(vals[i]) != vals[(i + 1) % n]:
             problems.append(f"orbit is not an f-cycle: f(orbit[{i}]) != orbit[{(i + 1) % n}]")
             break
-    for d in range(1, n):
-        if n % d == 0 and all(vals[i] == vals[(i + d) % n] for i in range(n)):
-            problems.append(f"orbit period is {d}, not the full length {n}")
-            break
+    d = least_period(vals)
+    if d < n:
+        problems.append(f"orbit period is {d}, not the full length {n}")
     return problems
 
 
@@ -309,8 +310,6 @@ def is_simple(m: MatrixModule) -> bool:
 def _h_eigenvalues(m: MatrixModule, f: Poly) -> list[Scalar]:
     if is_diagonal(m.H):
         return [m.H[i][i] for i in range(m.n)]
-    from .linalg import charpoly
-
     cp = charpoly(m.H)
     if m.backend == "exact":
         found, rem = exact_roots(cp, conductor=f.conductor())
@@ -347,9 +346,11 @@ def classify(m: MatrixModule, f: Poly) -> ModuleDescriptor:
     """Decide which family m belongs to and recover its descriptor.
 
     The trichotomy: x^n != 0 puts m in cyclic_x; otherwise an invertible y
-    puts it in cyclic_y; otherwise it is nilpotent_x.  The orbit is read
-    from the h-spectrum by chasing f from any eigenvalue, and the result
-    always satisfies modules_isomorphic(classify(build(d)), d).
+    puts it in cyclic_y; otherwise it is nilpotent_x.  The orbit is the
+    h-spectrum itself, chained into one f-orbit by the matcher
+    periodic_points uses (each f(lambda) is matched to a remaining
+    eigenvalue, never iterated further), and the result always satisfies
+    modules_isomorphic(classify(build(d)), d).
     """
     n = m.n
     zmat = mat_sub(mat_mul(m.X, m.Y), m.H)
@@ -382,14 +383,11 @@ def classify(m: MatrixModule, f: Poly) -> ModuleDescriptor:
 
 
 def _orbit_from_spectrum(m: MatrixModule, f: Poly) -> Orbit:
-    eigs = _h_eigenvalues(m, f)
-    seed = eigs[0]
-    vals = [seed]
-    for _ in range(m.n - 1):
-        vals.append(f.evaluate(vals[-1]))
-    if not _multiset_equal(vals, eigs):
+    """The eigenvalues of H as one f-orbit, in canonical rotation."""
+    orbits, residuals = _group_orbits(f, _h_eigenvalues(m, f), m.n, orbit_match)
+    if len(orbits) != 1 or residuals:
         raise ClassifyError("h-spectrum is not a single f-orbit")
-    return Orbit(tuple(vals)).canonical()
+    return orbits[0]
 
 
 def modules_isomorphic(d1: ModuleDescriptor, d2: ModuleDescriptor) -> bool:
@@ -511,7 +509,7 @@ def _nilpotent_families(
             if qi.is_zero():
                 # an exclusion fails identically, so no zdot works at all
                 return []
-            for v in _roots_of(qi, f, conductor):
+            for v in _roots_with_note(qi, f, conductor)[0]:
                 if all(v != u for u in excluded):
                     excluded.append(v)
         inst = []
@@ -554,13 +552,6 @@ def _nilpotent_families(
         # of silently claiming there is nothing
         families.append(ModuleFamily(NILPOTENT_X, n, notes=tuple(notes)))
     return families
-
-
-def _roots_of(q: Poly, f: Poly, conductor: int | None = None) -> list[Scalar]:
-    if q.backend == "exact":
-        found, _rem = exact_roots(q, conductor=lcm(f.conductor(), conductor or 1))
-        return [r for r, _m in found]
-    return list(roots(q))
 
 
 def _roots_with_note(q: Poly, f: Poly, conductor: int | None = None) -> tuple[list[Scalar], str]:

@@ -42,9 +42,9 @@ from .scalars import (
     BackendMismatchError,
     CyclotomicNumber,
     Scalar,
+    _reduce_mod_cyclotomic,
     approx,
     backend_of,
-    cyclotomic_polynomial,
     divisors,
     euler_phi,
     exact,
@@ -544,7 +544,7 @@ def _mul_forms(a: Poly, b: Poly, n: int) -> Poly:
     vb = va if b is a else _pack(b._num, pb, stride, width)
     digits = _unpack(va * vb, width, (la + lb - 1) * stride)
     if stride > euler_phi(n):
-        digits = _reduce_rows(digits, stride, n)
+        digits = _reduce_mod_cyclotomic(digits, n, stride)
     return _exact(n, a._den * b._den, digits)
 
 
@@ -589,23 +589,6 @@ def _unpack(value: int, width: int, count: int) -> list[int]:
     # each slot reads as two's complement; one that reads negative lent one
     # to the slot above it
     return [d + (below < 0) for d, below in zip(slots, chain((0,), slots))]
-
-
-def _reduce_rows(digits: list[int], stride: int, n: int) -> list[int]:
-    """Reduce each row of stride zeta-coefficients mod Phi_n to phi(n) ones."""
-    cp = cyclotomic_polynomial(n)
-    phi = len(cp) - 1
-    taps = [(i, c) for i, c in enumerate(cp[:phi]) if c]
-    out: list[int] = []
-    for start in range(0, len(digits), stride):
-        row = digits[start : start + stride]
-        for j in range(stride - 1, phi - 1, -1):
-            t = row[j]
-            if t:
-                for i, c in taps:
-                    row[j - phi + i] -= t * c
-        out += row[:phi]
-    return out
 
 
 def _terms_text(terms: list[tuple[int, Scalar]]) -> str:
@@ -693,25 +676,47 @@ def iterate(f: Poly, i: int) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def _aberth(cs: list[complex]) -> list[complex]:
-    """All roots of the polynomial with ascending coefficients cs (deg >= 1)."""
+def _horner(cs: list[complex]):
+    """(p, p'): the polynomial with ascending coefficients cs and its
+    derivative, as functions evaluated by Horner's rule."""
     n = len(cs) - 1
-    lead = cs[-1]
-    mon = [c / lead for c in cs]
-    norm = max(abs(c) for c in cs)
 
     def val(z: complex) -> complex:
         acc = 0j
-        for c in reversed(mon):
+        for c in reversed(cs):
             acc = acc * z + c
         return acc
 
     def dval(z: complex) -> complex:
         acc = 0j
         for k in range(n, 0, -1):
-            acc = acc * z + k * mon[k]
+            acc = acc * z + k * cs[k]
         return acc
 
+    return val, dval
+
+
+def _groups(values: list[complex], radius: float) -> list[list[complex]]:
+    """values in (re, im) order, each joined to the first group whose first
+    member lies within radius of it."""
+    groups: list[list[complex]] = []
+    for v in sorted(values, key=lambda z: (z.real, z.imag)):
+        for g in groups:
+            if abs(v - g[0]) <= radius:
+                g.append(v)
+                break
+        else:
+            groups.append([v])
+    return groups
+
+
+def _aberth(cs: list[complex]) -> list[complex]:
+    """All roots of the polynomial with ascending coefficients cs (deg >= 1)."""
+    n = len(cs) - 1
+    lead = cs[-1]
+    mon = [c / lead for c in cs]
+    norm = max(abs(c) for c in cs)
+    val, dval = _horner(mon)
     radius = 1.0 + max(abs(c) for c in mon[:-1]) if n else 1.0
     zs = [
         0.7 * radius * cmath.exp(2j * math.pi * (j + 0.37) / n) + 0.1 + 0.05j
@@ -772,32 +777,11 @@ def _refine_multiples(cs: list[complex], zs: list[complex]) -> list[complex]:
     z -= m*p(z)/p'(z) from the centroid restores fast convergence, so the
     cluster can be reported as m equal, accurate copies.
     """
-    n = len(cs) - 1
-
-    def val(z):
-        acc = 0j
-        for c in reversed(cs):
-            acc = acc * z + c
-        return acc
-
-    def dval(z):
-        acc = 0j
-        for k in range(n, 0, -1):
-            acc = acc * z + k * cs[k]
-        return acc
-
+    val, dval = _horner(cs)
     scale = 1 + max(abs(z) for z in zs)
     radius = 1e-3 * scale
-    groups: list[list[complex]] = []
-    for z in sorted(zs, key=lambda w: (w.real, w.imag)):
-        for g in groups:
-            if abs(z - g[0]) <= radius:
-                g.append(z)
-                break
-        else:
-            groups.append([z])
     out: list[complex] = []
-    for g in groups:
+    for g in _groups(zs, radius):
         if len(g) == 1:
             out.append(g[0])
             continue
@@ -904,8 +888,7 @@ def exact_roots(p: Poly, conductor: int | None = None):
         raise BackendMismatchError("exact_roots needs an exact-backend polynomial")
     if p.is_zero():
         raise ValueError("zero polynomial")
-    n = conductor or p.conductor()
-    n = math.lcm(n, p.conductor())
+    n = math.lcm(conductor or 1, p.conductor())
     rem = p
     found: list[tuple[CyclotomicNumber, int]] = []
     if rem.degree >= 1:
@@ -1003,24 +986,32 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     return a * Poly([one_like(a.leading) / a.leading])
 
 
+def least_period(vals) -> int:
+    """The least d dividing n = len(vals) with vals[i] == vals[(i + d) % n]
+    for every i: the period of the cycle vals lists (n when there is none)."""
+    n = len(vals)
+    return next(
+        (d for d in divisors(n) if all(vals[i] == vals[(i + d) % n] for i in range(n))), n
+    )
+
+
 def orbit_through(f: Poly, seed: Scalar, n: int) -> Orbit | None:
     """The orbit (seed, f(seed), ...) if it has exact period n, else None."""
     vals = [seed]
     for _ in range(n - 1):
         vals.append(f.evaluate(vals[-1]))
-    if f.evaluate(vals[-1]) != seed:
+    if f.evaluate(vals[-1]) != seed or least_period(vals) < n:
         return None
-    for d in divisors(n)[:-1]:
-        if all(vals[i] == vals[(i + d) % n] for i in range(n)):
-            return None
     return Orbit(tuple(vals))
 
 
-def _exact_period_filter_exact(f: Poly, values, n: int):
-    for d in divisors(n)[:-1]:
-        fd = iterate(f, d)
-        values = [v for v in values if fd.evaluate(v) != v]
-    return values
+def orbit_match(a: Scalar, b: Scalar) -> bool:
+    """Whether a is the orbit point b: exact scalars must be equal, an
+    approximate a must lie within match_factor*tol*max(1, |b|) of b."""
+    if isinstance(a, CyclotomicNumber):
+        return a == b
+    bv = b.embed()
+    return abs(a.value - bv) <= CONFIG.match_factor * CONFIG.tol * max(1.0, abs(bv))
 
 
 def _cluster(values: list[complex]) -> list[complex]:
@@ -1028,21 +1019,13 @@ def _cluster(values: list[complex]) -> list[complex]:
     if not values:
         return []
     scale = 1 + max(abs(v) for v in values)
-    radius = CONFIG.cluster_scale * scale
-    values = sorted(values, key=lambda z: (z.real, z.imag))
-    groups: list[list[complex]] = []
-    for v in values:
-        for g in groups:
-            if abs(v - g[0]) <= radius:
-                g.append(v)
-                break
-        else:
-            groups.append([v])
-    return [sum(g) / len(g) for g in groups]
+    return [sum(g) / len(g) for g in _groups(values, CONFIG.cluster_scale * scale)]
 
 
-def _group_orbits(f: Poly, pool: list[Scalar], n: int, match_tol) -> tuple[list[Orbit], list[Scalar]]:
-    """Chain roots into orbits under f; unmatched values become residuals."""
+def _group_orbits(f: Poly, pool: list[Scalar], n: int, match) -> tuple[list[Orbit], list[Scalar]]:
+    """Chain the values of pool into period-n orbits under f, each image
+    f(v) taken to be the first pool value that match(value, f(v)) accepts;
+    orbits come in canonical rotation, unmatched values become residuals."""
     pool = sorted(pool, key=lambda s: (s.embed().real, s.embed().imag))
     orbits: list[Orbit] = []
     residuals: list[Scalar] = []
@@ -1054,7 +1037,7 @@ def _group_orbits(f: Poly, pool: list[Scalar], n: int, match_tol) -> tuple[list[
             nxt = f.evaluate(seq[-1])
             hit = None
             for idx, v in enumerate(pool):
-                if match_tol(v, nxt):
+                if match(v, nxt):
                     hit = idx
                     break
             if hit is None:
@@ -1063,7 +1046,7 @@ def _group_orbits(f: Poly, pool: list[Scalar], n: int, match_tol) -> tuple[list[
             seq.append(pool.pop(hit))
         if ok:
             closing = f.evaluate(seq[-1])
-            ok = match_tol(seq[0], closing)
+            ok = match(seq[0], closing)
         if ok:
             orbits.append(Orbit(tuple(seq)).canonical())
         else:
@@ -1097,13 +1080,17 @@ def periodic_points(
     """All exact-period-n orbits of h -> f(h).
 
     Exact backend: lower-period factors of f^(n) - h are divided out by gcd
-    with f^(d) - h (d a proper divisor of n), then roots of the quotient are
-    searched inside Q(zeta_N) (N = conductor, defaulting to the lcm of f's
-    coefficient conductors); if the quotient splits there the whole
-    computation stays exact, otherwise it falls back to numeric roots.
-    Orbits are returned in canonical rotation; numeric roots that cannot be
-    grouped into an orbit are reported in residual_roots rather than
-    silently dropped.
+    with f^(d) - h (d a proper divisor of n), so every root of the quotient
+    has exact period n.  Its roots are searched inside Q(zeta_N)
+    (N = conductor, defaulting to the lcm of f's coefficient conductors);
+    if the quotient splits there the whole computation stays exact,
+    otherwise it falls back to numeric roots of f^(n) - h, clustered, with
+    those near a root of some f^(d) - h dropped.
+
+    Either way the roots are chained into orbits by :func:`orbit_match`,
+    the rule ``classify`` also uses on an h-spectrum.  Orbits are returned
+    in canonical rotation; numeric roots that cannot be grouped into an
+    orbit are reported in residual_roots rather than silently dropped.
 
     When f^(n) is the identity map every point is periodic: f = h is always
     rejected, and otherwise a ContinuumOfOrbitsError is raised unless
@@ -1143,12 +1130,10 @@ def periodic_points(
             return OrbitSet(())
         found, rem = exact_roots(core, cond)
         if rem.degree == 0:
-            values = [r for r, _ in found]
-            values = _exact_period_filter_exact(f, values, n)
-            orbits, residuals = _group_orbits(
-                f, values, n, match_tol=lambda a, b: a == b
-            )
-            # closure of the root set under f makes exact grouping total
+            # core is coprime to every f^(d) - h, so each root has exact
+            # period n, and closure of the root set under f makes exact
+            # grouping total
+            orbits, residuals = _group_orbits(f, [r for r, _ in found], n, orbit_match)
             assert not residuals, "exact orbit grouping must consume every root"
             return OrbitSet(tuple(orbits))
 
@@ -1165,11 +1150,5 @@ def periodic_points(
             return OrbitSet(())
         fixed = [r.value for r in roots(gd)]
         centers = [c for c in centers if all(abs(c - w) > radius for w in fixed)]
-    pool = [approx(c) for c in centers]
-
-    def match(a: ApproxComplex, b: Scalar) -> bool:
-        bv = b.embed()
-        return abs(a.value - bv) <= CONFIG.match_factor * CONFIG.tol * max(1.0, abs(bv))
-
-    orbits, residuals = _group_orbits(fa, pool, n, match_tol=match)
+    orbits, residuals = _group_orbits(fa, [approx(c) for c in centers], n, orbit_match)
     return OrbitSet(tuple(orbits), tuple(residuals))

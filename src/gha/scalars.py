@@ -87,17 +87,34 @@ def euler_phi(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
 
 
-def _reduce_mod_cyclotomic(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
-    phi = euler_phi(n)
+@lru_cache(maxsize=None)
+def _cyclotomic_taps(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(phi(n), the (i, c) with c = coefficient i != 0 of Phi_n, i < phi(n))."""
     cp = cyclotomic_polynomial(n)
-    c = list(coeffs) + [Fraction(0)] * max(0, phi - len(coeffs))
-    for j in range(len(c) - 1, phi - 1, -1):
-        t = c[j]
-        if t:
-            c[j] = Fraction(0)
-            for i in range(phi):
-                c[j - phi + i] -= t * cp[i]
-    return tuple(c[:phi])
+    phi = len(cp) - 1
+    return phi, tuple((i, c) for i, c in enumerate(cp[:phi]) if c)
+
+
+def _reduce_mod_cyclotomic(c: list, n: int, stride: int = 0) -> list:
+    """The phi(n) power-basis coordinates of sum c[j]*zeta_n^j; with a
+    stride, those of each row of stride coefficients of c in turn.
+
+    c holds ints or Fractions.  Each top coefficient of a row is folded
+    down through the nonzero taps of the monic Phi_n."""
+    phi, taps = _cyclotomic_taps(n)
+    if len(c) < phi:
+        return c + [0] * (phi - len(c))
+    stride = stride or len(c)
+    out: list = []
+    for start in range(0, len(c), stride):
+        row = c[start : start + stride]
+        for j in range(stride - 1, phi - 1, -1):
+            t = row[j]
+            if t:
+                for i, a in taps:
+                    row[j - phi + i] -= t * a
+        out += row[:phi]
+    return out
 
 
 def _poly_xgcd(a: list[Fraction], b: list[Fraction]):
@@ -187,7 +204,7 @@ class CyclotomicNumber:
         raw = [Fraction(0)] * ((len(self.coords) - 1) * step + 1)
         for j, c in enumerate(self.coords):
             raw[j * step] += c
-        return _reduce_mod_cyclotomic(raw, m)
+        return tuple(_reduce_mod_cyclotomic(raw, m))
 
     @staticmethod
     def _common(a: "CyclotomicNumber", b: "CyclotomicNumber"):

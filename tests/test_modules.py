@@ -4,7 +4,15 @@ simple modules."""
 import pytest
 
 from gha.config import EnumerationConfig
-from gha.linalg import identity, is_zero_matrix, mat_mul, mat_pow, mat_scale, mat_vec
+from gha.linalg import (
+    identity,
+    is_zero_matrix,
+    mat_add,
+    mat_mul,
+    mat_pow,
+    mat_scale,
+    mat_vec,
+)
 from gha.modules import (
     CYCLIC_X,
     CYCLIC_Y,
@@ -25,7 +33,8 @@ from gha.modules import (
 )
 from gha.parser import parse_poly
 from gha.polys import Orbit
-from gha.scalars import exact, zeta
+from gha.scalars import as_scalar, backend_of, exact, zeta
+from gha.schemas import module_from_json, module_to_json
 
 H2 = parse_poly("h^2")
 W4 = parse_poly("zeta(4)*h")
@@ -187,6 +196,38 @@ class TestClassifyErrors:
         m = MatrixModule(n=2, X=z, H=[[exact(1), exact(0)], [exact(0), exact(2)]], Y=z)
         with pytest.raises(ClassifyError):
             classify(m, H2)
+
+    @pytest.mark.parametrize("backend", ["exact", "approx"])
+    def test_spectrum_of_two_fixed_points_is_not_an_orbit(self, backend):
+        # x*y - h = zdot and x^2 = 1, so the cyclic_x branch is taken, but the
+        # h-spectrum {0, 1} is two fixed points of h^2, not one 2-cycle
+        H = [[as_scalar(v, backend) for v in row] for row in ((0, 0), (0, 1))]
+        X = [[as_scalar(v, backend) for v in row] for row in ((0, 1), (1, 0))]
+        Y = mat_mul(X, mat_add(H, mat_scale(identity(2, backend), as_scalar(3, backend))))
+        f = parse_poly("h^2", backend)
+        with pytest.raises(ClassifyError, match="h-spectrum is not a single f-orbit"):
+            classify(MatrixModule(n=2, X=X, H=H, Y=Y), f)
+
+
+class TestClassifyExpandingCycle:
+    """f = h^2 + 2h - 3/4 has 4-cycles on which |f'| multiplies to about 26,
+    so iterating f from one eigenvalue drifts off the spectrum; classify must
+    match each image against the eigenvalues instead."""
+
+    @pytest.mark.parametrize("backend", ["exact", "approx"])
+    def test_every_instantiation_round_trips_through_json(self, backend):
+        f = parse_poly("h^2 + 2*h - 3/4", backend)
+        cfg = EnumerationConfig(instantiations=1, orbit_samples=1)
+        checked = 0
+        for fam in enumerate_simples(f, 4, cfg):
+            for d in fam.instantiations:
+                # numeric families of an exact f are built against f.approx()
+                f_used = f.approx() if backend_of(d.zdot) == "approx" else f
+                m = build(d, f_used)
+                back = module_from_json(module_to_json(m), m.backend)
+                assert modules_isomorphic(classify(back, f_used), d), d
+                checked += 1
+        assert checked == (15 if backend == "exact" else 25)
 
 
 class TestModulesIsomorphic:
