@@ -16,13 +16,12 @@ from .algebra import GHAElement, Presentation, commutator
 from .config import CONFIG, EnumerationConfig
 from .modules import (
     ClassifyError,
-    DescriptorError,
     build,
     classify,
     enumerate_simples,
     verify_relations,
 )
-from .parser import ParseError, parse_element, parse_poly
+from .parser import parse_element, parse_poly
 from .polys import DegreeOverflowError, RootFindingError
 from .scalars import BackendMismatchError
 from .schemas import (
@@ -43,12 +42,6 @@ INPUT_ERROR = 2
 NUMERIC_FAILURE = 3
 
 
-class _CliError(Exception):
-    def __init__(self, message: str, code: int) -> None:
-        super().__init__(message)
-        self.code = code
-
-
 def _emit(doc) -> None:
     print(json.dumps(doc, indent=2))
 
@@ -64,15 +57,15 @@ def _read_json_arg(value: str):
             with open(value, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as err:
-            raise _CliError(f"cannot read {value}: {err}", INPUT_ERROR)
+            raise ValueError(f"cannot read {value}: {err}")
     try:
         return json.loads(text)
     except json.JSONDecodeError as err:
-        raise _CliError(f"bad JSON: {err}", INPUT_ERROR)
+        raise ValueError(f"bad JSON: {err}")
 
 
-def _poly(args, attr="f"):
-    return parse_poly(getattr(args, attr), args.backend)
+def _poly(args):
+    return parse_poly(args.f, args.backend)
 
 
 def _cmd_normalize(args) -> int:
@@ -141,7 +134,7 @@ def _cmd_simples(args) -> int:
     cfg = EnumerationConfig()
     if args.samples is not None:
         if args.samples < 1:
-            raise _CliError("--samples must be at least 1", INPUT_ERROR)
+            raise ValueError("--samples must be at least 1")
         cfg = EnumerationConfig(instantiations=args.samples, orbit_samples=args.samples)
     fams = enumerate_simples(f, args.n, cfg, conductor=args.conductor)
     _emit(families_to_json(str(f), args.n, f.backend, fams))
@@ -158,11 +151,7 @@ def _cmd_build(args) -> int:
 
 
 def _load_module(args, f):
-    doc = _read_json_arg(args.module)
-    try:
-        return module_from_json(doc, f.backend)
-    except KeyError as err:
-        raise _CliError(f"module JSON is missing {err}", INPUT_ERROR)
+    return module_from_json(_read_json_arg(args.module), f.backend)
 
 
 def _cmd_verify(args) -> int:
@@ -284,22 +273,13 @@ def main(argv=None) -> int:
         CONFIG.tol = args.tol
     try:
         return args.func(args)
-    except _CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return err.code
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return INPUT_ERROR
-    except (DescriptorError, BackendMismatchError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return INPUT_ERROR
     except ClassifyError as err:
         print(f"not classifiable: {err}", file=sys.stderr)
         return MATH_NEGATIVE
     except (RootFindingError, DegreeOverflowError) as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return NUMERIC_FAILURE
-    except ValueError as err:
+    except (ValueError, BackendMismatchError) as err:
         print(f"error: {err}", file=sys.stderr)
         return INPUT_ERROR
     finally:

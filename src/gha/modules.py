@@ -43,8 +43,8 @@ from .linalg import (
     poly_at_matrix,
     zeros,
 )
-from .polys import ContinuumOfOrbitsError, Orbit, Poly, exact_roots, iterate, least_period
-from .polys import _group_orbits, orbit_match, periodic_points, roots
+from .polys import ContinuumOfOrbitsError, Orbit, Poly, exact_roots, least_period
+from .polys import _extend_iterates, _group_orbits, orbit_match, periodic_points, roots
 from .scalars import BackendMismatchError, Scalar, as_scalar, backend_of, zero_like
 
 CYCLIC_X = "cyclic_x"
@@ -488,24 +488,24 @@ def _cyclic_y_families(
     return out
 
 
-def _closure_poly(f: Poly, n: int) -> Poly:
-    """q with q(z) = z + f^(n)(-z)."""
-    minus = Poly([as_scalar(0, f.backend), -as_scalar(1, f.backend)])
-    fn = iterate(f, n)
-    return Poly([as_scalar(0, f.backend), as_scalar(1, f.backend)]) + fn.compose(minus)
+def _closure_poly(fn: Poly) -> Poly:
+    """q with q(z) = z + fn(-z), for fn = f^(n)."""
+    minus = Poly([as_scalar(0, fn.backend), -as_scalar(1, fn.backend)])
+    return Poly([as_scalar(0, fn.backend), as_scalar(1, fn.backend)]) + fn.compose(minus)
 
 
 def _nilpotent_families(
     f: Poly, n: int, cfg: EnumerationConfig, conductor: int | None = None
 ) -> list[ModuleFamily]:
     backend = f.backend
-    q = _closure_poly(f, n)
+    iterates = [Poly.variable(backend)]
+    q = _closure_poly(_extend_iterates(f, iterates, n))
     if q.is_zero():
         # closure holds for every zdot: a one-parameter family, minus the
         # finitely many values breaking an exclusion at a smaller index
         excluded: list[Scalar] = []
         for i in range(1, n):
-            qi = _closure_poly(f, i)
+            qi = _closure_poly(iterates[i])
             if qi.is_zero():
                 # an exclusion fails identically, so no zdot works at all
                 return []

@@ -15,16 +15,23 @@ is how rational literals like 3/4 are written.  NAME is one of x, y, h, z,
 i; which of them are legal depends on the context (a polynomial in h
 cannot mention x).  Decimal and exponent-notation literals (0.5, 1e-9)
 are only meaningful on the approx backend.
+
+Parsing runs in two phases.  A recursive descent checks the grammar of the
+whole text and emits it as postfix steps ``(op, arg, pos)``; then
+:func:`_evaluate` runs the steps on a stack, with a symbol table that
+decides the context.  So a syntax error anywhere in the text is reported
+before any arithmetic runs (and before a degree guard can trip).
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import NoReturn
 
 from .algebra import GHAElement, Presentation
 from .polys import Poly
-from .scalars import Scalar, as_scalar, zeta
+from .scalars import ApproxComplex, CyclotomicNumber, Scalar, as_scalar, zeta
 
 
 class ParseError(ValueError):
@@ -32,50 +39,6 @@ class ParseError(ValueError):
         super().__init__(f"{message} (line {line}, column {col})")
         self.line = line
         self.col = col
-
-
-# -- AST ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Num:
-    text: str
-    is_float: bool
-    pos: int
-
-
-@dataclass(frozen=True)
-class Sym:
-    name: str
-    pos: int
-
-
-@dataclass(frozen=True)
-class Zeta:
-    order: int
-    pos: int
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Node"
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: "Node"
-    right: "Node"
-    pos: int
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
-    exponent: int
-
-
-Node = Num | Sym | Zeta | Neg | BinOp | Pow
 
 
 # -- tokenizer ------------------------------------------------------------------
@@ -104,20 +67,20 @@ def _tokenize(text: str) -> list[_Token]:
             toks.append(_Token("punct", ch, idx))
             idx += 1
             continue
-        if ch.isdigit() or (ch == "." and idx + 1 < size and text[idx + 1].isdigit()):
+        if ch.isdecimal() or (ch == "." and idx + 1 < size and text[idx + 1].isdecimal()):
             start = idx
             seen_dot = False
             seen_exp = False
             while idx < size:
                 c = text[idx]
-                if c.isdigit():
+                if c.isdecimal():
                     idx += 1
                 elif c == "." and not seen_dot and not seen_exp:
                     seen_dot = True
                     idx += 1
                 elif c in "eE" and not seen_exp and idx + 1 < size and (
-                    text[idx + 1].isdigit()
-                    or (text[idx + 1] in "+-" and idx + 2 < size and text[idx + 2].isdigit())
+                    text[idx + 1].isdecimal()
+                    or (text[idx + 1] in "+-" and idx + 2 < size and text[idx + 2].isdecimal())
                 ):
                     seen_exp = True
                     idx += 1
@@ -134,255 +97,177 @@ def _tokenize(text: str) -> list[_Token]:
                 idx += 1
             toks.append(_Token("name", text[start:idx], start))
             continue
-        raise ParseError(f"unexpected character {ch!r}", *_linecol(text, idx))
+        _fail(text, f"unexpected character {ch!r}", idx)
     toks.append(_Token("end", "", size))
     return toks
 
 
-def _linecol(text: str, pos: int) -> tuple[int, int]:
+def _fail(text: str, message: str, pos: int) -> NoReturn:
     line = text.count("\n", 0, pos) + 1
-    last_nl = text.rfind("\n", 0, pos)
-    return line, pos - last_nl
+    raise ParseError(message, line, pos - text.rfind("\n", 0, pos))
 
 
-class _Parser:
+# -- grammar: text -> postfix steps ---------------------------------------------
+
+
+class _Postfix:
+    """Recursive descent over the tokens; ``steps`` is the text in postfix.
+
+    Steps are ``("int" | "dec", literal, pos)``, ``("zeta", order, pos)``,
+    ``("name", name, pos)``, ``("neg", None, pos)``, ``("^", exponent, pos)``
+    and ``(op, None, pos)`` for the binary operators ``+ - * /``.
+    """
+
     def __init__(self, text: str) -> None:
         self.text = text
         self.toks = _tokenize(text)
         self.idx = 0
-
-    def _fail(self, message: str, pos: int | None = None):
-        if pos is None:
-            pos = self.toks[self.idx].pos
-        raise ParseError(message, *_linecol(self.text, pos))
-
-    def peek(self) -> _Token:
-        return self.toks[self.idx]
-
-    def advance(self) -> _Token:
+        self.steps: list[tuple[str, object, int]] = []
+        self.expr()
         tok = self.toks[self.idx]
-        self.idx += 1
-        return tok
-
-    def expect_punct(self, ch: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "punct" or tok.text != ch:
-            self._fail(f"expected {ch!r}")
-        return self.advance()
-
-    def parse(self) -> Node:
-        node = self.expr()
-        tok = self.peek()
         if tok.kind != "end":
-            self._fail(f"unexpected trailing input {tok.text!r}")
-        return node
+            self.fail(f"unexpected trailing input {tok.text!r}")
 
-    def expr(self) -> Node:
-        node = self.term()
-        while True:
-            tok = self.peek()
-            if tok.kind == "punct" and tok.text in "+-":
-                self.advance()
-                node = BinOp(tok.text, node, self.term(), tok.pos)
-            else:
-                return node
+    def fail(self, message: str) -> NoReturn:
+        _fail(self.text, message, self.toks[self.idx].pos)
 
-    def term(self) -> Node:
-        node = self.unary()
-        while True:
-            tok = self.peek()
-            if tok.kind == "punct" and tok.text in "*/":
-                self.advance()
-                node = BinOp(tok.text, node, self.unary(), tok.pos)
-            else:
-                return node
+    def take(self, ops: str) -> _Token | None:
+        """The next token, consumed, if it is one of the punctuation ops."""
+        tok = self.toks[self.idx]
+        if tok.kind == "punct" and tok.text in ops:
+            self.idx += 1
+            return tok
+        return None
 
-    def unary(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text == "-":
-            self.advance()
-            return Neg(self.unary())
-        return self.power()
+    def expect(self, ch: str) -> None:
+        if self.take(ch) is None:
+            self.fail(f"expected {ch!r}")
 
-    def power(self) -> Node:
-        base = self.atom()
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text == "^":
-            self.advance()
-            exp_tok = self.peek()
-            if exp_tok.kind == "punct" and exp_tok.text == "-":
-                self._fail("negative exponents are not allowed")
-            if exp_tok.kind != "num" or exp_tok.is_float:
-                self._fail("exponent must be a nonnegative integer")
-            self.advance()
-            return Pow(base, int(exp_tok.text))
-        return base
+    def expr(self) -> None:
+        self.term()
+        while tok := self.take("+-"):
+            self.term()
+            self.steps.append((tok.text, None, tok.pos))
 
-    def atom(self) -> Node:
-        tok = self.peek()
+    def term(self) -> None:
+        self.unary()
+        while tok := self.take("*/"):
+            self.unary()
+            self.steps.append((tok.text, None, tok.pos))
+
+    def unary(self) -> None:
+        tok = self.take("-")
+        if tok is None:
+            self.power()
+        else:
+            self.unary()
+            self.steps.append(("neg", None, tok.pos))
+
+    def power(self) -> None:
+        self.atom()
+        if self.take("^"):
+            tok = self.toks[self.idx]
+            if tok.kind == "punct" and tok.text == "-":
+                self.fail("negative exponents are not allowed")
+            if tok.kind != "num" or tok.is_float:
+                self.fail("exponent must be a nonnegative integer")
+            self.idx += 1
+            self.steps.append(("^", int(tok.text), tok.pos))
+
+    def atom(self) -> None:
+        tok = self.toks[self.idx]
         if tok.kind == "num":
-            self.advance()
-            return Num(tok.text, tok.is_float, tok.pos)
-        if tok.kind == "name":
-            self.advance()
-            if tok.text == "zeta":
-                self.expect_punct("(")
-                order_tok = self.peek()
-                if order_tok.kind != "num" or order_tok.is_float or int(order_tok.text) < 1:
-                    self._fail("zeta() needs a positive integer order")
-                self.advance()
-                self.expect_punct(")")
-                return Zeta(int(order_tok.text), tok.pos)
-            return Sym(tok.text, tok.pos)
-        if tok.kind == "punct" and tok.text == "(":
-            self.advance()
-            node = self.expr()
-            self.expect_punct(")")
-            return node
-        self._fail("expected a number, name, or parenthesized expression")
+            self.idx += 1
+            self.steps.append(("dec" if tok.is_float else "int", tok.text, tok.pos))
+        elif tok.kind == "name" and tok.text == "zeta":
+            self.idx += 1
+            self.expect("(")
+            order = self.toks[self.idx]
+            if order.kind != "num" or order.is_float or int(order.text) < 1:
+                self.fail("zeta() needs a positive integer order")
+            self.idx += 1
+            self.expect(")")
+            self.steps.append(("zeta", int(order.text), tok.pos))
+        elif tok.kind == "name":
+            self.idx += 1
+            self.steps.append(("name", tok.text, tok.pos))
+        elif self.take("("):
+            self.expr()
+            self.expect(")")
+        else:
+            self.fail("expected a number, name, or parenthesized expression")
 
 
-def parse_text(text: str) -> Node:
-    """Raw AST of the expression grammar; lowering decides legal symbols."""
-    return _Parser(text).parse()
+# -- evaluation: postfix steps -> value -----------------------------------------
 
 
-# -- lowering -------------------------------------------------------------------
-
-
-class _Lowerer:
-    """Shared evaluator; the symbol table decides poly vs element context."""
-
-    def __init__(self, text: str, backend: str, symbols: dict) -> None:
-        self.text = text
-        self.backend = backend
-        self.symbols = symbols
-
-    def fail(self, message: str, pos: int):
-        raise ParseError(message, *_linecol(self.text, pos))
-
-    def run(self, node: Node):
-        if isinstance(node, Num):
-            if node.is_float:
-                if self.backend != "approx":
-                    self.fail(
-                        "decimal literals need the approx backend (use p/q on exact)",
-                        node.pos,
-                    )
-                return as_scalar(float(node.text), "approx")
-            return as_scalar(int(node.text), self.backend)
-        if isinstance(node, Zeta):
-            if self.backend == "exact":
-                return zeta(node.order)
-            import cmath
-
-            return as_scalar(cmath.exp(2j * cmath.pi / node.order), "approx")
-        if isinstance(node, Sym):
-            if node.name == "i":
-                if self.backend == "exact":
-                    return zeta(4)
-                return as_scalar(1j, "approx")
-            val = self.symbols.get(node.name)
-            if val is None:
-                self.fail(f"unknown symbol {node.name!r} in this context", node.pos)
-            return val
-        if isinstance(node, Neg):
-            return -self.run(node.operand)
-        if isinstance(node, Pow):
-            base = self.run(node.base)
-            return base ** node.exponent
-        if isinstance(node, BinOp):
-            left = self.run(node.left)
-            right = self.run(node.right)
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            scalar = _as_plain_scalar(right)
-            if scalar is None:
-                self.fail("division is only by scalar values", node.pos)
-            inv = as_scalar(1, self.backend) / scalar
-            return left * inv
-        raise AssertionError(f"unhandled node {node!r}")
+def _evaluate(text: str, backend: str, symbols: dict):
+    """Value of the text; ``symbols`` decides the legal names besides i."""
+    stack: list = []
+    for op, arg, pos in _Postfix(text).steps:
+        if op == "int":
+            stack.append(as_scalar(int(arg), backend))
+        elif op == "dec":
+            if backend != "approx":
+                _fail(text, "decimal literals need the approx backend (use p/q on exact)", pos)
+            stack.append(as_scalar(float(arg), "approx"))
+        elif op == "zeta":
+            if backend == "exact":
+                stack.append(zeta(arg))
+            else:
+                stack.append(as_scalar(cmath.exp(2j * cmath.pi / arg), "approx"))
+        elif op == "name":
+            if arg == "i":
+                stack.append(zeta(4) if backend == "exact" else as_scalar(1j, "approx"))
+            elif arg in symbols:
+                stack.append(symbols[arg])
+            else:
+                _fail(text, f"unknown symbol {arg!r} in this context", pos)
+        elif op == "neg":
+            stack[-1] = -stack[-1]
+        elif op == "^":
+            stack[-1] = stack[-1] ** arg
+        else:
+            right = stack.pop()
+            if op == "+":
+                stack[-1] = stack[-1] + right
+            elif op == "-":
+                stack[-1] = stack[-1] - right
+            elif op == "*":
+                stack[-1] = stack[-1] * right
+            else:
+                scalar = _as_plain_scalar(right)
+                if scalar is None:
+                    _fail(text, "division is only by scalar values", pos)
+                stack[-1] = stack[-1] * (as_scalar(1, backend) / scalar)
+    return stack[0]
 
 
 def _as_plain_scalar(value) -> Scalar | None:
-    from .scalars import ApproxComplex, CyclotomicNumber
-
+    """The scalar a value stands for, or None if it is zero or not a constant."""
     if isinstance(value, (CyclotomicNumber, ApproxComplex)):
         return value
-    if isinstance(value, (int, Fraction)):
-        return value
-    if isinstance(value, Poly):
-        if value.is_zero():
-            return None
-        if value.is_constant():
-            return value.coefficient(0)
-        return None
     if isinstance(value, GHAElement):
-        if value.is_zero():
+        if set(value.terms) != {(0, 0)}:
             return None
-        if set(value.terms) == {(0, 0)} and value.terms[(0, 0)].is_constant():
-            return value.terms[(0, 0)].coefficient(0)
-        return None
+        value = value.terms[(0, 0)]
+    if isinstance(value, Poly) and value.is_constant() and not value.is_zero():
+        return value.coefficient(0)
     return None
 
 
 def parse_scalar(text: str, backend: str = "exact") -> Scalar:
-    node = parse_text(text)
-    value = _Owner(text, backend).scalar(node)
-    return value
-
-
-class _Owner:
-    """Scalar-only lowering context."""
-
-    def __init__(self, text: str, backend: str) -> None:
-        self.low = _Lowerer(text, backend, {})
-
-    def scalar(self, node: Node) -> Scalar:
-        value = self.low.run(node)
-        s = _as_plain_scalar(value)
-        if s is None:
-            raise ParseError("expected a scalar value", 1, 1)
-        return as_scalar(s, self.low.backend)
+    return as_scalar(_evaluate(text, backend, {}), backend)
 
 
 def parse_poly(text: str, backend: str = "exact") -> Poly:
     """A polynomial in h over the chosen backend."""
-    node = parse_text(text)
-    low = _Lowerer(text, backend, {"h": Poly.variable(backend)})
-    value = low.run(node)
-    if isinstance(value, Poly):
-        return value
-    s = _as_plain_scalar(value)
-    if s is None:
-        raise ParseError("expected a polynomial in h", 1, 1)
-    return Poly([as_scalar(s, backend)])
+    value = _evaluate(text, backend, {"h": Poly.variable(backend)})
+    return value if isinstance(value, Poly) else Poly([as_scalar(value, backend)])
 
 
 def parse_element(text: str, presentation: Presentation) -> GHAElement:
     """An element of H(f), normalized."""
-    backend = presentation.f.backend
-    node = parse_text(text)
-    low = _Lowerer(
-        text,
-        backend,
-        {
-            "h": presentation.generator("h"),
-            "x": presentation.generator("x"),
-            "y": presentation.generator("y"),
-            "z": presentation.generator("z"),
-        },
-    )
-    value = low.run(node)
-    if isinstance(value, GHAElement):
-        return value
-    if isinstance(value, Poly):
-        return presentation.from_poly(value)
-    s = _as_plain_scalar(value)
-    if s is None:
-        raise ParseError("expected an algebra element", 1, 1)
-    return presentation.scalar(s)
+    symbols = {name: presentation.generator(name) for name in "hxyz"}
+    value = _evaluate(text, presentation.f.backend, symbols)
+    return value if isinstance(value, GHAElement) else presentation.scalar(value)

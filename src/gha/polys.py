@@ -1102,7 +1102,9 @@ def periodic_points(
         raise ContinuumOfOrbitsError(
             "continuum of orbits: f = h fixes every point; handle this case separately"
         )
-    g = iterate(f, n) - Poly.variable(f.backend)
+    # one list f^(0..n) per backend; lower periods read its prefix
+    iterates = [Poly.variable(f.backend)]
+    g = _extend_iterates(f, iterates, n) - iterates[0]
     if g.is_zero():
         if samples is None:
             raise ContinuumOfOrbitsError(
@@ -1121,7 +1123,7 @@ def periodic_points(
         # irrational coordinates, say) cannot force the period-n search numeric
         core = g
         for d in divisors(n)[:-1]:
-            gd = iterate(f, d) - Poly.variable(f.backend)
+            gd = iterates[d] - iterates[0]
             common = poly_gcd(core, gd)
             while common.degree >= 1:
                 core = core // common
@@ -1139,13 +1141,14 @@ def periodic_points(
 
     # numeric path
     fa = f.approx()
-    ga = iterate(fa, n) - Poly.variable("approx")
+    iterates = [Poly.variable("approx")]
+    ga = _extend_iterates(fa, iterates, n) - iterates[0]
     numeric = [r.value for r in roots(ga)]
     centers = _cluster(numeric)
     scale = 1 + max((abs(v) for v in centers), default=0.0)
     radius = CONFIG.cluster_scale * scale
     for d in divisors(n)[:-1]:
-        gd = iterate(fa, d) - Poly.variable("approx")
+        gd = iterates[d] - iterates[0]
         if gd.is_zero() or all(c == zero_like(c) for c in gd.coeffs):
             return OrbitSet(())
         fixed = [r.value for r in roots(gd)]

@@ -252,15 +252,40 @@ def module_to_json(m: MatrixModule) -> dict[str, Any]:
     }
 
 
-def module_from_json(doc: dict[str, Any], backend: str = "exact") -> MatrixModule:
-    n = doc["n"]
+def _field(doc, key: str, what: str):
+    """doc[key], with a DescriptorError for a non-object doc or a missing key."""
+    if not isinstance(doc, dict):
+        raise DescriptorError(f"{what} JSON must be an object")
+    if key not in doc:
+        raise DescriptorError(f"{what} JSON is missing {key!r}")
+    return doc[key]
 
-    def grid(rows):
+
+def _dimension(doc, what: str) -> int:
+    n = _field(doc, "n", what)
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise DescriptorError(f"{what} 'n' must be an integer >= 1, not {n!r}")
+    return n
+
+
+def _scalar(v, backend: str):
+    if not isinstance(v, str):
+        raise DescriptorError(f"scalar {v!r} must be a string")
+    return parse_scalar(v, backend)
+
+
+def module_from_json(doc: dict[str, Any], backend: str = "exact") -> MatrixModule:
+    n = _dimension(doc, "module")
+
+    def grid(key):
+        rows = _field(doc, key, "module")
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise DescriptorError(f"module {key!r} must be a list of rows, each a list")
         if len(rows) != n or any(len(r) != n for r in rows):
             raise DescriptorError(f"matrix is not {n}x{n}")
-        return [[parse_scalar(v, backend) for v in row] for row in rows]
+        return [[_scalar(v, backend) for v in row] for row in rows]
 
-    return MatrixModule(n=n, X=grid(doc["X"]), H=grid(doc["H"]), Y=grid(doc["Y"]))
+    return MatrixModule(n=n, X=grid("X"), H=grid("H"), Y=grid("Y"))
 
 
 def descriptor_to_json(d) -> dict[str, Any]:
@@ -275,12 +300,16 @@ def descriptor_to_json(d) -> dict[str, Any]:
 
 
 def descriptor_from_json(doc: dict[str, Any], backend: str = "exact"):
-    variant = doc.get("variant")
+    variant = _field(doc, "variant", "descriptor")
     if variant == NILPOTENT_X:
-        return NilpotentXDescriptor(zdot=parse_scalar(doc["zdot"], backend), n=doc["n"])
-    orbit = Orbit(tuple(parse_scalar(v, backend) for v in doc["orbit"]))
-    zdot = parse_scalar(doc["zdot"], backend)
-    a = parse_scalar(doc["a"], backend)
+        zdot = _scalar(_field(doc, "zdot", "descriptor"), backend)
+        return NilpotentXDescriptor(zdot=zdot, n=_dimension(doc, "descriptor"))
+    orbit = _field(doc, "orbit", "descriptor")
+    if not isinstance(orbit, list):
+        raise DescriptorError("descriptor 'orbit' must be a list")
+    orbit = Orbit(tuple(_scalar(v, backend) for v in orbit))
+    zdot = _scalar(_field(doc, "zdot", "descriptor"), backend)
+    a = _scalar(_field(doc, "a", "descriptor"), backend)
     if variant == CYCLIC_X:
         return CyclicXDescriptor(orbit=orbit, zdot=zdot, a=a)
     if variant == CYCLIC_Y:

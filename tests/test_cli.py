@@ -150,6 +150,76 @@ class TestExitCodes:
         assert run(capsys, "--tol", "-1", "center", "-f", "h^2")[0] == 2
         assert run(capsys, "--conductor", "0", "center", "-f", "h^2")[0] == 2
 
+    def test_syntax_error_is_reported_before_the_degree_guard(self, capsys):
+        # y^7*x^7 alone trips the degree guard (exit 3); the whole text is
+        # checked for syntax before any product is computed
+        code, _, err = run(capsys, "normalize", "-f", "h^2", "-e", "y^7*x^7 + (")
+        assert code == 2
+        assert err.startswith("error: expected a number, name, or parenthesized expression")
+
+    def test_non_decimal_digit_is_two(self, capsys):
+        code, _, err = run(capsys, "normalize", "-f", "h^\u00b2", "-e", "x")
+        assert code == 2
+        assert err == "error: unexpected character '\u00b2' (line 1, column 3)\n"
+
+    def test_missing_module_key_is_named(self, capsys):
+        doc = {"schema_version": 1, "n": 1, "X": [["0"]], "H": [["0"]]}
+        code, _, err = run(capsys, "verify", "-f", "h^2", "--module", json.dumps(doc))
+        assert code == 2
+        assert err == "error: module JSON is missing 'Y'\n"
+
+    def test_module_without_schema_version_is_accepted(self, capsys):
+        doc = {"n": 1, "X": [["0"]], "H": [["0"]], "Y": [["0"]]}
+        code, out, _ = run(capsys, "verify", "-f", "h^2", "--module", json.dumps(doc))
+        assert code == 0 and out.startswith("relations ok")
+
+
+MALFORMED_DESCRIPTORS = [
+    [1],
+    {"variant": "nilpotent_x", "n": 2},
+    {"variant": "nilpotent_x", "zdot": "0", "n": "2"},
+    {"variant": "nilpotent_x", "zdot": "0", "n": True},
+    {"variant": "nilpotent_x", "zdot": "0", "n": 0},
+    {"variant": "nilpotent_x", "zdot": 0, "n": 2},
+    {"variant": "cyclic_x", "orbit": "1", "zdot": "0", "a": "1"},
+    {"variant": "cyclic_x", "orbit": [1], "zdot": "0", "a": "1"},
+    {"variant": "cyclic_y", "orbit": ["0"], "zdot": "0"},
+]
+
+MALFORMED_MODULES = [
+    [1],
+    {"n": 1, "X": [[1]], "H": [["0"]], "Y": [["0"]]},
+    {"schema_version": 1, "n": "1", "X": [["0"]], "H": [["0"]], "Y": [["0"]]},
+    {"schema_version": 1, "n": 0, "X": [], "H": [], "Y": []},
+    {"schema_version": 1, "n": 1, "X": ["0"], "H": [["0"]], "Y": [["0"]]},
+    {"schema_version": 1, "n": 1, "X": 0, "H": [["0"]], "Y": [["0"]]},
+    {"schema_version": 1, "X": [["0"]], "H": [["0"]], "Y": [["0"]]},
+]
+
+
+class TestMalformedJson:
+    """Documents outside the schemas are input errors: exit 2, one line."""
+
+    @pytest.mark.parametrize(
+        "command, flag, doc, schema",
+        [
+            pytest.param("build", "--descriptor", d, schemas.DESCRIPTOR_SCHEMA, id=f"build-{k}")
+            for k, d in enumerate(MALFORMED_DESCRIPTORS)
+        ]
+        + [
+            pytest.param(command, "--module", d, schemas.MODULE_SCHEMA, id=f"{command}-{k}")
+            for command in ("verify", "classify")
+            for k, d in enumerate(MALFORMED_MODULES)
+        ],
+    )
+    def test_input_error(self, capsys, command, flag, doc, schema):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, schema)
+        code, out, err = run(capsys, command, "-f", "h^2", flag, json.dumps(doc))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestBackends:
     def test_approx_decimals(self, capsys):

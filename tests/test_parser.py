@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gha.algebra import Presentation
-from gha.parser import ParseError, parse_element, parse_poly, parse_scalar, parse_text
+from gha.parser import ParseError, parse_element, parse_poly, parse_scalar
 from gha.polys import Poly
 from gha.scalars import approx, exact, zeta
 
@@ -97,6 +97,48 @@ class TestErrors:
         with pytest.raises(ParseError):
             parse_poly("h h")
 
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (parse_poly, "h + x", "unknown symbol 'x' in this context (line 1, column 5)"),
+            (
+                parse_scalar,
+                "1 + 0.5",
+                "decimal literals need the approx backend (use p/q on exact) (line 1, column 5)",
+            ),
+            (parse_poly, "h + 1/h", "division is only by scalar values (line 1, column 6)"),
+            (parse_scalar, "zeta(0)", "zeta() needs a positive integer order (line 1, column 6)"),
+            (parse_poly, "h^-2", "negative exponents are not allowed (line 1, column 3)"),
+            (parse_poly, "(h + 1", "expected ')' (line 1, column 7)"),
+            (parse_poly, "h h", "unexpected trailing input 'h' (line 1, column 3)"),
+            (parse_poly, "h +\n  x", "unknown symbol 'x' in this context (line 2, column 3)"),
+            # the syntax of the whole text is checked before any value
+            (
+                parse_poly,
+                "x + (",
+                "expected a number, name, or parenthesized expression (line 1, column 6)",
+            ),
+        ],
+    )
+    def test_message_and_position(self, parse, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == message
+
+    def test_division_by_element_names_the_slash(self):
+        with pytest.raises(ParseError) as exc:
+            parse_element("x/y", PRES)
+        assert str(exc.value) == "division is only by scalar values (line 1, column 2)"
+
+    @pytest.mark.parametrize(
+        "parse, text, col", [(parse_poly, "h^\u00b2", 3), (parse_scalar, "zeta(\u00b2)", 6)]
+    )
+    def test_non_decimal_digit_is_an_unexpected_character(self, parse, text, col):
+        # '\u00b2' (superscript two) passes str.isdigit() but int() rejects it
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == f"unexpected character '\u00b2' (line 1, column {col})"
+
 
 class TestFixpoint:
     """parse(print(v)) == v on every canonical form."""
@@ -151,8 +193,3 @@ class TestFixpoint:
             s = approx(v)
             assert parse_scalar(str(s), backend="approx") == s
 
-
-def test_ast_is_inspectable():
-    node = parse_text("x^2 + 1")
-    # smoke: the raw AST exists and reflects the split
-    assert node.op == "+"
