@@ -26,6 +26,7 @@ from .scalars import (
     ApproxComplex,
     CyclotomicNumber,
     Scalar,
+    _power,
     as_scalar,
     one_like,
     zero_like,
@@ -242,12 +243,7 @@ class Presentation:
             plus = _free_poly(self, self.f - Poly.variable(self.f.backend), inner)
             out = dict(moved)
             for mon, c in plus.items():
-                cur = out.get(mon)
-                tot = c if cur is None else cur + c
-                if _is_zero_scalar(tot):
-                    out.pop(mon, None)
-                else:
-                    out[mon] = tot
+                _accumulate_scalar(out, mon, c)
         self._y_actions[key] = out
         return out
 
@@ -259,6 +255,16 @@ def _is_zero_scalar(s: Scalar) -> bool:
 def _accumulate(terms: dict, key, g: Poly) -> None:
     cur = terms.get(key)
     terms[key] = g if cur is None else cur + g
+
+
+def _accumulate_scalar(terms: dict, key, c: Scalar) -> None:
+    """Add c into terms[key] as terms[key] + c, dropping the key on a zero sum."""
+    cur = terms.get(key)
+    tot = c if cur is None else cur + c
+    if _is_zero_scalar(tot):
+        terms.pop(key, None)
+    else:
+        terms[key] = tot
 
 
 class GHAElement:
@@ -342,14 +348,7 @@ class GHAElement:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        out = self.presentation.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, self.presentation.one())
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -360,10 +359,6 @@ class GHAElement:
         keys = set(self.terms) | set(other.terms)
         zero = Poly([])
         return all(self.terms.get(k, zero) == other.terms.get(k, zero) for k in keys)
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
 
     __hash__ = None
 
@@ -507,12 +502,7 @@ class FreeModuleElement:
     def __add__(self, other: "FreeModuleElement") -> "FreeModuleElement":
         out = dict(self.terms)
         for m, c in other.terms.items():
-            cur = out.get(m)
-            tot = c if cur is None else cur + c
-            if _is_zero_scalar(tot):
-                out.pop(m, None)
-            else:
-                out[m] = tot
+            _accumulate_scalar(out, m, c)
         return FreeModuleElement(out)
 
     def __neg__(self) -> "FreeModuleElement":
@@ -538,10 +528,6 @@ class FreeModuleElement:
                 return False
         return True
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     __hash__ = None
 
     def __repr__(self) -> str:
@@ -560,15 +546,8 @@ def _free_h(p: Presentation, v: FreeModuleElement | dict) -> dict:
     out: dict = {}
     for (i, j, k), c in terms.items():
         for m, coef in enumerate(p.f_iterate(i).coeffs):
-            if _is_zero_scalar(coef):
-                continue
-            key = (i, j + m, k)
-            cur = out.get(key)
-            tot = c * coef if cur is None else cur + c * coef
-            if _is_zero_scalar(tot):
-                out.pop(key, None)
-            else:
-                out[key] = tot
+            if not _is_zero_scalar(coef):
+                _accumulate_scalar(out, (i, j + m, k), c * coef)
     return out
 
 
@@ -580,12 +559,7 @@ def _free_poly(p: Presentation, g: Poly, v: FreeModuleElement | dict) -> dict:
         acc = _free_h(p, acc)
         if not _is_zero_scalar(c):
             for m, cv in terms.items():
-                cur = acc.get(m)
-                tot = cv * c if cur is None else cur + cv * c
-                if _is_zero_scalar(tot):
-                    acc.pop(m, None)
-                else:
-                    acc[m] = tot
+                _accumulate_scalar(acc, m, cv * c)
     return acc
 
 
@@ -594,12 +568,7 @@ def _free_y(p: Presentation, v: FreeModuleElement | dict) -> dict:
     out: dict = {}
     for (i, j, k), c in terms.items():
         for m, coef in p._y_monomial_action(i, j, k).items():
-            cur = out.get(m)
-            tot = c * coef if cur is None else cur + c * coef
-            if _is_zero_scalar(tot):
-                out.pop(m, None)
-            else:
-                out[m] = tot
+            _accumulate_scalar(out, m, c * coef)
     return out
 
 

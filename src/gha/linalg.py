@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .config import CONFIG
 from .polys import Poly
-from .scalars import Scalar, as_scalar, backend_of, one_like, zero_like
+from .scalars import Scalar, _power, as_scalar, backend_of, one_like, zero_like
 
 Matrix = list
 
@@ -62,14 +62,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 def mat_pow(a: Matrix, k: int) -> Matrix:
     if k < 0:
         raise ValueError("negative matrix power")
-    out = identity(len(a), mat_backend(a))
-    base = a
-    while k:
-        if k & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base) if k > 1 else base
-        k >>= 1
-    return out
+    return _power(a, k, identity(len(a), mat_backend(a)), mat_mul)
 
 
 def mat_vec(a: Matrix, v: list) -> list:
@@ -204,13 +197,9 @@ class EchelonBasis:
         if piv is None:
             return False
         inv = one_like(rem[piv]) / rem[piv]
-        row = [v * inv for v in rem]
-        # keep earlier rows reduced against the new pivot too
-        for i, existing in enumerate(self.rows):
-            c = existing[piv]
-            if c != as_scalar(0, self.backend):
-                self.rows[i] = [e - c * r for e, r in zip(existing, row)]
-        self.rows.append(row)
+        # each row is zero at every earlier pivot, so _reduce, which walks the
+        # rows in order, needs no back-substitution into earlier rows
+        self.rows.append([v * inv for v in rem])
         self.pivots.append(piv)
         return True
 

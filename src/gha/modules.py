@@ -137,6 +137,9 @@ def descriptor_problems(d: ModuleDescriptor, f: Poly, *, strict: bool = True) ->
     if isinstance(d, (CyclicXDescriptor, CyclicYDescriptor)):
         if d.a == zero:
             problems.append("parameter a must be nonzero")
+        if not d.orbit.values:
+            problems.append("orbit must not be empty")
+            return problems
         problems.extend(_orbit_problems(d.orbit, f))
         if strict and isinstance(d, CyclicYDescriptor):
             if all(v + d.zdot != zero for v in d.orbit.values):
@@ -187,40 +190,28 @@ def build(d: ModuleDescriptor, f: Poly, *, check: bool = True) -> MatrixModule:
         raise DescriptorError("; ".join(problems))
     backend = f.backend
     one = as_scalar(1, backend)
-    if isinstance(d, CyclicXDescriptor):
-        n = d.n
-        lam = d.orbit.values
-        X = zeros(n, n, backend)
-        Y = zeros(n, n, backend)
-        H = zeros(n, n, backend)
-        for c in range(n):
-            H[c][c] = lam[c]
-            X[(c + 1) % n][c] = d.a if c == n - 1 else one
-            Y[(c - 1) % n][c] = (lam[c] + d.zdot) * (one / d.a if c == 0 else one)
-        return MatrixModule(n, X, H, Y)
-    if isinstance(d, CyclicYDescriptor):
-        n = d.n
-        lam = d.orbit.values
-        X = zeros(n, n, backend)
-        Y = zeros(n, n, backend)
-        H = zeros(n, n, backend)
-        for c in range(n):
-            H[c][c] = lam[c]
-            w = lam[(c + 1) % n] + d.zdot
-            X[(c + 1) % n][c] = w * d.a if c == n - 1 else w
-            Y[(c - 1) % n][c] = one / d.a if c == 0 else one
-        return MatrixModule(n, X, H, Y)
     n = d.n
-    lam = _weights(f, d.zdot, n)
-    X = zeros(n, n, backend)
-    Y = zeros(n, n, backend)
-    H = zeros(n, n, backend)
+    # lam[c] is the weight of t^c; xs[c] and ys[c] are the entries of X and Y
+    # at ((c+1) % n, c) and ((c-1) % n, c), the wrap-around ones last and first
+    if isinstance(d, CyclicXDescriptor):
+        lam = d.orbit.values
+        xs = [one] * (n - 1) + [d.a]
+        ys = [(lam[c] + d.zdot) * (one / d.a if c == 0 else one) for c in range(n)]
+    elif isinstance(d, CyclicYDescriptor):
+        lam = d.orbit.values
+        xs = [lam[(c + 1) % n] + d.zdot for c in range(n)]
+        xs[-1] = xs[-1] * d.a
+        ys = [one / d.a] + [one] * (n - 1)
+    else:
+        lam = _weights(f, d.zdot, n)
+        zero = as_scalar(0, backend)
+        xs = [one] * (n - 1) + [zero]
+        ys = [zero] + [d.zdot + v for v in lam[1:]]
+    X, H, Y = (zeros(n, n, backend) for _ in range(3))
     for c in range(n):
         H[c][c] = lam[c]
-        if c < n - 1:
-            X[c + 1][c] = one
-        if c > 0:
-            Y[c - 1][c] = d.zdot + lam[c]
+        X[(c + 1) % n][c] = xs[c]
+        Y[(c - 1) % n][c] = ys[c]
     return MatrixModule(n, X, H, Y)
 
 
@@ -312,7 +303,9 @@ def _h_eigenvalues(m: MatrixModule, f: Poly) -> list[Scalar]:
         return [m.H[i][i] for i in range(m.n)]
     cp = charpoly(m.H)
     if m.backend == "exact":
-        found, rem = exact_roots(cp, conductor=f.conductor())
+        # a built module in another basis has its weights in its entries' field
+        entries = (s.conductor for mat in (m.X, m.H, m.Y) for row in mat for s in row)
+        found, rem = exact_roots(cp, conductor=lcm(f.conductor(), *entries))
         if rem.degree > 0:
             raise ClassifyError(
                 "cannot split the h-spectrum exactly in the working field; "

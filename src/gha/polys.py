@@ -42,6 +42,7 @@ from .scalars import (
     BackendMismatchError,
     CyclotomicNumber,
     Scalar,
+    _power,
     _reduce_mod_cyclotomic,
     approx,
     backend_of,
@@ -302,14 +303,7 @@ class Poly:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        out = Poly([self._one()])
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, Poly([self._one()]))
 
     def __divmod__(self, other: "Poly"):
         other = self._coerce(other)
@@ -354,10 +348,6 @@ class Poly:
             (a[k] if k < len(a) else zero) == (b[k] if k < len(b) else zero)
             for k in range(max(len(a), len(b)))
         )
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
 
     __hash__ = None
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
@@ -43,6 +44,19 @@ def divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
+
+
+def _power(base, k: int, one, mul=operator.mul):
+    """base**k for k >= 0 by repeated squaring as mul(out, base); base is
+    squared only while bits of k remain, so no square is wasted."""
+    out = one
+    while k:
+        if k & 1:
+            out = mul(out, base)
+        k >>= 1
+        if k:
+            base = mul(base, base)
+    return out
 
 
 def _int_poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -292,14 +306,7 @@ class CyclotomicNumber:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        out = CyclotomicNumber.from_rational(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, CyclotomicNumber.from_rational(1))
 
     def __eq__(self, other):
         if isinstance(other, _NEUTRAL):
@@ -308,10 +315,6 @@ class CyclotomicNumber:
             ca, cb, _ = self._common(self, other)
             return ca == cb
         return NotImplemented
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
 
     # -- queries ----------------------------------------------------------
 
@@ -450,10 +453,6 @@ class ApproxComplex:
         if other is None:
             return NotImplemented
         return abs(self.value - other.value) <= CONFIG.tol
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
 
     def is_zero(self) -> bool:
         return abs(self.value) <= CONFIG.tol

@@ -149,6 +149,17 @@ class TestExitCodes:
     def test_bad_flag_values(self, capsys):
         assert run(capsys, "--tol", "-1", "center", "-f", "h^2")[0] == 2
         assert run(capsys, "--conductor", "0", "center", "-f", "h^2")[0] == 2
+        assert run(capsys, "simples", "-f", "h^2", "-n", "2", "--samples", "0")[0] == 2
+
+    def test_degree_guard_is_three(self, capsys):
+        code, out, err = run(capsys, "normalize", "-f", "h^2", "-e", "y^7*x^7")
+        assert code == 3 and out == ""
+        assert "exceeds the degree guard" in err
+
+    def test_unparsable_json_is_two(self, capsys):
+        code, out, err = run(capsys, "verify", "-f", "h^2", "--module", '{"n": ')
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_syntax_error_is_reported_before_the_degree_guard(self, capsys):
         # y^7*x^7 alone trips the degree guard (exit 3); the whole text is
@@ -184,6 +195,8 @@ MALFORMED_DESCRIPTORS = [
     {"variant": "cyclic_x", "orbit": "1", "zdot": "0", "a": "1"},
     {"variant": "cyclic_x", "orbit": [1], "zdot": "0", "a": "1"},
     {"variant": "cyclic_y", "orbit": ["0"], "zdot": "0"},
+    {"variant": "cyclic_x", "orbit": [], "zdot": "0", "a": "1"},
+    {"variant": "cyclic_y", "orbit": [], "zdot": "0", "a": "1"},
 ]
 
 MALFORMED_MODULES = [

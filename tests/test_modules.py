@@ -179,6 +179,15 @@ class TestDescriptorProblems:
         assert descriptor_problems(d, H2, strict=True)
         assert descriptor_problems(d, H2, strict=False) == []
 
+    @pytest.mark.parametrize("cls", [CyclicXDescriptor, CyclicYDescriptor])
+    def test_empty_orbit(self, cls):
+        # a 0-dimensional module is not a module of any family, simple or not
+        d = cls(orbit=Orbit(()), zdot=exact(0), a=exact(1))
+        for strict in (True, False):
+            assert descriptor_problems(d, H2, strict=strict) == ["orbit must not be empty"]
+        with pytest.raises(DescriptorError, match="orbit must not be empty"):
+            build(d, H2, check=False)
+
 
 class TestClassifyErrors:
     def test_non_scalar_xy_minus_h(self):
@@ -228,6 +237,25 @@ class TestClassifyExpandingCycle:
                 assert modules_isomorphic(classify(back, f_used), d), d
                 checked += 1
         assert checked == (15 if backend == "exact" else 25)
+
+
+class TestClassifyConjugated:
+    """With H not diagonal, the h-spectrum comes from charpoly(H).  Over
+    f = h^2 that is h^2 + h + 1, which splits only in Q(zeta(3)): the field
+    of the module's entries, not of f."""
+
+    def test_every_instantiation_round_trips(self):
+        P = [[exact(1), exact(1)], [exact(0), exact(1)]]
+        P_inv = [[exact(1), exact(-1)], [exact(0), exact(1)]]
+        variants = []
+        for fam in enumerate_simples(H2, 2, conductor=3):
+            for d in fam.instantiations:
+                m = build(d, H2)
+                conj = [mat_mul(mat_mul(P, a), P_inv) for a in (m.X, m.H, m.Y)]
+                assert modules_isomorphic(classify(MatrixModule(2, *conj), H2), d), d
+                variants.append(d.variant)
+        assert len(variants) == 10
+        assert set(variants) == {CYCLIC_X, CYCLIC_Y, NILPOTENT_X}
 
 
 class TestModulesIsomorphic:

@@ -349,6 +349,15 @@ class TestExactRoots:
         assert found == []
         assert rem.degree == 2
 
+    def test_unrecognised_linear_factor_is_split_exactly(self):
+        # the recogniser finds 1 but not r; the linear factor left over after
+        # dividing out h - 1 still gives r exactly
+        r = exact(Fraction(1, 3)) + exact(Fraction(2, 7)) * zeta(5)
+        found, rem = exact_roots((H - P(1)) * Poly([-r, exact(1)]))
+        assert rem.degree == 0
+        assert [(str(v), m) for v, m in found] == [("1", 1), (str(r), 1)]
+        assert found[1][0] == r
+
 
 class TestOrbits:
     def test_rotation_and_canonical(self):

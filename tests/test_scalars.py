@@ -8,6 +8,7 @@ from gha.scalars import (
     ApproxComplex,
     BackendMismatchError,
     CyclotomicNumber,
+    _power,
     approx,
     as_scalar,
     backend_of,
@@ -96,6 +97,19 @@ def test_cyclotomic_polynomial_small():
 
 def test_euler_phi():
     assert [euler_phi(n) for n in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+
+
+@pytest.mark.parametrize("k, squares, products", [(0, 0, 0), (1, 0, 1), (2, 1, 1), (12, 3, 2), (13, 3, 3)])
+def test_power_squares_no_further_than_the_last_bit(k, squares, products):
+    calls = []
+
+    def mul(a, b):
+        calls.append("square" if a is b else "product")
+        return a * b
+
+    base = 3**40  # a fresh int object, so only a square has a is b
+    assert _power(base, k, 1, mul) == base**k
+    assert calls.count("square") == squares and calls.count("product") == products
 
 
 class TestRootOfUnityOrder:
