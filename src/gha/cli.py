@@ -9,7 +9,9 @@ failure (root finding gave up, degree guard tripped).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 
 from .algebra import GHAElement, Presentation, commutator
@@ -173,7 +175,14 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused by every later one.
+
+    Reuse is safe while parse_args keeps no state between calls: it
+    returns a new Namespace each time, and no option has a mutable
+    default that a call could change.
+    """
     top = argparse.ArgumentParser(
         prog="gha",
         description="Normal forms, centers, isomorphisms, and simple modules "
@@ -259,10 +268,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.tol is not None and args.tol <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
+    args = _build_parser().parse_args(argv)
+    if args.tol is not None and not 0 < args.tol < math.inf:
+        print("error: --tol must be positive and finite", file=sys.stderr)
         return INPUT_ERROR
     if args.conductor is not None and args.conductor < 1:
         print("error: --conductor must be a positive integer", file=sys.stderr)

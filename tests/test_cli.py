@@ -8,7 +8,7 @@ import sys
 import jsonschema
 import pytest
 
-from gha import schemas
+from gha import cli, schemas
 from gha.cli import main
 from gha.config import CONFIG
 
@@ -16,7 +16,11 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """(exit code, stdout, stderr); argparse's SystemExit (--help, usage errors) gives its code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as stop:
+        code = stop.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -147,7 +151,10 @@ class TestExitCodes:
         assert code == 2
 
     def test_bad_flag_values(self, capsys):
-        assert run(capsys, "--tol", "-1", "center", "-f", "h^2")[0] == 2
+        # "--tol=" form, because argparse reads a separate "-inf" as an option
+        for tol in ("-1", "nan", "inf", "-inf"):
+            code, out, err = run(capsys, f"--tol={tol}", "center", "-f", "h^2")
+            assert (code, out, err) == (2, "", "error: --tol must be positive and finite\n")
         assert run(capsys, "--conductor", "0", "center", "-f", "h^2")[0] == 2
         assert run(capsys, "simples", "-f", "h^2", "-n", "2", "--samples", "0")[0] == 2
 
@@ -264,6 +271,49 @@ class TestBackends:
     def test_exact_rejects_decimals(self, capsys):
         code, _, err = run(capsys, "normalize", "-f", "0.5*h", "-e", "x")
         assert code == 2 and "approx backend" in err
+
+
+class TestSharedParser:
+    """main builds its parser once per process; calls must stay independent."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"],
+            ["simples", "--help"],
+            ["no-such-command", "-f", "h^2"],
+            ["normalize", "-f", "h^2"],
+            ["--backend", "approx", "--conductor", "3", "normalize", "-f", "h^2", "-e", "y^2*x"],
+        ],
+    )
+    def test_same_argv_same_result(self, capsys, argv):
+        first = run(capsys, *argv)
+        assert run(capsys, *argv) == first
+        assert first[0] in (0, 2) and first[1] + first[2] != ""
+
+    def test_options_do_not_carry_over(self, capsys):
+        normalize = ["normalize", "-f", "h^2", "-e", "y*x"]
+        assert run(capsys, "--backend", "approx", "--json", *normalize)[1].startswith("{")
+        assert run(capsys, *normalize)[1] == (GOLDEN / "normalize_yx.txt").read_text()
+
+        simples = ["simples", "-f", "h^2", "-n", "2", "--samples", "1"]
+        plain = run(capsys, *simples)
+        widened = run(capsys, "--conductor", "3", *simples)
+        assert widened[1] == (GOLDEN / "simples_squaring.json").read_text() != plain[1]
+        assert run(capsys, *simples) == plain
+
+        simples = ["simples", "-f", "zeta(4)*h", "-n", "4"]
+        default = run(capsys, *simples)
+        assert run(capsys, *simples, "--samples", "1") != default
+        assert run(capsys, *simples) == default
+
+    def test_parser_is_built_once(self, capsys):
+        cli._build_parser.cache_clear()
+        for _ in range(5):
+            run(capsys, "normalize", "-f", "h^2", "-e", "y*x")
+            run(capsys, "center")
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 9)
 
 
 @pytest.mark.parametrize(
