@@ -270,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.tol is not None and not 0 < args.tol < math.inf:
-        print("error: --tol must be positive and finite", file=sys.stderr)
+        print("error: --tol must be positive", file=sys.stderr)
         return INPUT_ERROR
     if args.conductor is not None and args.conductor < 1:
         print("error: --conductor must be a positive integer", file=sys.stderr)
