@@ -19,7 +19,6 @@ from gha import (
     CYCLIC_X,
     CYCLIC_Y,
     NILPOTENT_X,
-    EnumerationConfig,
     build,
     classify,
     enumerate_simples,
@@ -51,12 +50,12 @@ def monomial_conductor_hint(f, n):
     return hint if hint > 1 else None
 
 
-def census_row(f_text, n, cfg, check):
+def census_row(f_text, n, samples, check):
     f = parse_poly(f_text, "exact")
     hint = monomial_conductor_hint(f, n)
     t0 = time.perf_counter()
     try:
-        fams = enumerate_simples(f, n, cfg, conductor=hint)
+        fams = enumerate_simples(f, n, samples=samples, conductor=hint)
     except ValueError as exc:
         return f"  n={n}: skipped ({exc})"
     elapsed = (time.perf_counter() - t0) * 1000.0
@@ -104,19 +103,18 @@ def census_row(f_text, n, cfg, check):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-dim", type=int, default=4, help="largest dimension to survey")
-    ap.add_argument("--samples", type=int, default=2, help="instantiations and continuum samples per family")
+    ap.add_argument("--samples", type=int, default=2, help="sampled members per family parameter and orbits per continuum")
     ap.add_argument("--fs", type=str, default=None, help="comma-separated f list overriding the panel")
     ap.add_argument("--check", action="store_true", help="build, verify and classify every instantiation")
     args = ap.parse_args()
 
     panel = [t.strip() for t in args.fs.split(",")] if args.fs else DEFAULT_PANEL
-    cfg = EnumerationConfig(instantiations=args.samples, orbit_samples=args.samples)
 
     grand = time.perf_counter()
     for f_text in panel:
         print(f"f = {f_text}")
         for n in range(1, args.max_dim + 1):
-            print(census_row(f_text, n, cfg, args.check), flush=True)
+            print(census_row(f_text, n, args.samples, args.check), flush=True)
     print(f"total {time.perf_counter() - grand:.1f}s")
 
 

@@ -15,7 +15,7 @@ import math
 import sys
 
 from .algebra import GHAElement, Presentation, commutator
-from .config import CONFIG, EnumerationConfig
+from .config import CONFIG
 from .modules import (
     ClassifyError,
     build,
@@ -133,12 +133,7 @@ def _cmd_iso(args) -> int:
 
 def _cmd_simples(args) -> int:
     f = _poly(args)
-    cfg = EnumerationConfig()
-    if args.samples is not None:
-        if args.samples < 1:
-            raise ValueError("--samples must be at least 1")
-        cfg = EnumerationConfig(instantiations=args.samples, orbit_samples=args.samples)
-    fams = enumerate_simples(f, args.n, cfg, conductor=args.conductor)
+    fams = enumerate_simples(f, args.n, samples=args.samples, conductor=args.conductor)
     _emit(families_to_json(str(f), args.n, f.backend, fams))
     return 0
 
@@ -241,9 +236,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--samples",
         type=int,
-        default=None,
+        default=2,
         metavar="K",
-        help="instantiations per family and seeds per continuum",
+        help="sampled members per family parameter and orbits per continuum (default 2)",
     )
     p.set_defaults(func=_cmd_simples)
 

@@ -1,7 +1,10 @@
-"""Runtime knobs shared by the approximate code paths.
+"""The two numeric values a caller may set, shared through ``CONFIG``.
 
-The exact backend never consults tolerances; everything here only affects
-floating-point computations (root finding, orbit grouping, rank tests).
+``tol`` is read by the approximate code paths only (the exact backend never
+consults it); ``max_compose_degree`` guards both backends.  The fixed
+constants of the numeric routines (root-finder iteration cap, cluster
+radius, rank threshold, ...) live as private constants next to their
+only reader.
 """
 
 from __future__ import annotations
@@ -11,40 +14,17 @@ from dataclasses import dataclass
 
 @dataclass
 class NumericConfig:
-    """Tolerances and iteration limits for floating-point work.
+    """Settable numeric limits.
 
-    tol: equality tolerance for approximate scalars and relation residuals.
-    max_order: largest order probed when detecting approximate roots of unity.
-    root_max_iter: iteration cap for the simultaneous root finder.
-    max_compose_degree: guard on polynomial degree growth under iteration.
-    cluster_scale: relative radius used to merge numeric root clusters
-        (multiple roots come back as loose clusters, not exact repeats).
-    match_factor: orbit grouping matches f(r) against remaining roots within
-        match_factor * tol.
-    rank_tol: pivot threshold for approximate rank / span computations.
+    tol: equality tolerance for approximate scalars and relation residuals
+        (``--tol`` on the command line).
+    max_compose_degree: largest polynomial degree that iterating or
+        composing f may reach; past it a DegreeOverflowError is raised
+        before the oversized polynomial is built.
     """
 
     tol: float = 1e-9
-    max_order: int = 1024
-    root_max_iter: int = 400
     max_compose_degree: int = 4096
-    cluster_scale: float = 1e-5
-    match_factor: float = 10.0
-    rank_tol: float = 1e-7
 
 
 CONFIG = NumericConfig()
-
-
-@dataclass(frozen=True)
-class EnumerationConfig:
-    """How many concrete witnesses to instantiate per module family.
-
-    Families with free parameters are reported symbolically; the pools below
-    only feed the sampled instantiations that accompany each family.
-    """
-
-    instantiations: int = 2
-    orbit_samples: int = 2
-    zdot_pool: tuple[int, ...] = (0, 1, -1, 2, 3)
-    a_pool: tuple[int, ...] = (1, 2, -1, 3)

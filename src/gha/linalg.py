@@ -9,7 +9,6 @@ closure arguments and invariant-subspace checks.
 
 from __future__ import annotations
 
-from .config import CONFIG
 from .polys import Poly
 from .scalars import Scalar, _power, as_scalar, backend_of, one_like, zero_like
 
@@ -76,12 +75,6 @@ def mat_vec(a: Matrix, v: list) -> list:
     return out
 
 
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    if len(a) != len(b) or len(a[0]) != len(b[0]):
-        return False
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
 def is_zero_matrix(a: Matrix) -> bool:
     return all(x == zero_like(x) for row in a for x in row)
 
@@ -143,13 +136,16 @@ def charpoly(a: Matrix) -> Poly:
     return Poly(list(reversed(coeffs)))
 
 
+_RANK_TOL = 1e-7  # relative pivot threshold on the approx backend
+
+
 class EchelonBasis:
     """Incrementally reduced span of vectors of a fixed length.
 
     ``insert`` reduces a vector against the rows held so far and keeps the
     normalised remainder when it is independent, returning whether the span
     grew.  Exact backend: any nonzero entry can pivot.  Approx backend:
-    pivots must clear ``CONFIG.rank_tol`` relative to the vector's own
+    pivots must clear ``_RANK_TOL`` relative to the vector's own
     scale, so near-dependent vectors are treated as dependent.
     """
 
@@ -185,7 +181,7 @@ class EchelonBasis:
         if best is None:
             return None
         scale = max(1.0, max(mags))
-        if mags[best] <= CONFIG.rank_tol * scale:
+        if mags[best] <= _RANK_TOL * scale:
             return None
         return best
 
@@ -202,10 +198,6 @@ class EchelonBasis:
         self.rows.append([v * inv for v in rem])
         self.pivots.append(piv)
         return True
-
-    def contains(self, vec: list[Scalar]) -> bool:
-        rem = self._reduce(vec)
-        return self._pivot_index(rem) is None
 
 
 def flatten(a: Matrix) -> list[Scalar]:

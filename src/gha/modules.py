@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from math import lcm
 
-from .config import CONFIG, EnumerationConfig
+from .config import CONFIG
 from .linalg import (
     EchelonBasis,
     Matrix,
@@ -428,21 +428,19 @@ class ModuleFamily:
     notes: tuple[str, ...] = ()
 
 
+# the parameter values sampled instantiations draw from, in this order
+_ZDOT_POOL = (0, 1, -1, 2, 3)
+_A_POOL = (1, 2, -1, 3)
+
+
 def _pool_scalars(pool, backend: str) -> list[Scalar]:
     return [as_scalar(p, backend) for p in pool]
 
 
-def _cyclic_x_family(
-    orbit: Orbit, f: Poly, cfg: EnumerationConfig, continuum: bool
-) -> ModuleFamily:
-    backend = f.backend
-    zero = as_scalar(0, backend)
-    inst = []
-    zpool = _pool_scalars(cfg.zdot_pool, backend)
-    apool = [a for a in _pool_scalars(cfg.a_pool, backend) if a != zero]
-    for z0 in zpool[: cfg.instantiations]:
-        for a0 in apool[: cfg.instantiations]:
-            inst.append(CyclicXDescriptor(orbit, z0, a0))
+def _cyclic_x_family(orbit: Orbit, f: Poly, samples: int, continuum: bool) -> ModuleFamily:
+    zpool = _pool_scalars(_ZDOT_POOL, f.backend)[:samples]
+    apool = _pool_scalars(_A_POOL, f.backend)[:samples]
+    inst = [CyclicXDescriptor(orbit, z0, a0) for z0 in zpool for a0 in apool]
     return ModuleFamily(
         CYCLIC_X,
         orbit.period,
@@ -455,17 +453,13 @@ def _cyclic_x_family(
 
 
 def _cyclic_y_families(
-    orbit: Orbit, f: Poly, cfg: EnumerationConfig, continuum: bool
+    orbit: Orbit, f: Poly, samples: int, continuum: bool
 ) -> list[ModuleFamily]:
-    backend = f.backend
-    zero = as_scalar(0, backend)
-    apool = [a for a in _pool_scalars(cfg.a_pool, backend) if a != zero]
+    apool = _pool_scalars(_A_POOL, f.backend)[:samples]
     out = []
     for i, lam in enumerate(orbit.values):
         zdot = -lam
-        inst = tuple(
-            CyclicYDescriptor(orbit, zdot, a0) for a0 in apool[: cfg.instantiations]
-        )
+        inst = tuple(CyclicYDescriptor(orbit, zdot, a0) for a0 in apool)
         out.append(
             ModuleFamily(
                 CYCLIC_Y,
@@ -488,7 +482,7 @@ def _closure_poly(fn: Poly) -> Poly:
 
 
 def _nilpotent_families(
-    f: Poly, n: int, cfg: EnumerationConfig, conductor: int | None = None
+    f: Poly, n: int, samples: int, conductor: int | None = None
 ) -> list[ModuleFamily]:
     backend = f.backend
     iterates = [Poly.variable(backend)]
@@ -506,11 +500,11 @@ def _nilpotent_families(
                 if all(v != u for u in excluded):
                     excluded.append(v)
         inst = []
-        for z0 in _pool_scalars(cfg.zdot_pool, backend):
+        for z0 in _pool_scalars(_ZDOT_POOL, backend):
             d = NilpotentXDescriptor(z0, n)
             if not descriptor_problems(d, f):
                 inst.append(d)
-            if len(inst) >= cfg.instantiations:
+            if len(inst) >= samples:
                 break
         return [
             ModuleFamily(
@@ -562,25 +556,29 @@ def _roots_with_note(q: Poly, f: Poly, conductor: int | None = None) -> tuple[li
 
 
 def enumerate_simples(
-    f: Poly,
-    n: int,
-    cfg: EnumerationConfig | None = None,
-    *,
-    conductor: int | None = None,
+    f: Poly, n: int, *, samples: int = 2, conductor: int | None = None
 ) -> list[ModuleFamily]:
     """All families of n-dimensional simple modules over H(f).
 
     Per exact-period-n orbit: one cyclic_x family (zdot, a free) and one
     cyclic_y family per orbit index (a free).  Plus the finite (or, when
     the closure equation is identically zero, one-parameter) nilpotent_x
-    list.  Families carry sampled instantiations per ``cfg``.
+    list.
+
+    ``samples`` (at least 1) is how many values of each free parameter the
+    sampled instantiations take, the first ones of a fixed pool (five
+    zdots, four a's): cyclic_x pairs them, cyclic_y takes the a's, and a
+    one-parameter nilpotent_x family the zdots that pass its exclusions.
+    When f^(n) is the identity it is also the number of representative
+    orbits sampled from the continuum.
 
     ``conductor`` widens the cyclotomic field searched for exact orbits.
     When an exact f has orbits that still cannot be expressed in that
     field, those orbit families are emitted on the approx backend with a
     note saying so; their instantiations must be built against f.approx().
     """
-    cfg = cfg or EnumerationConfig()
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     if f == Poly.variable(f.backend):
         raise ValueError(
             "f = h makes H(f) commutative; finite-dimensional simple modules "
@@ -591,7 +589,7 @@ def enumerate_simples(
     try:
         orbit_set = periodic_points(f, n, conductor=conductor)
     except ContinuumOfOrbitsError:
-        orbit_set = periodic_points(f, n, samples=cfg.orbit_samples, conductor=conductor)
+        orbit_set = periodic_points(f, n, samples=samples, conductor=conductor)
     f_orb = f
     orbit_notes: tuple[str, ...] = ()
     if (
@@ -606,12 +604,12 @@ def enumerate_simples(
         )
     families: list[ModuleFamily] = []
     for orb in orbit_set.orbits:
-        fams = [_cyclic_x_family(orb, f_orb, cfg, orbit_set.continuum)]
-        fams.extend(_cyclic_y_families(orb, f_orb, cfg, orbit_set.continuum))
+        fams = [_cyclic_x_family(orb, f_orb, samples, orbit_set.continuum)]
+        fams.extend(_cyclic_y_families(orb, f_orb, samples, orbit_set.continuum))
         if orbit_notes:
             fams = [replace(fam, notes=fam.notes + orbit_notes) for fam in fams]
         families.extend(fams)
-    families.extend(_nilpotent_families(f, n, cfg, conductor))
+    families.extend(_nilpotent_families(f, n, samples, conductor))
     if orbit_set.residual_roots:
         families.append(
             ModuleFamily(

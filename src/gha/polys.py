@@ -700,6 +700,9 @@ def _groups(values: list[complex], radius: float) -> list[list[complex]]:
     return groups
 
 
+_ROOT_MAX_ITER = 400  # Aberth sweeps before RootFindingError
+
+
 def _aberth(cs: list[complex]) -> list[complex]:
     """All roots of the polynomial with ascending coefficients cs (deg >= 1)."""
     n = len(cs) - 1
@@ -713,7 +716,7 @@ def _aberth(cs: list[complex]) -> list[complex]:
         for j in range(n)
     ]
     target = CONFIG.tol * (1 + norm) / max(1.0, abs(lead))
-    for _ in range(CONFIG.root_max_iter):
+    for _ in range(_ROOT_MAX_ITER):
         done = True
         for j in range(n):
             p = val(zs[j])
@@ -850,9 +853,14 @@ def _recognize(z: complex, n: int) -> list[CyclotomicNumber]:
                 push(exact(q0) + exact(q1) * zeta(n))
                 break
             break
-    # rational multiples of the roots of unity available in the field
+    # rational multiples of the roots of unity available in the field: only
+    # the units whose phase is next to z's (or to -z's, which give the same
+    # candidates) can pass; z near 0 has only the candidate 0, proposed above
+    if abs(z) <= eps:
+        return cands
     m = n if n % 2 == 0 else 2 * n
-    for k in range(m):
+    k0 = round(m * cmath.phase(z) / (2 * math.pi))
+    for k in sorted({(k0 + d + s) % m for d in (-1, 0, 1) for s in (0, m // 2)}):
         w = cmath.exp(2j * math.pi * k / m)
         q = z / w
         if abs(q.imag) <= eps:
@@ -995,13 +1003,21 @@ def orbit_through(f: Poly, seed: Scalar, n: int) -> Orbit | None:
     return Orbit(tuple(vals))
 
 
+_MATCH_FACTOR = 10.0  # orbit_match's approx window, in units of CONFIG.tol
+
+
 def orbit_match(a: Scalar, b: Scalar) -> bool:
     """Whether a is the orbit point b: exact scalars must be equal, an
-    approximate a must lie within match_factor*tol*max(1, |b|) of b."""
+    approximate a must lie within _MATCH_FACTOR*tol*max(1, |b|) of b."""
     if isinstance(a, CyclotomicNumber):
         return a == b
     bv = b.embed()
-    return abs(a.value - bv) <= CONFIG.match_factor * CONFIG.tol * max(1.0, abs(bv))
+    return abs(a.value - bv) <= _MATCH_FACTOR * CONFIG.tol * max(1.0, abs(bv))
+
+
+# relative radius within which numeric roots count as one (a multiple root
+# comes back as a loose cluster, not as exact repeats)
+_CLUSTER_SCALE = 1e-5
 
 
 def _cluster(values: list[complex]) -> list[complex]:
@@ -1009,7 +1025,7 @@ def _cluster(values: list[complex]) -> list[complex]:
     if not values:
         return []
     scale = 1 + max(abs(v) for v in values)
-    return [sum(g) / len(g) for g in _groups(values, CONFIG.cluster_scale * scale)]
+    return [sum(g) / len(g) for g in _groups(values, _CLUSTER_SCALE * scale)]
 
 
 def _group_orbits(f: Poly, pool: list[Scalar], n: int, match) -> tuple[list[Orbit], list[Scalar]]:
@@ -1136,7 +1152,7 @@ def periodic_points(
     numeric = [r.value for r in roots(ga)]
     centers = _cluster(numeric)
     scale = 1 + max((abs(v) for v in centers), default=0.0)
-    radius = CONFIG.cluster_scale * scale
+    radius = _CLUSTER_SCALE * scale
     for d in divisors(n)[:-1]:
         gd = iterates[d] - iterates[0]
         if gd.is_zero() or all(c == zero_like(c) for c in gd.coeffs):

@@ -525,13 +525,16 @@ def one_like(s: Scalar) -> Scalar:
     return exact(1) if isinstance(s, CyclotomicNumber) else approx(1)
 
 
+_MAX_ORDER = 1024  # largest order probed for an approximate root of unity
+
+
 def root_of_unity_order(s: Scalar) -> int | None:
     """Least k with s^k = 1, or None if s is not a root of unity.
 
     Exact scalars: the roots of unity in Q(zeta_N) form a cyclic group whose
     order divides 2N, so only divisors of 2N need testing.  Approximate
     scalars: |s| must be 1 within tolerance and arg(s)/2pi within tolerance
-    of a fraction p/q with q <= CONFIG.max_order; the candidate order is
+    of a fraction p/q with q <= _MAX_ORDER; the candidate order is
     verified by powering.
     """
     if isinstance(s, CyclotomicNumber):
@@ -546,7 +549,7 @@ def root_of_unity_order(s: Scalar) -> int | None:
         v = s.value
         if abs(abs(v) - 1.0) > CONFIG.tol:
             return None
-        frac = Fraction(cmath.phase(v) / (2 * math.pi)).limit_denominator(CONFIG.max_order)
+        frac = Fraction(cmath.phase(v) / (2 * math.pi)).limit_denominator(_MAX_ORDER)
         q = frac.denominator
         if abs(cmath.phase(v) / (2 * math.pi) - frac) > max(CONFIG.tol, 1e-12):
             return None

@@ -6,7 +6,6 @@ from gha.linalg import (
     is_diagonal,
     is_scalar_matrix,
     is_zero_matrix,
-    mat_eq,
     mat_mul,
     mat_pow,
     mat_sub,
@@ -63,7 +62,7 @@ def test_poly_at_matrix():
     got = poly_at_matrix(p, a)
     # a^2 = 0, so p(a) = a + I
     want = M([[1, 1], [0, 1]])
-    assert mat_eq(got, want)
+    assert got == want
 
 
 def test_mat_sub_and_eq():
@@ -78,12 +77,6 @@ class TestEchelonBasis:
         assert eb.insert([exact(1), exact(1), exact(0)])
         assert not eb.insert([exact(2), exact(1), exact(0)])  # dependent
         assert eb.dim == 2
-
-    def test_contains(self):
-        eb = EchelonBasis(2, "exact")
-        eb.insert([exact(1), exact(2)])
-        assert eb.contains([exact(3), exact(6)])
-        assert not eb.contains([exact(1), exact(0)])
 
     def test_approx_noise_is_not_new_dimension(self):
         eb = EchelonBasis(2, "approx")

@@ -3,7 +3,6 @@ simple modules."""
 
 import pytest
 
-from gha.config import EnumerationConfig
 from gha.linalg import (
     identity,
     is_zero_matrix,
@@ -226,9 +225,8 @@ class TestClassifyExpandingCycle:
     @pytest.mark.parametrize("backend", ["exact", "approx"])
     def test_every_instantiation_round_trips_through_json(self, backend):
         f = parse_poly("h^2 + 2*h - 3/4", backend)
-        cfg = EnumerationConfig(instantiations=1, orbit_samples=1)
         checked = 0
-        for fam in enumerate_simples(f, 4, cfg):
+        for fam in enumerate_simples(f, 4, samples=1):
             for d in fam.instantiations:
                 # numeric families of an exact f are built against f.approx()
                 f_used = f.approx() if backend_of(d.zdot) == "approx" else f
@@ -285,6 +283,11 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_simples(parse_poly("h"), 2)
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_samples_below_one_rejected(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            enumerate_simples(H2, 2, samples=samples)
+
     def test_pure_shift_has_no_modules(self):
         assert enumerate_simples(parse_poly("h + 1"), 2) == []
 
@@ -317,24 +320,27 @@ class TestEnumerate:
     def test_example_with_no_two_dimensional_modules(self):
         assert enumerate_simples(parse_poly("h^2 + 2*h - 3/4"), 2) == []
 
-    def test_continuum_families(self):
+    @pytest.mark.parametrize("samples", [1, 2, 3])
+    def test_continuum_families(self, samples):
+        """One count sets both the sampled orbits and the sampled parameters."""
         w3 = parse_poly("zeta(3)*h")
-        cfg = EnumerationConfig(instantiations=1, orbit_samples=2)
-        fams = enumerate_simples(w3, 3, cfg)
+        fams = enumerate_simples(w3, 3, samples=samples)
         by_variant = {}
         for f in fams:
             by_variant.setdefault(f.variant, []).append(f)
-        assert len(by_variant[CYCLIC_X]) == 2  # one per sampled seed
+        assert len(by_variant[CYCLIC_X]) == samples  # one per sampled seed
         assert all(f.continuum_orbit for f in by_variant[CYCLIC_X])
-        assert len(by_variant[CYCLIC_Y]) == 6  # n per sampled orbit
+        assert all(len(f.instantiations) == samples**2 for f in by_variant[CYCLIC_X])
+        assert len(by_variant[CYCLIC_Y]) == 3 * samples  # n per sampled orbit
         assert all("pinned" in " ".join(f.notes) for f in by_variant[CYCLIC_Y])
+        assert all(len(f.instantiations) == samples for f in by_variant[CYCLIC_Y])
         (nil,) = by_variant[NILPOTENT_X]
         assert nil.zdot_free
         assert tuple(str(v) for v in nil.excluded_zdot) == ("0",)
 
     def test_family_instantiations_respect_exclusions(self):
         w3 = parse_poly("zeta(3)*h")
-        fams = enumerate_simples(w3, 3, EnumerationConfig(instantiations=3, orbit_samples=1))
+        fams = enumerate_simples(w3, 3, samples=3)
         nil = next(f for f in fams if f.variant == NILPOTENT_X)
         for d in nil.instantiations:
             assert str(d.zdot) != "0"

@@ -358,6 +358,22 @@ class TestExactRoots:
         assert [(str(v), m) for v, m in found] == [("1", 1), (str(r), 1)]
         assert found[1][0] == r
 
+    def test_large_conductor_builds_few_units(self, monkeypatch):
+        """A numeric root is matched against the units next to its phase,
+        not against all 5000 roots of unity of Q(zeta_5000); the root 0
+        against none."""
+        built = []
+
+        def counting_zeta(*args):
+            built.append(args)
+            return zeta(*args)
+
+        monkeypatch.setattr("gha.polys.zeta", counting_zeta)
+        found, rem = exact_roots(H**4 + H, conductor=5000)
+        assert sorted((str(v), m) for v, m in found) == [("-1", 1), ("0", 1)]
+        assert rem == H * H - H + P(1)
+        assert len(built) <= 6  # a handful for all four numeric roots
+
 
 class TestOrbits:
     def test_rotation_and_canonical(self):

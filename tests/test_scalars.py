@@ -24,7 +24,7 @@ rationals = st.fractions(
 )
 
 
-def cyclo(max_order=6):
+def cyclo():
     """Small cyclotomic numbers: rational combos of a few roots of unity."""
 
     def make(order, coeffs):
