@@ -112,11 +112,18 @@ def linear_zoo(grid):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--trials", type=int, default=100)
-    ap.add_argument("--max-degree", type=int, default=4)
+    ap.add_argument("--trials", type=int, default=100, help="pairs per random experiment")
+    ap.add_argument("--max-degree", type=int, default=4, help="largest degree drawn (at least 2)")
     ap.add_argument("--grid", type=int, default=3, help="half-width of the linear-coefficient grid")
     ap.add_argument("--seed", type=int, default=20260819)
     args = ap.parse_args()
+    if args.trials < 0:
+        ap.error("--trials must be nonnegative")
+    if args.grid < 0:
+        ap.error("--grid must be nonnegative")
+    # the conjugate experiment draws degrees 2..max-degree
+    if args.max_degree < 2:
+        ap.error("--max-degree must be at least 2")
 
     rng = random.Random(args.seed)
     survey_conjugates(rng, args.trials, args.max_degree)

@@ -107,6 +107,10 @@ def main():
     ap.add_argument("--fs", type=str, default=None, help="comma-separated f list overriding the panel")
     ap.add_argument("--check", action="store_true", help="build, verify and classify every instantiation")
     args = ap.parse_args()
+    if args.samples < 1:
+        ap.error("--samples must be at least 1")
+    if args.max_dim < 1:
+        ap.error("--max-dim must be at least 1")
 
     panel = [t.strip() for t in args.fs.split(",")] if args.fs else DEFAULT_PANEL
 

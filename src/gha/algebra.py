@@ -21,14 +21,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .polys import Poly, _extend_iterates, _terms_text
+from .polys import Poly, _extend_iterates, _h_power, _terms_text
 from .scalars import (
     ApproxComplex,
     CyclotomicNumber,
     Scalar,
     _power,
     as_scalar,
-    one_like,
     zero_like,
 )
 
@@ -56,7 +55,8 @@ class Presentation:
             f = Poly.constant(0, f.backend)
         self.f = f
         self._iterates: list[Poly] = [Poly.variable(f.backend)]
-        self._f_powers: list[Poly] = [Poly.constant(1, f.backend)]
+        self._one = Poly.constant(1, f.backend)
+        self._f_powers: list[Poly] = [self._one]
         self._middles: dict[tuple[int, int], dict[tuple[int, int], Poly]] = {}
         self._y_actions: dict[tuple[int, int, int], dict[tuple[int, int, int], Scalar]] = {}
         self.middle_reductions = 0
@@ -87,7 +87,7 @@ class Presentation:
         return GHAElement(self, {})
 
     def one(self) -> "GHAElement":
-        return GHAElement(self, {(0, 0): Poly.constant(1, self.f.backend)})
+        return GHAElement(self, {(0, 0): self._one})
 
     def scalar(self, s) -> "GHAElement":
         s = as_scalar(s, self.f.backend)
@@ -98,7 +98,7 @@ class Presentation:
         return GHAElement(self, {(0, 0): g})
 
     def generator(self, name: str) -> "GHAElement":
-        one = Poly.constant(1, self.f.backend)
+        one = self._one
         if name == "x":
             return GHAElement(self, {(1, 0): one})
         if name == "y":
@@ -162,7 +162,7 @@ class Presentation:
         """
         self.middle_reductions += 1
         if k == 0 or i == 0:
-            self._middles[(k, i)] = {(i, k): Poly.constant(1, self.f.backend)}
+            self._middles[(k, i)] = {(i, k): self._one}
             return
         out = {(a, b + 1): p for (a, b), p in self._middles[(k - 1, i)].items()}
         for (a, b), p in self._middles[(k - 1, i - 1)].items():
@@ -348,6 +348,11 @@ class GHAElement:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
+        if len(self.terms) == 1:
+            [((i, j), g)] = self.terms.items()
+            if g.is_constant() and (i == 0 or j == 0):
+                # the constant commutes with x^i and y^j: (x^i c)^k = x^(ki) c^k
+                return GHAElement(self.presentation, {(k * i, k * j): g**k})
         return _power(self, k, self.presentation.one())
 
     def __eq__(self, other):
@@ -402,56 +407,41 @@ class GHAElement:
         return f"GHAElement({self})"
 
 
-def _scalar_atom(s: Scalar) -> str:
-    """Scalar rendered for use as a product factor (parenthesised if composite)."""
-    text = str(s)
-    bare = text.replace("/", "").replace(".", "", 1)
-    if bare.isdigit() or (text.replace("/", "").isdigit()):
+def _scalar_atom(negative: bool | None, text: str) -> str:
+    """A coefficient as a product factor, from its parts: bare when it is
+    positive, parenthesised otherwise."""
+    if negative is False:
         return text
-    try:
-        float(text)
-        if not text.startswith("-"):
-            return text
-    except ValueError:
-        pass
-    return f"({text})"
+    return f"(-{text})" if negative else f"({text})"
 
 
 def _term_strings(i: int, g: Poly, k: int) -> list[str]:
     """Render x^i * g(h) * y^k as canonical summands, none when g prints as 0."""
     xpart = "" if i == 0 else ("x" if i == 1 else f"x^{i}")
     ypart = "" if k == 0 else ("y" if k == 1 else f"y^{k}")
-    nonzero = g._nonzero_terms()
-    if not nonzero:
+    terms = g._terms()
+    if not terms:
         return []
     if i == 0 and k == 0:
         # splice the polynomial into the sum directly
         out = []
-        for j, c in reversed(nonzero):
-            mono = "" if j == 0 else ("h" if j == 1 else f"h^{j}")
+        for j, negative, text, unit in reversed(terms):
+            mono = _h_power(j)
             if not mono:
-                out.append(_scalar_atom(c))
-            elif c == one_like(c):
+                out.append(_scalar_atom(negative, text))
+            elif unit and not negative:
                 out.append(mono)
             else:
-                out.append(f"{_scalar_atom(c)}*{mono}")
+                out.append(f"{_scalar_atom(negative, text)}*{mono}")
         return out
-    if len(nonzero) == 1:
-        j, c = nonzero[0]
-        mono = "" if j == 0 else ("h" if j == 1 else f"h^{j}")
-        parts = []
-        if xpart:
-            parts.append(xpart)
-        if c != one_like(c):
-            parts.append(_scalar_atom(c))
-        if mono:
-            parts.append(mono)
-        if ypart:
-            parts.append(ypart)
-        if not parts:
-            parts = ["1"]
-        return ["*".join(parts)]
-    return ["*".join(p for p in (xpart, f"({_terms_text(nonzero)})", ypart) if p)]
+    if len(terms) == 1:
+        j, negative, text, unit = terms[0]
+        parts = [xpart] if xpart else []
+        if not (unit and not negative):
+            parts.append(_scalar_atom(negative, text))
+        parts += [p for p in (_h_power(j), ypart) if p]
+        return ["*".join(parts or ["1"])]
+    return ["*".join(p for p in (xpart, f"({_terms_text(terms)})", ypart) if p)]
 
 
 # ---------------------------------------------------------------------------

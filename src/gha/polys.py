@@ -158,14 +158,18 @@ class Poly:
 
     @classmethod
     def constant(cls, s, backend: str = "exact") -> "Poly":
+        if backend == "exact" and isinstance(s, _NEUTRAL):
+            # an int or Fraction is already its own canonical integer form
+            return _raw(1, s.denominator, (s.numerator,)) if s else _ZERO
         from .scalars import as_scalar
 
         return cls([as_scalar(s, backend)])
 
     @classmethod
     def variable(cls, backend: str = "exact") -> "Poly":
-        one = exact(1) if backend == "exact" else approx(1)
-        return cls([zero_like(one), one])
+        if backend == "exact":
+            return _raw(1, 1, (0, 1))
+        return cls([approx(0), approx(1)])
 
     # -- basic queries ------------------------------------------------------
 
@@ -219,9 +223,6 @@ class Poly:
 
     def _zero(self) -> Scalar:
         return exact(0) if self.backend == "exact" else approx(0)
-
-    def _one(self) -> Scalar:
-        return exact(1) if self.backend == "exact" else approx(1)
 
     def _check(self, other: "Poly") -> None:
         if not self.is_zero() and not other.is_zero() and self.backend != other.backend:
@@ -277,8 +278,7 @@ class Poly:
 
     def __mul__(self, other):
         if self._n and isinstance(other, _NEUTRAL):
-            q = Fraction(other)
-            return _scale(self, q.numerator, q.denominator)
+            return _scale(self, other.numerator, other.denominator)
         if self._n and isinstance(other, CyclotomicNumber):
             return self * Poly([other])
         if isinstance(other, (CyclotomicNumber, ApproxComplex) + _NEUTRAL):
@@ -287,7 +287,7 @@ class Poly:
             return NotImplemented
         self._check(other)
         if self.is_zero() or other.is_zero():
-            return Poly([])
+            return _ZERO
         n = _shared_conductor(self, other)
         if n:
             return _mul_forms(self, other, n)
@@ -303,7 +303,7 @@ class Poly:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        return _power(self, k, Poly([self._one()]))
+        return _power(self, k, Poly.constant(1, self.backend))
 
     def __divmod__(self, other: "Poly"):
         other = self._coerce(other)
@@ -375,7 +375,7 @@ class Poly:
             consts = [_exact(self._n, self._den, num[k : k + phi]) for k in range(0, len(num), phi)]
         else:
             consts = [Poly([c]) for c in self._scalars]
-        acc = Poly([])
+        acc = _ZERO
         for c in reversed(consts):
             acc = acc * inner + c
         return acc
@@ -404,23 +404,29 @@ class Poly:
 
     # -- canonical text form ---------------------------------------------------
 
-    def _nonzero_terms(self) -> list[tuple[int, Scalar]]:
-        """(k, coefficient k) for each nonzero coefficient, k ascending.
+    def _terms(self) -> list[tuple[int, bool | None, str, bool]]:
+        """(k, *parts of coefficient k) for each nonzero coefficient, k
+        ascending; the parts are those of :func:`_scalar_parts`.
 
-        The integer form tells a zero coefficient by its numerators, so it
-        builds a scalar only for the nonzero ones; an approximate
-        coefficient within CONFIG.tol of 0 counts as zero."""
+        A rational integer form reads them off its numerators and
+        denominator and builds no scalar.  The cyclotomic one tells a zero
+        coefficient by its numerators, so it builds a scalar only for the
+        nonzero ones; an approximate coefficient within CONFIG.tol of 0
+        counts as zero."""
+        if self._n == 1:
+            den = self._den
+            return [(k, *_rational_parts(x, den)) for k, x in enumerate(self._num) if x]
         if self._n:
             phi, num = euler_phi(self._n), self._num
             return [
-                (k, self._scalar(k))
+                (k, *_scalar_parts(self._scalar(k)))
                 for k in range(len(num) // phi)
                 if any(num[k * phi : (k + 1) * phi])
             ]
-        return [(k, c) for k, c in enumerate(self._scalars) if c != zero_like(c)]
+        return [(k, *_scalar_parts(c)) for k, c in enumerate(self._scalars) if c != zero_like(c)]
 
     def __str__(self) -> str:
-        return _terms_text(self._nonzero_terms())
+        return _terms_text(self._terms())
 
     def __repr__(self) -> str:
         return f"Poly({self})"
@@ -445,6 +451,11 @@ def _raw(n: int, den: int, num: tuple) -> Poly:
     p = object.__new__(Poly)
     _fill(p, "exact", n, den, num, None)
     return p
+
+
+# the zero polynomial, shared; a zero operand passes every backend check, so
+# it serves both backends
+_ZERO = _raw(1, 1, ())
 
 
 def _exact(n: int, den: int, num) -> Poly:
@@ -511,15 +522,23 @@ def _add_forms(a: Poly, b: Poly, n: int) -> Poly:
     return _exact(n, den, out)
 
 
+# Operand size, len(a._num) * len(b._num), up to which _mul_forms
+# multiplies by schoolbook: below it the Kronecker packing and unpacking cost
+# more than the products they replace.
+_SCHOOLBOOK_MAX = 192
+
+
 def _mul_forms(a: Poly, b: Poly, n: int) -> Poly:
-    """a*b by Kronecker substitution: h and zeta_N become powers of 2.
+    """a*b on the numerator rows, by schoolbook or Kronecker substitution.
 
     Coefficient k of a, a polynomial of degree < pa in zeta, goes to the
-    slots k*stride .. k*stride + pa - 1 of one integer, with
-    stride = pa + pb - 1 so the zeta-degrees of a product cannot spill into
-    the next h-degree.  A slot holds any product coefficient with a sign
-    bit to spare, so the product of the two integers carries every
-    coefficient of a*b in Z[h, zeta]; each one is then reduced mod Phi_N.
+    slots k*stride .. k*stride + pa - 1, with stride = pa + pb - 1 so the
+    zeta-degrees of a product cannot spill into the next h-degree.  Short
+    operands convolve those slot lists directly.  Long ones pack them into
+    one integer each, h and zeta_N becoming powers of 2 (Kronecker
+    substitution): a slot holds any product coefficient with a sign bit to
+    spare, so the product of the two integers carries every coefficient of
+    a*b in Z[h, zeta].  Either way each one is then reduced mod Phi_N.
     """
     if a._n == 1 and len(a._num) == 1:
         return _scale(b, a._num[0], a._den)
@@ -528,11 +547,21 @@ def _mul_forms(a: Poly, b: Poly, n: int) -> Poly:
     pa, pb = euler_phi(a._n), euler_phi(b._n)
     stride = pa + pb - 1
     la, lb = len(a._num) // pa, len(b._num) // pb
-    bound = min(la, lb) * min(pa, pb) * _max_abs(a._num) * _max_abs(b._num)
-    width = (bound.bit_length() + 8) // 8  # bytes per slot, sign bit included
-    va = _pack(a._num, pa, stride, width)
-    vb = va if b is a else _pack(b._num, pb, stride, width)
-    digits = _unpack(va * vb, width, (la + lb - 1) * stride)
+    count = (la + lb - 1) * stride
+    if len(a._num) * len(b._num) <= _SCHOOLBOOK_MAX:
+        x = _spread(a._num, pa, stride)
+        y = x if b is a else _spread(b._num, pb, stride)
+        digits = [0] * count
+        for i, u in enumerate(x):
+            if u:
+                for j, v in enumerate(y, i):
+                    digits[j] += u * v
+    else:
+        bound = min(la, lb) * min(pa, pb) * _max_abs(a._num) * _max_abs(b._num)
+        width = (bound.bit_length() + 8) // 8  # bytes per slot, sign bit included
+        va = _pack(a._num, pa, stride, width)
+        vb = va if b is a else _pack(b._num, pb, stride, width)
+        digits = _unpack(va * vb, width, count)
     if stride > euler_phi(n):
         digits = _reduce_mod_cyclotomic(digits, n, stride)
     return _exact(n, a._den * b._den, digits)
@@ -547,16 +576,23 @@ def _max_abs(num) -> int:
     return max(max(num), -min(num))
 
 
+def _spread(num, phi: int, stride: int):
+    """num with each row of phi numerators padded by zeros to stride slots,
+    the last row excepted."""
+    if stride == phi:
+        return num
+    gap = [0] * (stride - phi)
+    out = []
+    for k in range(0, len(num), phi):
+        out += num[k : k + phi]
+        out += gap
+    del out[len(out) - len(gap) :]
+    return out
+
+
 def _pack(num, phi: int, stride: int, width: int) -> int:
     """sum of num[k*phi + j] * 2^(8*width*(k*stride + j)), signed entries."""
-    if stride > phi:
-        gap = [0] * (stride - phi)
-        digits = []
-        for k in range(0, len(num), phi):
-            digits += num[k : k + phi]
-            digits += gap
-    else:
-        digits = num
+    digits = _spread(num, phi, stride)
     zero = bytes(width)
     out = int.from_bytes(
         b"".join([d.to_bytes(width, "little") if d > 0 else zero for d in digits]), "little"
@@ -581,48 +617,56 @@ def _unpack(value: int, width: int, count: int) -> list[int]:
     return [d + (below < 0) for d, below in zip(slots, chain((0,), slots))]
 
 
-def _terms_text(terms: list[tuple[int, Scalar]]) -> str:
+def _scalar_parts(c: Scalar) -> tuple[bool | None, str, bool]:
+    """What the text of a nonzero coefficient c is made from.
+
+    (whether c < 0, the text of |c|, whether |c| == 1) when c has a clean
+    sign, that is when it is rational or a real approximate value;
+    otherwise (None, the text of c, whether c == 1)."""
+    if isinstance(c, CyclotomicNumber) and c.is_rational():
+        q = c.coords[0]
+        return q < 0, str(abs(q)), abs(q) == 1
+    if isinstance(c, ApproxComplex) and c.value.imag == 0:
+        v = c.value.real
+        mag = approx(-v) if v < 0 else c
+        return v < 0, str(mag), mag == 1
+    return None, str(c), c == one_like(c)
+
+
+def _rational_parts(num: int, den: int) -> tuple[bool, str, bool]:
+    """:func:`_scalar_parts` of the nonzero rational num/den (den > 0)."""
+    g = math.gcd(num, den)
+    top, bottom = abs(num) // g, den // g
+    return num < 0, (str(top) if bottom == 1 else f"{top}/{bottom}"), top == bottom
+
+
+def _h_power(k: int) -> str:
+    return "" if k == 0 else ("h" if k == 1 else f"h^{k}")
+
+
+def _terms_text(terms: list[tuple[int, bool | None, str, bool]]) -> str:
     """The canonical text of the polynomial with these nonzero terms
-    (ascending, as ``Poly._nonzero_terms`` lists them); "0" for none."""
+    (ascending, as ``Poly._terms`` lists them); "0" for none."""
     pieces = []
-    for k, c in reversed(terms):
-        body, negated = _coeff_body(c, k)
+    for k, negative, text, unit in reversed(terms):
+        body = _coeff_body(k, text, unit)
         if not pieces:
-            pieces.append(("-" if negated else "") + body)
+            pieces.append(("-" if negative else "") + body)
         else:
-            pieces.append(("- " if negated else "+ ") + body)
+            pieces.append(("- " if negative else "+ ") + body)
     return " ".join(pieces) or "0"
 
 
-def _scalar_sign_split(c: Scalar) -> tuple[bool, Scalar | None]:
-    """(is_negative, |c|) when c has a usable sign, else (False, None)."""
-    if isinstance(c, CyclotomicNumber) and c.is_rational():
-        q = c.as_rational()
-        return (q < 0, exact(-q) if q < 0 else c)
-    if isinstance(c, ApproxComplex) and c.value.imag == 0:
-        v = c.value.real
-        return (v < 0, approx(-v) if v < 0 else c)
-    return False, None
-
-
-def _coeff_body(c: Scalar, k: int) -> tuple[str, bool]:
-    """Render c*h^k; returns (text, was_negated)."""
-    mono = "" if k == 0 else ("h" if k == 1 else f"h^{k}")
-    negated, mag = _scalar_sign_split(c)
-    show = mag if negated else c
-    if show is None:
-        # no clean sign: keep the full scalar, parenthesised if composite
-        text = str(c)
-        text = f"({text})" if any(ch in text for ch in " +-*/") and k > 0 else text
-        return (f"{text}*{mono}" if mono else text), False
+def _coeff_body(k: int, text: str, unit: bool) -> str:
+    """The text of c*h^k from the parts of c, without the sign of a c < 0."""
+    mono = _h_power(k)
     if not mono:
-        return str(show), negated
-    if show == 1:
-        return mono, negated
-    text = str(show)
+        return text
+    if unit:
+        return mono
     if any(ch in text for ch in " +*/"):
         text = f"({text})"
-    return f"{text}*{mono}", negated
+    return f"{text}*{mono}"
 
 
 def _check_degree(degree: int) -> None:

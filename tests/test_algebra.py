@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gha import algebra
 from gha.algebra import (
     FreeModuleElement,
     GHAElement,
@@ -284,6 +285,60 @@ class TestArithmeticLaws:
     def test_scale(self):
         x = H2.generator("x")
         assert x.scale(exact(2)) == x + x
+
+
+@pytest.fixture
+def power_calls(monkeypatch):
+    """Calls of the repeated-squaring loop from GHAElement.__pow__."""
+    calls = []
+    power = algebra._power
+    monkeypatch.setattr(algebra, "_power", lambda *args: calls.append(1) or power(*args))
+    return calls
+
+
+class TestMonomialPowers:
+    """x^a*c and c*y^b with c constant are raised to a power directly; every
+    other element goes through repeated squaring.  Both must agree with
+    repeated products and with the free-module action."""
+
+    @staticmethod
+    def check(a, k):
+        pres = a.presentation
+        want = pres.one()
+        for _ in range(k):
+            want = want * a
+        got = a**k
+        assert got == want and str(got) == str(want)
+        one = FreeModuleElement.basis(0, 0, 0, pres.f.backend)
+        v = one
+        for _ in range(k):
+            v = free_module_action(a, v)
+        assert free_module_action(got, one) == v
+
+    @pytest.mark.parametrize("backend", ["exact", "approx"])
+    @pytest.mark.parametrize("f", ["h^2", "zeta(3)*h + 1", "2*h - 1"])
+    @pytest.mark.parametrize("text", ["2*x", "3*y", "x", "y", "x^2/3", "-y^3", "5", "zeta(4)*x"])
+    def test_monomials_take_the_direct_path(self, backend, f, text, power_calls):
+        a = parse_element(text, Presentation(parse_poly(f, backend)))
+        for k in (0, 1, 2, 3):
+            self.check(a, k)
+        assert power_calls == []
+
+    @pytest.mark.parametrize("backend", ["exact", "approx"])
+    @pytest.mark.parametrize("text", ["x*y", "x + y", "x*h", "h", "x^2*y", "2*h + 1"])
+    def test_other_elements_take_repeated_squaring(self, backend, text, power_calls):
+        a = parse_element(text, Presentation(parse_poly("h^2 + 1", backend)))
+        for k in (2, 3):
+            self.check(a, k)
+        assert len(power_calls) == 2
+
+    def test_examples(self):
+        x, h, y = gens(H2)
+        assert str((2 * x) ** 3) == "x^3*8"
+        assert str((3 * y) ** 2) == "9*y^2"
+        assert (x * y) ** 2 == x * y * x * y
+        assert str((x * y) ** 2) == "x^2*y^2 + x*(h^2 - h)*y"
+        assert (x**0, y**1) == (H2.one(), y)
 
 
 class TestCentrality:

@@ -343,6 +343,32 @@ def test_golden(capsys, name, argv):
     assert out == (GOLDEN / name).read_text()
 
 
+# The normal-form cells of the cold-normalize benchmark workload: f -> (k, i),
+# each asked both ways round as y^k*x^i.
+NORMAL_FORM_CELLS = {
+    "h^2": [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4), (4, 4)],
+    "h^2 + 1": [(1, 1), (1, 3), (2, 2), (2, 3), (2, 4), (3, 3)],
+    "h^3 - h": [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3)],
+    "2*h - 1": [(2, 2), (3, 5), (4, 5), (5, 5), (4, 6), (4, 8), (8, 8), (10, 10)],
+    "h/2 + 1/3": [(2, 2), (3, 5), (4, 5), (3, 7), (6, 6), (4, 9), (8, 8)],
+    "zeta(3)*h": [(2, 2), (4, 6), (5, 6), (4, 8), (6, 8), (8, 8), (6, 12), (12, 12), (20, 20)],
+    "zeta(3)*h + 1": [(2, 2), (4, 6), (5, 5), (5, 6), (4, 8), (8, 8), (6, 12), (12, 12)],
+}
+
+
+def test_golden_normal_form_cells(capsys):
+    """normalize_cells.txt holds, for each cell in sorted order, the command
+    line and then the exact stdout of ``gha normalize``."""
+    jobs = sorted(
+        {(f, k, i) for f, cells in NORMAL_FORM_CELLS.items() for a, b in cells for k, i in ((a, b), (b, a))}
+    )
+    lines = (GOLDEN / "normalize_cells.txt").read_text().splitlines(keepends=True)
+    assert len(jobs) == 77 and len(lines) == 2 * len(jobs)
+    for (f, k, i), command, text in zip(jobs, lines[0::2], lines[1::2]):
+        assert command == f"normalize -f '{f}' -e 'y^{k}*x^{i}'\n"
+        assert run(capsys, "normalize", "-f", f, "-e", f"y^{k}*x^{i}") == (0, text, ""), command
+
+
 def test_console_script_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "gha", "normalize", "-f", "h^2", "-e", "y*x"],

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gha import polys
+from gha.algebra import GHAElement, Presentation
 from gha.config import CONFIG
 from gha.polys import (
     ContinuumOfOrbitsError,
@@ -13,6 +15,7 @@ from gha.polys import (
     Orbit,
     Poly,
     _coeff_body,
+    _scalar_parts,
     exact_roots,
     iterate,
     orbit_through,
@@ -63,6 +66,15 @@ class TestArithmetic:
         assert P(7).degree == 0
         assert (H * H).degree == 2
 
+    def test_constants_are_canonical(self):
+        for s in (0, Fraction(0), 1, -7, Fraction(-3, 4), 2**70):
+            c = Poly.constant(s)
+            assert c == Poly([exact(s)])
+            assert (c.is_zero(), c.degree) == ((True, -1) if s == 0 else (False, 0))
+        assert Poly.variable() == Poly([exact(0), exact(1)]) and Poly.variable().is_identity()
+        assert Poly.constant(Fraction(1, 2), "approx") == Poly([approx(0.5)])
+        assert Poly.variable("approx").backend == "approx"
+
     def test_leading_and_coefficient(self):
         f = P(1, 0, 3)
         assert f.leading == exact(3)
@@ -101,7 +113,8 @@ def _ref_str(cs):
     for k in range(len(cs) - 1, -1, -1):
         if cs[k].is_zero():
             continue
-        body, negated = _coeff_body(cs[k], k)
+        negated, text, unit = _scalar_parts(cs[k])
+        body = _coeff_body(k, text, unit)
         sign = ("-" if negated else "") if not pieces else ("- " if negated else "+ ")
         pieces.append(sign + body)
     return " ".join(pieces) or "0"
@@ -197,6 +210,38 @@ class TestIntegerFormAgainstSchoolbook:
             assert (pa == pb) == (_layout(a) == _layout(b))
             assert pa + Poly([exact(1)]) != pa
 
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_both_product_paths(self, n, monkeypatch):
+        """Operands on both sides of the schoolbook/Kronecker split, with
+        coefficients up to 2^200 in size; _pack runs only on the Kronecker
+        path, and each pair is also multiplied with each path forced."""
+        packs = []
+        pack = polys._pack
+        monkeypatch.setattr(polys, "_pack", lambda *args: packs.append(1) or pack(*args))
+        rng = random.Random(3000 + n)
+        top = CyclotomicNumber(n, [2**200] * euler_phi(n))
+        pairs = []
+        for length in (2, 3, 6, 9, 14, 20, 30):
+            for bits in (3, 64, 200):
+                a = [_element(rng, n, bits) for _ in range(length - 1)] + [top]
+                b = [_element(rng, n, bits) for _ in range(rng.randint(2, length + 1))] + [-top]
+                pairs.append((a, b))
+        default, reached = polys._SCHOOLBOOK_MAX, set()
+        for a, b in pairs:
+            pa, pb = Poly(a), Poly(b)
+            for x, y, want in ((pa, pb, _ref_mul(a, b)), (pa, pa, _ref_mul(a, a))):
+                for limit in (default, 0, 10**9):
+                    monkeypatch.setattr(polys, "_SCHOOLBOOK_MAX", limit)
+                    before = len(packs)
+                    got = x * y
+                    kronecker = len(packs) > before
+                    assert kronecker == (len(x._num) * len(y._num) > limit)
+                    if limit == default:
+                        reached.add(kronecker)
+                    assert _layout(got.coeffs) == _layout(want)
+                    assert got == Poly(want)
+        assert reached == {False, True}
+
     def test_cancellation_reaches_rational_and_zero(self):
         a = Poly([zeta(3), exact(2), zeta(3) ** 2])
         conj = Poly([zeta(3) ** 2, exact(2), zeta(3)])
@@ -214,6 +259,72 @@ class TestIntegerFormAgainstSchoolbook:
     def test_sparse_iterate(self):
         assert iterate(H * H, 6) == Poly([0] * 64 + [1])
         assert str(iterate(H * H, 6)) == "h^64"
+
+
+def _scalar_twin(p):
+    """The exact Poly p held as a tuple of scalars, the form that prints
+    through _scalar_parts."""
+    twin = object.__new__(Poly)
+    polys._fill(twin, "exact", 0, 1, (), p.coeffs)
+    return twin
+
+
+class TestIntegerPrinter:
+    """A rational Poly prints from its integer numerators; the same
+    coefficients held as scalars must print the same text, as a Poly and
+    inside every kind of element term."""
+
+    PRES = Presentation(Poly([exact(0), exact(0), exact(1)]))
+    POOL = [1, -1, 2, -3, 7, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 4), Fraction(-5, 3),
+            Fraction(2**70 + 1, 3), -(2**65)]
+
+    def _texts(self, p):
+        """str(p) and the text of x^i p y^k for the spliced (0, 0) term and
+        for terms with an x or a y part."""
+        yield str(p)
+        for ik in ((0, 0), (1, 0), (0, 1), (2, 3)):
+            yield str(GHAElement(self.PRES, {ik: p}))
+
+    def test_random_rational_polys(self):
+        rng = random.Random(4242)
+        for trial in range(300):
+            length = rng.choice([1, 1, 2, 3, 5])
+            cs = [rng.choice(self.POOL + [0, 0]) for _ in range(length - 1)]
+            lead = rng.choice(self.POOL)
+            cs.append(-abs(lead) if trial % 3 == 0 else lead)
+            p = Poly([exact(c) for c in cs])
+            twin = _scalar_twin(p)
+            assert (p._n, twin._n) == (1, 0)
+            assert list(self._texts(p)) == list(self._texts(twin)), cs
+
+    def test_pinned_texts(self):
+        p = Poly([exact(-1), exact(Fraction(3, 4)), exact(-1)])
+        assert list(self._texts(p)) == [
+            "-h^2 + (3/4)*h - 1",
+            "(-1)*h^2 + 3/4*h + (-1)",
+            "x*(-h^2 + (3/4)*h - 1)",
+            "(-h^2 + (3/4)*h - 1)*y",
+            "x^2*(-h^2 + (3/4)*h - 1)*y^3",
+        ]
+        single = Poly([exact(0), exact(0), exact(Fraction(-2, 6))])
+        assert list(self._texts(single)) == [
+            "-(1/3)*h^2",
+            "(-1/3)*h^2",
+            "x*(-1/3)*h^2",
+            "(-1/3)*h^2*y",
+            "x^2*(-1/3)*h^2*y^3",
+        ]
+        assert list(self._texts(Poly([exact(1)]))) == ["1", "1", "x", "y", "x^2*y^3"]
+
+    def test_coefficients_without_a_clean_sign(self):
+        # non-rational and complex coefficients keep the scalar path
+        p = Poly([exact(1), exact(-3), exact(1), -zeta(3)])
+        assert str(p) == "-zeta(3)*h^3 + h^2 - 3*h + 1"
+        assert str(GHAElement(self.PRES, {(0, 0): p})) == "(-zeta(3))*h^3 + h^2 + (-3)*h + 1"
+        q = Poly([approx(-1j), approx(0), approx(1 + 1e-12j)])
+        assert str(q) == "h^2 + -i"
+        pres = Presentation(Poly([approx(0), approx(0), approx(1)]))
+        assert str(GHAElement(pres, {(0, 0): q})) == "h^2 + (-i)"
 
 
 class TestComposeEvaluate:
