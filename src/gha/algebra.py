@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .polys import Poly, _extend_iterates, _h_power, _terms_text
+from .polys import _ZERO, Poly, _extend_iterates, _h_power, _terms_text
 from .scalars import (
     ApproxComplex,
     CyclotomicNumber,
@@ -362,8 +362,7 @@ class GHAElement:
         if self.presentation is not other.presentation and self.presentation != other.presentation:
             return False
         keys = set(self.terms) | set(other.terms)
-        zero = Poly([])
-        return all(self.terms.get(k, zero) == other.terms.get(k, zero) for k in keys)
+        return all(self.terms.get(k, _ZERO) == other.terms.get(k, _ZERO) for k in keys)
 
     __hash__ = None
 

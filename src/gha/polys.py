@@ -8,10 +8,13 @@ literals lift to whichever backend the other coefficients use.
 An exact :class:`Poly` over one field Q(zeta_N) is stored in integer form:
 the conductor N, one common denominator, and phi(N) integer numerators per
 coefficient (the FLINT ``fmpq_poly`` layout, one row per coefficient).
-Sums, negation and equality work on the numerators directly, and a
-product is one big-integer product by Kronecker substitution (Harvey,
+Sums, differences, negation and equality work on the numerators directly;
+a product multiplies the numerator rows, short ones by schoolbook and long
+ones as one big-integer product by Kronecker substitution (Harvey,
 "Faster polynomial multiplication via multipoint Kronecker substitution",
-2009) followed by one reduction mod Phi_N per coefficient.  The
+2009), then reduces each coefficient mod Phi_N; a composition runs Horner
+on the rows under one running denominator.  Each result is made canonical
+once, at the end.  The
 approximate backend, and an exact polynomial whose coefficients mix two
 different non-rational conductors, keep a tuple of scalars and the
 coefficientwise scalar loops.  ``Poly.coeffs`` is always a tuple of
@@ -122,8 +125,11 @@ class Poly:
     coefficient in the power basis 1, zeta_N, ..., zeta_N^(phi(N)-1), and
     ``den > 0`` is their one common denominator.  The form is canonical: no
     trailing zero coefficient, gcd(den, num) = 1, and N = 1 whenever every
-    coefficient is rational.  ``+``, ``-``, negation, ``*`` and ``==`` run
-    on it, products as one big-integer product (Kronecker substitution).
+    coefficient is rational.  ``+``, ``-``, negation, ``*``, ``==`` and
+    ``compose`` run on it and make each result canonical once: ``compose``
+    runs Horner on the numerator rows under the one denominator
+    den_self * den_inner^d and reduces only at the end.  Two integer-form
+    operands over a shared conductor skip coercion and the backend check.
 
     The approximate backend, and an exact polynomial whose coefficients
     need two different non-rational conductors, keep a tuple of scalars
@@ -143,15 +149,20 @@ class Poly:
     # the coefficients instead
     __slots__ = ("backend", "_n", "_den", "_num", "_scalars")
 
-    def __init__(self, coeffs=()) -> None:
+    # Poly() is the shared _ZERO, so copy or pickle support must rebuild a
+    # Poly from its constructor and arguments (__reduce__), never by
+    # restoring slots on the result of __new__.
+    def __new__(cls, coeffs=()) -> "Poly":
         lifted, backend = _lift_all(coeffs)
         form = _integer_form(lifted) if backend == "exact" else None
         if form is None:
-            _fill(self, backend, 0, 1, (), lifted)
-        else:
-            _fill(self, backend, *form, None)
+            p = _new(cls)
+            _fill(p, backend, 0, 1, (), lifted)
+            return p
+        # the form is canonical already; the zero is the shared one
+        return _raw(*form) if form[2] else _ZERO
 
-    def __setattr__(self, *a):  # pragma: no cover
+    def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
 
     # -- constructors -----------------------------------------------------
@@ -237,18 +248,23 @@ class Poly:
 
     # -- ring operations ----------------------------------------------------
 
+    # +, * and == test for a Poly operand first and for two integer forms
+    # over a shared conductor next: those are exact, so they skip coercion
+    # and the backend check.
+
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Poly:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         if self.is_zero():
             return other
         if other.is_zero():
             return self
-        self._check(other)
         n = _shared_conductor(self, other)
         if n:
             return _add_forms(self, other, n)
+        self._check(other)
         a, b, zero = self.coeffs, other.coeffs, self._zero()
         return Poly(
             [
@@ -261,6 +277,8 @@ class Poly:
 
     def __neg__(self):
         if self._n:
+            if not self._num:
+                return self
             return _raw(self._n, self._den, tuple([-x for x in self._num]))
         return Poly([-c for c in self._scalars])
 
@@ -277,20 +295,21 @@ class Poly:
         return other + (-self)
 
     def __mul__(self, other):
-        if self._n and isinstance(other, _NEUTRAL):
-            return _scale(self, other.numerator, other.denominator)
-        if self._n and isinstance(other, CyclotomicNumber):
-            return self * Poly([other])
-        if isinstance(other, (CyclotomicNumber, ApproxComplex) + _NEUTRAL):
-            return Poly([c * other for c in self.coeffs])
-        if not isinstance(other, Poly):
-            return NotImplemented
-        self._check(other)
+        if type(other) is not Poly:
+            if self._n and isinstance(other, _NEUTRAL):
+                return _scale(self, other.numerator, other.denominator)
+            if self._n and isinstance(other, CyclotomicNumber):
+                return self * Poly([other])
+            if isinstance(other, (CyclotomicNumber, ApproxComplex) + _NEUTRAL):
+                return Poly([c * other for c in self.coeffs])
+            if not isinstance(other, Poly):
+                return NotImplemented
         if self.is_zero() or other.is_zero():
             return _ZERO
         n = _shared_conductor(self, other)
         if n:
             return _mul_forms(self, other, n)
+        self._check(other)
         a, b = self.coeffs, other.coeffs
         out = [self._zero()] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
@@ -331,9 +350,10 @@ class Poly:
         return divmod(self, other)[1]
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Poly:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         if _shared_conductor(self, other):
             # canonical integer forms: equal values have equal forms
             return self._n == other._n and self._den == other._den and self._num == other._num
@@ -365,19 +385,21 @@ class Poly:
         return acc
 
     def compose(self, inner: "Poly") -> "Poly":
-        """self(inner(h)), by Horner over polynomials."""
+        """self(inner(h)), by Horner.
+
+        Over integer forms with a shared conductor the Horner steps run on
+        the numerator rows and the result is made canonical once; otherwise
+        (the approximate backend, two different non-rational conductors)
+        Horner runs over constant polynomials."""
         self._check(inner)
         if inner.degree > 1:
             _check_degree(self.degree * inner.degree)
-        if self._n:
-            phi = euler_phi(self._n)
-            num = self._num
-            consts = [_exact(self._n, self._den, num[k : k + phi]) for k in range(0, len(num), phi)]
-        else:
-            consts = [Poly([c]) for c in self._scalars]
+        n = _shared_conductor(self, inner)
+        if n:
+            return _compose_forms(self, inner, n)
         acc = _ZERO
-        for c in reversed(consts):
-            acc = acc * inner + c
+        for c in reversed(self.coeffs):
+            acc = acc * inner + Poly([c])
         return acc
 
     def derivative(self) -> "Poly":
@@ -437,18 +459,26 @@ class Poly:
 # ---------------------------------------------------------------------------
 
 
+# the slot setters, which pass by the immutability guard of Poly.__setattr__
+_set_backend = Poly.backend.__set__
+_set_n = Poly._n.__set__
+_set_den = Poly._den.__set__
+_set_num = Poly._num.__set__
+_set_scalars = Poly._scalars.__set__
+_new = object.__new__
+
+
 def _fill(p: Poly, backend: str, n: int, den: int, num: tuple, scalars) -> None:
-    set_ = object.__setattr__
-    set_(p, "backend", backend)
-    set_(p, "_n", n)
-    set_(p, "_den", den)
-    set_(p, "_num", num)
-    set_(p, "_scalars", scalars)
+    _set_backend(p, backend)
+    _set_n(p, n)
+    _set_den(p, den)
+    _set_num(p, num)
+    _set_scalars(p, scalars)
 
 
 def _raw(n: int, den: int, num: tuple) -> Poly:
     """The exact Poly of an integer form that is already canonical."""
-    p = object.__new__(Poly)
+    p = _new(Poly)
     _fill(p, "exact", n, den, num, None)
     return p
 
@@ -464,12 +494,12 @@ def _exact(n: int, den: int, num) -> Poly:
     end = len(num)
     while end and not any(num[end - phi : end]):
         end -= phi
+    if not end:
+        return _ZERO
     num = tuple(num[:end])
-    if n > 1 and num and not any(any(num[j::phi]) for j in range(1, phi)):
+    if n > 1 and not any(any(num[j::phi]) for j in range(1, phi)):
         n, num = 1, num[::phi]
-    if not num:
-        n, den = 1, 1
-    elif den != 1:
+    if den != 1:
         g = math.gcd(den, *num)
         if g != 1:
             den //= g
@@ -494,7 +524,8 @@ def _integer_form(lifted: tuple[CyclotomicNumber, ...]):
 
 def _shared_conductor(a: Poly, b: Poly) -> int:
     """The conductor both integer forms live in, or 0 when either has none
-    or they are over two different non-rational conductors."""
+    (either _n is 0) or they are over two different non-rational
+    conductors."""
     if a._n == b._n or b._n == 1:
         return a._n
     return b._n if a._n == 1 else 0
@@ -529,42 +560,72 @@ _SCHOOLBOOK_MAX = 192
 
 
 def _mul_forms(a: Poly, b: Poly, n: int) -> Poly:
-    """a*b on the numerator rows, by schoolbook or Kronecker substitution.
-
-    Coefficient k of a, a polynomial of degree < pa in zeta, goes to the
-    slots k*stride .. k*stride + pa - 1, with stride = pa + pb - 1 so the
-    zeta-degrees of a product cannot spill into the next h-degree.  Short
-    operands convolve those slot lists directly.  Long ones pack them into
-    one integer each, h and zeta_N becoming powers of 2 (Kronecker
-    substitution): a slot holds any product coefficient with a sign bit to
-    spare, so the product of the two integers carries every coefficient of
-    a*b in Z[h, zeta].  Either way each one is then reduced mod Phi_N.
-    """
+    """a*b for nonzero integer forms over the shared conductor n."""
     if a._n == 1 and len(a._num) == 1:
         return _scale(b, a._num[0], a._den)
     if b._n == 1 and len(b._num) == 1:
         return _scale(a, b._num[0], b._den)
-    pa, pb = euler_phi(a._n), euler_phi(b._n)
+    digits = _mul_rows(a._num, euler_phi(a._n), b._num, euler_phi(b._n), n)
+    return _exact(n, a._den * b._den, digits)
+
+
+def _mul_rows(x, pa: int, y, pb: int, n: int) -> list[int]:
+    """The numerator rows of x*y, by schoolbook or Kronecker substitution.
+
+    x and y are nonempty lists of rows of pa and pb integer numerators, in
+    Q(zeta_N) with N dividing n.  Coefficient k of x, a polynomial of
+    degree < pa in zeta, goes to the slots k*stride .. k*stride + pa - 1,
+    with stride = pa + pb - 1 so the zeta-degrees of a product cannot spill
+    into the next h-degree.  Short operands convolve those slot lists
+    directly.  Long ones pack them into one integer each, h and zeta_n
+    becoming powers of 2 (Kronecker substitution): a slot holds any product
+    coefficient with a sign bit to spare, so the product of the two
+    integers carries every coefficient of x*y in Z[h, zeta].  Either way
+    each row is then reduced mod Phi_n, to phi(n) numerators.
+    """
     stride = pa + pb - 1
-    la, lb = len(a._num) // pa, len(b._num) // pb
+    la, lb = len(x) // pa, len(y) // pb
     count = (la + lb - 1) * stride
-    if len(a._num) * len(b._num) <= _SCHOOLBOOK_MAX:
-        x = _spread(a._num, pa, stride)
-        y = x if b is a else _spread(b._num, pb, stride)
+    if len(x) * len(y) <= _SCHOOLBOOK_MAX:
+        sx = _spread(x, pa, stride)
+        sy = sx if y is x else _spread(y, pb, stride)
         digits = [0] * count
-        for i, u in enumerate(x):
+        for i, u in enumerate(sx):
             if u:
-                for j, v in enumerate(y, i):
+                for j, v in enumerate(sy, i):
                     digits[j] += u * v
     else:
-        bound = min(la, lb) * min(pa, pb) * _max_abs(a._num) * _max_abs(b._num)
+        bound = min(la, lb) * min(pa, pb) * _max_abs(x) * _max_abs(y)
         width = (bound.bit_length() + 8) // 8  # bytes per slot, sign bit included
-        va = _pack(a._num, pa, stride, width)
-        vb = va if b is a else _pack(b._num, pb, stride, width)
-        digits = _unpack(va * vb, width, count)
+        vx = _pack(x, pa, stride, width)
+        vy = vx if y is x else _pack(y, pb, stride, width)
+        digits = _unpack(vx * vy, width, count)
     if stride > euler_phi(n):
         digits = _reduce_mod_cyclotomic(digits, n, stride)
-    return _exact(n, a._den * b._den, digits)
+    return digits
+
+
+def _compose_forms(outer: Poly, inner: Poly, n: int) -> Poly:
+    """outer(inner(h)) for integer forms over the shared conductor n.
+
+    With outer = sum a_k h^k / E and inner = P / D (numerator rows a_k and
+    P), Horner keeps acc = A / (E * D^j) after j steps and updates the
+    numerators only, A <- A*P + a_k * D^(j+1); the result over E * D^d is
+    made canonical once."""
+    if outer.degree <= 0:
+        return outer
+    po, pi, phi = euler_phi(outer._n), euler_phi(inner._n), euler_phi(n)
+    num = outer._num
+    if not inner._num:
+        return _exact(outer._n, outer._den, num[:po])
+    acc = list(num[len(num) - po :]) + [0] * (phi - po)
+    inner_den, scale = inner._den, 1
+    for k in range(len(num) - 2 * po, -1, -po):
+        acc = _mul_rows(acc, phi, inner._num, pi, n)
+        scale *= inner_den
+        for j in range(po):
+            acc[j] += num[k + j] * scale
+    return _exact(n, outer._den * scale, acc)
 
 
 def _scale(p: Poly, num: int, den: int) -> Poly:

@@ -97,6 +97,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
 

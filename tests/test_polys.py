@@ -354,6 +354,214 @@ class TestComposeEvaluate:
             CONFIG.max_compose_degree = old
 
 
+def _ref_compose(outer, inner):
+    """outer(inner(h)) by Horner over coefficient lists of scalars."""
+    acc = []
+    for c in reversed(outer):
+        acc = _ref_add(_ref_mul(acc, inner), [c])
+    return acc
+
+
+def _count_exact(monkeypatch):
+    """A list that gains one (den, num) entry per call of polys._exact."""
+    calls = []
+    real = polys._exact
+
+    def counting(n, den, num):
+        calls.append((den, list(num)))
+        return real(n, den, num)
+
+    monkeypatch.setattr(polys, "_exact", counting)
+    return calls
+
+
+def _compose_cases(n):
+    """(outer, inner) coefficient lists for the row-level compose."""
+    rng = random.Random(5000 + n)
+    phi = euler_phi(n)
+    unit = CyclotomicNumber(n, [1] * phi)
+    half_third = [exact(Fraction(1, 3)), exact(Fraction(1, 2))]
+    cases = []
+    for deg_o, deg_i in ((1, 1), (2, 3), (3, 2), (5, 1), (8, 4), (4, 7)):
+        for bits in (3, 64):
+            outer = [_element(rng, n, bits) for _ in range(deg_o)] + [unit]
+            inner = [_element(rng, n, bits) for _ in range(deg_i)] + [exact(rng.choice([-2, 1, 3]))]
+            cases.append((outer, inner))
+    rational = [exact(Fraction(rng.randint(-9, 9), rng.choice([1, 2, 5]))) for _ in range(4)]
+    cyclotomic = [_element(rng, n, 8) for _ in range(3)] + [unit + unit]
+    cases += [(rational, cyclotomic), (cyclotomic, rational)]
+    # zero and constant outer or inner polynomials
+    constant = cyclotomic[-1:]
+    cases += [([], cyclotomic), (cyclotomic, []), (constant, cyclotomic), (cyclotomic, constant)]
+    cases += [([exact(0), exact(1)], []), (rational, [exact(7)])]
+    # inner degree 70: the Horner steps reach the Kronecker path
+    cases.append((cyclotomic, [_element(rng, n, 20) for _ in range(70)] + [exact(1)]))
+    # denominators up to 2^40, outer degree up to 40, over h/2 + 1/3
+    for deg in (10, 40):
+        coords = [Fraction(rng.randint(-99, 99), rng.randint(1, 2**40)) for _ in range(deg * phi)]
+        outer = [CyclotomicNumber(n, coords[k : k + phi]) for k in range(0, len(coords), phi)]
+        cases.append((outer + [exact(Fraction(1, 2**40))], half_third))
+    return cases
+
+
+class TestRowCompose:
+    """compose on the numerator rows against Horner over scalars."""
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_against_scalar_horner(self, n, monkeypatch):
+        packs = []
+        pack = polys._pack
+        monkeypatch.setattr(polys, "_pack", lambda *args: packs.append(1) or pack(*args))
+        calls = _count_exact(monkeypatch)
+        for outer, inner in _compose_cases(n):
+            outer, inner = _trim(outer), _trim(inner)
+            want = _ref_compose(outer, inner)
+            po, pi = Poly(outer), Poly(inner)
+            calls.clear()
+            got = po.compose(pi)
+            assert _layout(got.coeffs) == _layout(want)
+            assert got == Poly(want)
+            assert str(got) == _ref_str(want)
+            if po.degree >= 1 and not pi.is_zero():
+                # one canonicalisation, of the numerators over den * den_inner^d:
+                # they are the result's coordinates times that denominator and
+                # never larger, so the per-step gcd is not needed to bound them
+                [(den, num)] = calls
+                assert den == po._den * pi._den ** po.degree
+                top = max((abs(q) for c in want for q in c.coords), default=0)
+                assert max(map(abs, num)) == den * top
+        assert packs, "the inner polynomial of degree 70 reaches the Kronecker path"
+
+    @pytest.mark.parametrize("limit", [0, 10**9])
+    def test_both_kernels(self, limit, monkeypatch):
+        monkeypatch.setattr(polys, "_SCHOOLBOOK_MAX", limit)
+        for n in (1, 3):
+            for outer, inner in _compose_cases(n)[:14]:
+                outer, inner = _trim(outer), _trim(inner)
+                assert Poly(outer).compose(Poly(inner)) == Poly(_ref_compose(outer, inner))
+
+    def test_mixed_conductors_fall_back_to_scalars(self):
+        got = Poly([zeta(4), 1]).compose(Poly([zeta(3), 1]))
+        assert got == Poly(_ref_compose([zeta(4), exact(1)], [zeta(3), exact(1)]))
+        assert str(got) == "h + -1 + zeta(12)^2 + zeta(12)^3"
+
+    def test_approx_backend(self):
+        f = Poly([approx(0.5), approx(0), approx(2)])
+        g = Poly([approx(1), approx(-1)])
+        assert f.compose(g) == Poly([approx(2.5), approx(-4), approx(2)])
+
+
+HALF_THIRD = Poly([Fraction(1, 3), Fraction(1, 2)])
+
+
+class TestCostModel:
+    """Integer-form results are made canonical once per operation."""
+
+    def test_one_canonicalisation_per_compose(self, monkeypatch):
+        inners = [H * H - P(1), HALF_THIRD, Poly([1, zeta(3)]), Poly([zeta(3), 0, 2])]
+        outers = [P(0, 1), P(1, -2, 0, 3), Poly([zeta(3), Fraction(1, 7), 0, 1]) ** 3, H**12 + P(5)]
+        calls = _count_exact(monkeypatch)
+        for outer in outers:
+            for inner in inners:
+                calls.clear()
+                outer.compose(inner)
+                assert len(calls) == 1, (str(outer), str(inner))
+
+    def test_one_canonicalisation_per_shift(self, monkeypatch):
+        """The middle fill's factor f^(i+b) - f^(b) is one sum with the
+        negation, which builds its numerators without canonicalising."""
+        calls = _count_exact(monkeypatch)
+        for f in (H * H, P(0, -1, 0, 1), HALF_THIRD, Poly([0, zeta(3)]), Poly([1, zeta(3)])):
+            pres = Presentation(f)
+            pres.f_iterate(5)
+            for i in range(1, 4):
+                for b in range(3):
+                    calls.clear()
+                    pres.f_iterate(i + b) - pres.f_iterate(b)
+                    assert len(calls) == 1
+
+
+def _assert_canonical(p):
+    assert p._n >= 1 and p._scalars is None
+    if p.is_zero():
+        assert p is polys._ZERO
+        return
+    phi, num = euler_phi(p._n), p._num
+    assert len(num) % phi == 0 and any(num[-phi:]), "no trailing zero row"
+    assert p._den > 0
+    assert math.gcd(p._den, *num) == 1
+    assert (p._n == 1) == all(c.is_rational() for c in p.coeffs)
+
+
+class TestCanonicalForm:
+    """A seeded walk over +, -, negation, *, rational scaling and compose;
+    every integer-form result must be canonical, or == would compare
+    unequal forms of equal values."""
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_random_walk(self, n):
+        rng = random.Random(6000 + n)
+
+        def tail():
+            phi = euler_phi(n)
+            return [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(phi - 1)]
+
+        def draw():
+            cs = [
+                CyclotomicNumber(n, [Fraction(rng.randint(-2, 2), rng.randint(1, 3))] + tail())
+                if rng.random() < 0.5
+                else exact(rng.randint(-2, 2))
+                for _ in range(rng.randint(0, 4))
+            ]
+            return Poly(cs)
+
+        pool = [draw() for _ in range(8)]
+        for _ in range(400):
+            a = rng.choice(pool)
+            b = rng.choice([rng.choice(pool), a, -a, draw()])
+            op = rng.randrange(7)
+            if op == 0:
+                out = a + b
+            elif op == 1:
+                out = a - b
+            elif op == 2:
+                out = -a
+            elif op == 3:
+                out = a * b
+            elif op == 4:
+                out = a * Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            elif op == 5:
+                out = a.compose(b)
+            else:
+                # cancels every cyclotomic part: a rational (or zero) result
+                rational = Poly([c if c.is_rational() else exact(0) for c in a.coeffs])
+                out = a - (a - rational)
+            _assert_canonical(out)
+            if out.degree <= 8:
+                pool.append(out)
+        assert any(p.is_zero() for p in pool) and any(p._n == 1 and p.degree > 0 for p in pool)
+
+
+class TestImmutability:
+    @pytest.mark.parametrize(
+        "p",
+        [
+            Poly([1, Fraction(2, 3)]),
+            Poly([zeta(3), 1]),
+            Poly([]),
+            Poly([approx(1), approx(2)]),
+            Poly([zeta(4), zeta(3)]),
+        ],
+        ids=["rational", "cyclotomic", "zero", "approx", "mixed-conductors"],
+    )
+    def test_slots_cannot_be_assigned(self, p):
+        before = str(p)
+        for name in ("backend", "_n", "_den", "_num", "_scalars"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(p, name, getattr(p, name))
+        assert str(p) == before
+
+
 class TestDivmod:
     @given(small_polys, small_polys)
     def test_division_identity(self, a, b):
