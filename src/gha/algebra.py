@@ -19,19 +19,17 @@ product.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .polys import _ZERO, Poly, _extend_iterates, _h_power, _terms_text
 from .scalars import (
+    _NEUTRAL,
     ApproxComplex,
     CyclotomicNumber,
     Scalar,
     _power,
     as_scalar,
+    exact,
     zero_like,
 )
-
-_NEUTRAL = (int, Fraction)
 
 
 class PresentationMismatchError(ValueError):
@@ -480,8 +478,6 @@ class FreeModuleElement:
 
     @classmethod
     def one(cls) -> "FreeModuleElement":
-        from .scalars import exact
-
         return cls({(0, 0, 0): exact(1)})
 
     @classmethod

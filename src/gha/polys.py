@@ -5,18 +5,16 @@ Cartan-type generator of the algebra).  Coefficients are stored densely in
 ascending order and live entirely in one backend; neutral int/Fraction
 literals lift to whichever backend the other coefficients use.
 
-An exact :class:`Poly` over one field Q(zeta_N) is stored in integer form:
-the conductor N, one common denominator, and phi(N) integer numerators per
-coefficient (the FLINT ``fmpq_poly`` layout, one row per coefficient).
+Every exact :class:`Poly` is stored in integer form over Q(zeta_N), N the
+lcm of its inputs' conductors: N, one common denominator, and phi(N)
+integer numerators per coefficient (the FLINT ``fmpq_poly`` layout).
 Sums, differences, negation and equality work on the numerators directly;
 a product multiplies the numerator rows, short ones by schoolbook and long
 ones as one big-integer product by Kronecker substitution (Harvey,
 "Faster polynomial multiplication via multipoint Kronecker substitution",
 2009), then reduces each coefficient mod Phi_N; a composition runs Horner
 on the rows under one running denominator.  Each result is made canonical
-once, at the end.  The
-approximate backend, and an exact polynomial whose coefficients mix two
-different non-rational conductors, keep a tuple of scalars and the
+once, at the end.  The approximate backend keeps a tuple of scalars and the
 coefficientwise scalar loops.  ``Poly.coeffs`` is always a tuple of
 scalars; for the integer form it is built on each access.
 
@@ -41,13 +39,16 @@ from itertools import chain
 
 from .config import CONFIG
 from .scalars import (
+    _NEUTRAL,
     ApproxComplex,
     BackendMismatchError,
     CyclotomicNumber,
     Scalar,
+    _lift_rows,
     _power,
     _reduce_mod_cyclotomic,
     approx,
+    as_scalar,
     backend_of,
     divisors,
     euler_phi,
@@ -56,8 +57,6 @@ from .scalars import (
     zero_like,
     zeta,
 )
-
-_NEUTRAL = (int, Fraction)
 
 
 class DegreeOverflowError(ValueError):
@@ -103,37 +102,29 @@ def _lift_all(coeffs) -> tuple[tuple[Scalar, ...], str]:
             lifted.append(exact(c))
         else:
             lifted.append(approx(complex(c)))
-    while lifted and _strictly_zero(lifted[-1]):
+    # the trim must not change degree semantics, so an approximate
+    # coefficient goes only when it is exactly 0.0 (_exact trims exact ones)
+    while backend == "approx" and lifted and lifted[-1].value == 0:
         lifted.pop()
     return tuple(lifted), backend
-
-
-def _strictly_zero(s: Scalar) -> bool:
-    # trailing-coefficient trim must not change degree semantics, so the
-    # approximate backend only trims coefficients that are exactly 0.0
-    if isinstance(s, CyclotomicNumber):
-        return s.is_zero()
-    return s.value == 0
 
 
 class Poly:
     """Dense univariate polynomial in h over one scalar backend.
 
-    An exact polynomial whose coefficients all lie in one Q(zeta_N) is held
-    in integer form ``(N, den, num)``: ``num`` lists, coefficient after
-    coefficient in ascending degree, the phi(N) integer numerators of each
-    coefficient in the power basis 1, zeta_N, ..., zeta_N^(phi(N)-1), and
-    ``den > 0`` is their one common denominator.  The form is canonical: no
-    trailing zero coefficient, gcd(den, num) = 1, and N = 1 whenever every
+    An exact polynomial is held in integer form ``(N, den, num)``: ``num``
+    lists, coefficient after coefficient in ascending degree, the phi(N)
+    integer numerators of each coefficient in the power basis 1, zeta_N,
+    ..., zeta_N^(phi(N)-1), and ``den > 0`` is their one common
+    denominator.  N is the lcm of the conductors of the inputs, and every
+    coefficient prints in Q(zeta_N).  The form is canonical: no trailing
+    zero coefficient, gcd(den, num) = 1, and N = 1 whenever every
     coefficient is rational.  ``+``, ``-``, negation, ``*``, ``==`` and
-    ``compose`` run on it and make each result canonical once: ``compose``
-    runs Horner on the numerator rows under the one denominator
-    den_self * den_inner^d and reduces only at the end.  Two integer-form
-    operands over a shared conductor skip coercion and the backend check.
-
-    The approximate backend, and an exact polynomial whose coefficients
-    need two different non-rational conductors, keep a tuple of scalars
-    instead and run the coefficientwise scalar loops.
+    ``compose`` lift operands to the lcm of their conductors and make each
+    result canonical once: ``compose`` runs Horner on the numerator rows
+    under the one denominator den_self * den_inner^d.  Two integer-form
+    operands skip coercion and the backend check.  The approximate backend
+    keeps a tuple of scalars and runs the coefficientwise scalar loops.
 
     ``coeffs`` is a tuple of scalars either way.  For the integer form it
     is built on each access and not kept, so read it once per loop;
@@ -146,24 +137,27 @@ class Poly:
     """
 
     # _n is the conductor N of the integer form, or 0 when _scalars holds
-    # the coefficients instead
+    # the (approximate) coefficients instead
     __slots__ = ("backend", "_n", "_den", "_num", "_scalars")
 
-    # Poly() is the shared _ZERO, so copy or pickle support must rebuild a
-    # Poly from its constructor and arguments (__reduce__), never by
-    # restoring slots on the result of __new__.
     def __new__(cls, coeffs=()) -> "Poly":
         lifted, backend = _lift_all(coeffs)
-        form = _integer_form(lifted) if backend == "exact" else None
-        if form is None:
-            p = _new(cls)
-            _fill(p, backend, 0, 1, (), lifted)
-            return p
-        # the form is canonical already; the zero is the shared one
-        return _raw(*form) if form[2] else _ZERO
+        if backend == "exact":
+            return _integer_form(lifted)
+        p = _new(cls)
+        _fill(p, backend, 0, 1, (), lifted)
+        return p
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through a constructor, never by restoring
+        # slots: Poly() is the shared _ZERO
+        if self._n:
+            return _exact, (self._n, self._den, self._num)
+        # an approximate zero has no scalar left to tell its backend by
+        return Poly, (self._scalars or (approx(0),),)
 
     # -- constructors -----------------------------------------------------
 
@@ -172,8 +166,6 @@ class Poly:
         if backend == "exact" and isinstance(s, _NEUTRAL):
             # an int or Fraction is already its own canonical integer form
             return _raw(1, s.denominator, (s.numerator,)) if s else _ZERO
-        from .scalars import as_scalar
-
         return cls([as_scalar(s, backend)])
 
     @classmethod
@@ -249,8 +241,7 @@ class Poly:
     # -- ring operations ----------------------------------------------------
 
     # +, * and == test for a Poly operand first and for two integer forms
-    # over a shared conductor next: those are exact, so they skip coercion
-    # and the backend check.
+    # next: those are exact, so they skip coercion and the backend check.
 
     def __add__(self, other):
         if type(other) is not Poly:
@@ -354,9 +345,11 @@ class Poly:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        if _shared_conductor(self, other):
-            # canonical integer forms: equal values have equal forms
-            return self._n == other._n and self._den == other._den and self._num == other._num
+        n = _shared_conductor(self, other)
+        if n:
+            # canonical integer forms: equal values have equal forms over n
+            a, b = _over(self, n), _over(other, n)
+            return a._n == b._n and a._den == b._den and a._num == b._num
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             # compare an all-but-trimmed approx poly against zero coefficientwise
@@ -374,8 +367,6 @@ class Poly:
     # -- evaluation and composition ------------------------------------------
 
     def evaluate(self, point: Scalar) -> Scalar:
-        from .scalars import as_scalar
-
         point = as_scalar(point, self.backend)
         if backend_of(point) != self.backend and not self.is_zero():
             raise BackendMismatchError("evaluation point uses the other backend")
@@ -387,10 +378,10 @@ class Poly:
     def compose(self, inner: "Poly") -> "Poly":
         """self(inner(h)), by Horner.
 
-        Over integer forms with a shared conductor the Horner steps run on
-        the numerator rows and the result is made canonical once; otherwise
-        (the approximate backend, two different non-rational conductors)
-        Horner runs over constant polynomials."""
+        Over integer forms the Horner steps run on the numerator rows, over
+        the lcm of the two conductors, and the result is made canonical
+        once; over the approximate backend Horner runs over constant
+        polynomials."""
         self._check(inner)
         if inner.degree > 1:
             _check_degree(self.degree * inner.degree)
@@ -414,15 +405,11 @@ class Poly:
         return [c.embed() for c in self.coeffs]
 
     def conductor(self) -> int:
-        """lcm of the coefficient conductors (exact backend only)."""
+        """N of the integer form, the lcm of the conductors of the inputs or
+        1 for rational coefficients (exact backend only)."""
         if self.backend != "exact":
             raise BackendMismatchError("conductor is an exact-backend notion")
-        if self._n:
-            return self._n
-        out = 1
-        for c in self._scalars:
-            out = math.lcm(out, c.conductor)
-        return out
+        return self._n
 
     # -- canonical text form ---------------------------------------------------
 
@@ -507,37 +494,38 @@ def _exact(n: int, den: int, num) -> Poly:
     return _raw(n, den, num)
 
 
-def _integer_form(lifted: tuple[CyclotomicNumber, ...]):
-    """(N, den, num) for exact scalars of at most one non-rational conductor
-    N, else None."""
-    n = 1
-    for c in lifted:
-        if c.conductor not in (1, n):
-            if n != 1:
-                return None
-            n = c.conductor
-    pad = (0,) * (euler_phi(n) - 1)
-    fracs = [q for c in lifted for q in (c.coords if c.conductor == n else c.coords + pad)]
+def _integer_form(lifted: tuple[CyclotomicNumber, ...]) -> Poly:
+    """The exact Poly of these scalars, each lifted to the lcm N of their
+    conductors."""
+    n = math.lcm(*[c.conductor for c in lifted])
+    fracs = [q for c in lifted for q in c._lift_coords(n)]
     den = math.lcm(*[q.denominator for q in fracs])
-    return n, den, tuple([q.numerator * (den // q.denominator) for q in fracs])
+    return _exact(n, den, [q.numerator * (den // q.denominator) for q in fracs])
 
 
 def _shared_conductor(a: Poly, b: Poly) -> int:
-    """The conductor both integer forms live in, or 0 when either has none
-    (either _n is 0) or they are over two different non-rational
-    conductors."""
+    """The conductor an operation on two integer forms runs over, the lcm
+    of theirs; 0 when either is approximate (_n is 0)."""
     if a._n == b._n or b._n == 1:
         return a._n
-    return b._n if a._n == 1 else 0
+    if a._n == 1:
+        return b._n
+    return a._n and b._n and math.lcm(a._n, b._n)
 
 
 def _num_in(p: Poly, n: int):
-    """p's numerators over conductor n (p is rational or already over n)."""
+    """p's numerators over conductor n, a multiple of p's."""
     if p._n == n:
         return p._num
-    out = [0] * (len(p._num) * euler_phi(n))
-    out[:: euler_phi(n)] = p._num
-    return out
+    return _lift_rows(p._num, p._n, n)
+
+
+def _over(p: Poly, n: int) -> Poly:
+    """p over conductor n, a multiple of p's; a rational p stays rational.
+    The lift keeps the form canonical: it keeps the gcd of the numerators."""
+    if p._n == 1 or p._n == n:
+        return p
+    return _raw(n, p._den, tuple(_lift_rows(p._num, p._n, n)))
 
 
 def _add_forms(a: Poly, b: Poly, n: int) -> Poly:
@@ -560,11 +548,13 @@ _SCHOOLBOOK_MAX = 192
 
 
 def _mul_forms(a: Poly, b: Poly, n: int) -> Poly:
-    """a*b for nonzero integer forms over the shared conductor n."""
+    """a*b for nonzero integer forms, over the lcm n of their conductors."""
     if a._n == 1 and len(a._num) == 1:
         return _scale(b, a._num[0], a._den)
     if b._n == 1 and len(b._num) == 1:
         return _scale(a, b._num[0], b._den)
+    if a._n != b._n and a._n != 1 and b._n != 1:  # two non-rational conductors
+        a, b = _over(a, n), _over(b, n)
     digits = _mul_rows(a._num, euler_phi(a._n), b._num, euler_phi(b._n), n)
     return _exact(n, a._den * b._den, digits)
 
@@ -572,8 +562,9 @@ def _mul_forms(a: Poly, b: Poly, n: int) -> Poly:
 def _mul_rows(x, pa: int, y, pb: int, n: int) -> list[int]:
     """The numerator rows of x*y, by schoolbook or Kronecker substitution.
 
-    x and y are nonempty lists of rows of pa and pb integer numerators, in
-    Q(zeta_N) with N dividing n.  Coefficient k of x, a polynomial of
+    x and y are nonempty lists of rows of pa and pb integer numerators,
+    rational (pa = 1) or over Q(zeta_n) itself, never another conductor
+    (:func:`_over` lifts those).  Coefficient k of x, a polynomial of
     degree < pa in zeta, goes to the slots k*stride .. k*stride + pa - 1,
     with stride = pa + pb - 1 so the zeta-degrees of a product cannot spill
     into the next h-degree.  Short operands convolve those slot lists
@@ -606,7 +597,8 @@ def _mul_rows(x, pa: int, y, pb: int, n: int) -> list[int]:
 
 
 def _compose_forms(outer: Poly, inner: Poly, n: int) -> Poly:
-    """outer(inner(h)) for integer forms over the shared conductor n.
+    """outer(inner(h)) for integer forms, over the lcm n of their
+    conductors.
 
     With outer = sum a_k h^k / E and inner = P / D (numerator rows a_k and
     P), Horner keeps acc = A / (E * D^j) after j steps and updates the
@@ -614,6 +606,8 @@ def _compose_forms(outer: Poly, inner: Poly, n: int) -> Poly:
     made canonical once."""
     if outer.degree <= 0:
         return outer
+    if outer._n != inner._n and outer._n != 1 and inner._n != 1:  # as in _mul_forms
+        outer, inner = _over(outer, n), _over(inner, n)
     po, pi, phi = euler_phi(outer._n), euler_phi(inner._n), euler_phi(n)
     num = outer._num
     if not inner._num:

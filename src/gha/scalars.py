@@ -114,12 +114,14 @@ def _reduce_mod_cyclotomic(c: list, n: int, stride: int = 0) -> list:
     """The phi(n) power-basis coordinates of sum c[j]*zeta_n^j; with a
     stride, those of each row of stride coefficients of c in turn.
 
-    c holds ints or Fractions.  Each top coefficient of a row is folded
-    down through the nonzero taps of the monic Phi_n."""
+    c is a list of ints or Fractions.  Each top coefficient of a row is
+    folded down through the nonzero taps of the monic Phi_n; a shorter row
+    is padded with zeros."""
     phi, taps = _cyclotomic_taps(n)
-    if len(c) < phi:
-        return c + [0] * (phi - len(c))
     stride = stride or len(c)
+    if not stride:
+        return [0] * phi
+    pad = [0] * (phi - stride)
     out: list = []
     for start in range(0, len(c), stride):
         row = c[start : start + stride]
@@ -129,7 +131,22 @@ def _reduce_mod_cyclotomic(c: list, n: int, stride: int = 0) -> list:
                 for i, a in taps:
                     row[j - phi + i] -= t * a
         out += row[:phi]
+        out += pad
     return out
+
+
+def _lift_rows(num, m: int, n: int) -> list:
+    """num, rows of phi(m) coordinates over Q(zeta_m), as rows of phi(n)
+    over Q(zeta_n), m dividing n: zeta_m = zeta_n^(n/m), reduced mod Phi_n."""
+    phi = euler_phi(n)
+    if m == 1:
+        out = [0] * (len(num) * phi)
+        out[::phi] = num
+        return out
+    step = n // m
+    raw = [0] * (len(num) * step)
+    raw[::step] = num
+    return _reduce_mod_cyclotomic(raw, n, euler_phi(m) * step)
 
 
 def _poly_xgcd(a: list[Fraction], b: list[Fraction]):
@@ -193,6 +210,11 @@ class CyclotomicNumber:
     def __setattr__(self, *a):  # pragma: no cover - guards accidental mutation
         raise AttributeError("CyclotomicNumber is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor; restoring the
+        # slots would meet the immutability guard
+        return CyclotomicNumber, (self.conductor, self.coords)
+
     @classmethod
     def from_rational(cls, q) -> "CyclotomicNumber":
         return cls(1, (Fraction(q),))
@@ -215,11 +237,7 @@ class CyclotomicNumber:
             return self.coords
         if m % n:
             raise ValueError("can only lift to a multiple of the conductor")
-        step = m // n
-        raw = [Fraction(0)] * ((len(self.coords) - 1) * step + 1)
-        for j, c in enumerate(self.coords):
-            raw[j * step] += c
-        return tuple(_reduce_mod_cyclotomic(raw, m))
+        return tuple(_lift_rows(self.coords, n, m))
 
     @staticmethod
     def _common(a: "CyclotomicNumber", b: "CyclotomicNumber"):
@@ -387,6 +405,9 @@ class ApproxComplex:
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("ApproxComplex is immutable")
+
+    def __reduce__(self):
+        return ApproxComplex, (self.value,)
 
     def _coerce(self, other):
         if isinstance(other, _NEUTRAL + (float, complex)):

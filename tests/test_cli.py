@@ -369,6 +369,29 @@ def test_golden_normal_form_cells(capsys):
         assert run(capsys, "normalize", "-f", f, "-e", f"y^{k}*x^{i}") == (0, text, ""), command
 
 
+@pytest.mark.parametrize(
+    "head, tail",
+    [
+        (["normalize"], ["-e", "y^2*x^2"]),
+        (["normalize"], ["-e", "y^3*x^5"]),
+        (["normalize"], ["-e", "x*h*y^2"]),
+        (["normalize"], ["-e", "z^2"]),
+        (["--json", "center"], []),
+        (["--json", "simples"], ["-n", "1"]),
+        (["--json", "simples"], ["-n", "2"]),
+        (["--json", "simples"], ["-n", "3"]),
+    ],
+    ids=" ".join,
+)
+def test_output_does_not_depend_on_how_f_is_spelled(capsys, head, tail):
+    """f over two conductors is one polynomial over their lcm, so it prints
+    as the same f spelled over the lcm, and so does everything derived."""
+    two, lcm = (
+        run(capsys, *head, "-f", f, *tail) for f in ("zeta(3)*h + i", "zeta(12)^4*h + zeta(12)^3")
+    )
+    assert two == lcm and two[0] == 0
+
+
 def test_console_script_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "gha", "normalize", "-f", "h^2", "-e", "y*x"],

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -8,7 +10,9 @@ from hypothesis import strategies as st
 
 from gha import polys
 from gha.algebra import GHAElement, Presentation
+from gha.cli import main
 from gha.config import CONFIG
+from gha.modules import CyclicXDescriptor, build, is_simple
 from gha.polys import (
     ContinuumOfOrbitsError,
     DegreeOverflowError,
@@ -125,6 +129,21 @@ def _layout(cs):
     return [(c.conductor, c.coords) for c in cs]
 
 
+def _lift_to(cs, n):
+    """cs with every coefficient over Q(zeta_n), n a multiple of each
+    conductor: the field an integer-form result over n prints in."""
+    return [CyclotomicNumber(n, c._lift_coords(n)) for c in cs]
+
+
+def _paired(cases_of, n):
+    """cases_of(n) for one field n; for two fields (m1, m2) the first
+    member of each case from cases_of(m1) and the second from
+    cases_of(m2), so the operands have different conductors."""
+    if isinstance(n, int):
+        return cases_of(n)
+    return [(a, b) for (a, _), (_, b) in zip(cases_of(n[0]), cases_of(n[1]))]
+
+
 def _element(rng, n, bits):
     roll = rng.random()
     if roll < 0.1:
@@ -144,6 +163,8 @@ def _conjugate(cs, k):
 
 
 FIELDS = [1, 3, 4, 5, 12]
+# pairs of fields: one operand over each, the result over their lcm
+MIXED = [pytest.param((3, 4), id="3-4"), pytest.param((4, 5), id="4-5")]
 
 
 def _differential_pairs(n):
@@ -188,21 +209,25 @@ class TestIntegerFormAgainstSchoolbook:
     """Exact Poly arithmetic against a coefficient-by-coefficient schoolbook
     on CyclotomicNumber scalars."""
 
-    @pytest.mark.parametrize("n", FIELDS)
+    @pytest.mark.parametrize("n", FIELDS + MIXED)
     def test_ring_operations(self, n):
-        for a, b in _differential_pairs(n):
+        for a, b in _paired(_differential_pairs, n):
             a, b = _trim(a), _trim(b)
             pa, pb = Poly(a), Poly(b)
             assert _layout(pa.coeffs) == _layout(a)
+            both = math.lcm(pa.conductor(), pb.conductor())
             cases = [
-                (pa * pb, _ref_mul(a, b)),
-                (pa + pb, _ref_add(a, b)),
-                (pa - pb, _ref_add(a, [-c for c in b])),
-                (-pa, [-c for c in a]),
+                (pa * pb, _ref_mul(a, b), both),
+                (pa + pb, _ref_add(a, b), both),
+                (pa - pb, _ref_add(a, [-c for c in b]), both),
+                (-pa, [-c for c in a], pa.conductor()),
             ]
             if len(b) <= 8:
-                cases.append((pb * pb, _ref_mul(b, b)))
-            for got, want in cases:
+                cases.append((pb * pb, _ref_mul(b, b), pb.conductor()))
+            for got, want, field in cases:
+                # the schoolbook keeps each coefficient in its own field; the
+                # integer form prints them all over the lcm of the operands'
+                want = _lift_to(want, field)
                 assert _layout(got.coeffs) == _layout(want)
                 assert str(got) == _ref_str(want)
                 assert got == Poly(want)
@@ -250,11 +275,16 @@ class TestIntegerFormAgainstSchoolbook:
         assert (a - a).is_zero() and str(a - a) == "0"
         assert (a + Poly([-zeta(3)])).coefficient(0) == exact(0)
 
-    def test_mixed_conductors_keep_the_scalar_text(self):
+    def test_mixed_conductors_print_over_the_lcm(self):
         assert str(Poly([zeta(4), 1]) * Poly([zeta(3), 1])) == (
             "h^2 + (-1 + zeta(12)^2 + zeta(12)^3)*h + -zeta(12)"
         )
-        assert str(Poly([zeta(4)]) + Poly([0, zeta(3)])) == "zeta(3)*h + zeta(4)"
+        assert str(Poly([zeta(4)]) + Poly([0, zeta(3)])) == "(-1 + zeta(12)^2)*h + zeta(12)^3"
+        # however the polynomial is spelled, it is one integer form
+        spelled = [Poly([zeta(4), zeta(3)]), Poly([zeta(12, 3), zeta(12, 4)])]
+        assert [(p._n, p._den, p._num) for p in spelled] == [(12, 1, (0, 0, 0, 1, -1, 0, 1, 0))] * 2
+        # a value over 12 equals its spelling over 3, which lifts to 12
+        assert Poly([zeta(4), zeta(3)]) - Poly([zeta(4)]) == Poly([0, zeta(3)])
 
     def test_sparse_iterate(self):
         assert iterate(H * H, 6) == Poly([0] * 64 + [1])
@@ -407,18 +437,24 @@ def _compose_cases(n):
 class TestRowCompose:
     """compose on the numerator rows against Horner over scalars."""
 
-    @pytest.mark.parametrize("n", [1, 3, 5])
+    @pytest.mark.parametrize("n", [1, 3, 5] + MIXED)
     def test_against_scalar_horner(self, n, monkeypatch):
         packs = []
         pack = polys._pack
         monkeypatch.setattr(polys, "_pack", lambda *args: packs.append(1) or pack(*args))
         calls = _count_exact(monkeypatch)
-        for outer, inner in _compose_cases(n):
+        for outer, inner in _paired(_compose_cases, n):
             outer, inner = _trim(outer), _trim(inner)
-            want = _ref_compose(outer, inner)
             po, pi = Poly(outer), Poly(inner)
+            # a constant outer, or a zero inner, leaves outer's field
+            field = po.conductor()
+            if po.degree >= 1 and not pi.is_zero():
+                field = math.lcm(field, pi.conductor())
+            want = _lift_to(_ref_compose(outer, inner), field)
             calls.clear()
             got = po.compose(pi)
+            # taken before Poly(want) below, which canonicalises too
+            made = list(calls)
             assert _layout(got.coeffs) == _layout(want)
             assert got == Poly(want)
             assert str(got) == _ref_str(want)
@@ -426,7 +462,7 @@ class TestRowCompose:
                 # one canonicalisation, of the numerators over den * den_inner^d:
                 # they are the result's coordinates times that denominator and
                 # never larger, so the per-step gcd is not needed to bound them
-                [(den, num)] = calls
+                [(den, num)] = made
                 assert den == po._den * pi._den ** po.degree
                 top = max((abs(q) for c in want for q in c.coords), default=0)
                 assert max(map(abs, num)) == den * top
@@ -440,7 +476,7 @@ class TestRowCompose:
                 outer, inner = _trim(outer), _trim(inner)
                 assert Poly(outer).compose(Poly(inner)) == Poly(_ref_compose(outer, inner))
 
-    def test_mixed_conductors_fall_back_to_scalars(self):
+    def test_mixed_conductors_compose_over_the_lcm(self):
         got = Poly([zeta(4), 1]).compose(Poly([zeta(3), 1]))
         assert got == Poly(_ref_compose([zeta(4), exact(1)], [zeta(3), exact(1)]))
         assert str(got) == "h + -1 + zeta(12)^2 + zeta(12)^3"
@@ -458,7 +494,7 @@ class TestCostModel:
     """Integer-form results are made canonical once per operation."""
 
     def test_one_canonicalisation_per_compose(self, monkeypatch):
-        inners = [H * H - P(1), HALF_THIRD, Poly([1, zeta(3)]), Poly([zeta(3), 0, 2])]
+        inners = [H * H - P(1), HALF_THIRD, Poly([1, zeta(3)]), Poly([zeta(3), 0, 2]), Poly([zeta(4), 1])]
         outers = [P(0, 1), P(1, -2, 0, 3), Poly([zeta(3), Fraction(1, 7), 0, 1]) ** 3, H**12 + P(5)]
         calls = _count_exact(monkeypatch)
         for outer in outers:
@@ -498,19 +534,20 @@ class TestCanonicalForm:
     every integer-form result must be canonical, or == would compare
     unequal forms of equal values."""
 
-    @pytest.mark.parametrize("n", [1, 3, 5])
+    @pytest.mark.parametrize("n", [1, 3, 5] + MIXED)
     def test_random_walk(self, n):
-        rng = random.Random(6000 + n)
+        # a pair of fields draws each coefficient's conductor from the pair
+        rng = random.Random(6000 + (n if isinstance(n, int) else 100 * n[0] + n[1]))
 
-        def tail():
-            phi = euler_phi(n)
-            return [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(phi - 1)]
+        def cyclotomic():
+            m = n if isinstance(n, int) else rng.choice(n)
+            head = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+            tail = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(euler_phi(m) - 1)]
+            return CyclotomicNumber(m, [head] + tail)
 
         def draw():
             cs = [
-                CyclotomicNumber(n, [Fraction(rng.randint(-2, 2), rng.randint(1, 3))] + tail())
-                if rng.random() < 0.5
-                else exact(rng.randint(-2, 2))
+                cyclotomic() if rng.random() < 0.5 else exact(rng.randint(-2, 2))
                 for _ in range(rng.randint(0, 4))
             ]
             return Poly(cs)
@@ -542,6 +579,25 @@ class TestCanonicalForm:
         assert any(p.is_zero() for p in pool) and any(p._n == 1 and p.degree > 0 for p in pool)
 
 
+    def test_no_exact_poly_in_scalar_form(self, monkeypatch, capsys):
+        """Normal forms, the center and the simple modules over an f of two
+        conductors build every exact Poly in integer form."""
+        made = []
+        fill = polys._fill
+
+        def recording(p, backend, n, den, num, scalars):
+            made.append((backend, n))
+            fill(p, backend, n, den, num, scalars)
+
+        monkeypatch.setattr(polys, "_fill", recording)
+        for cmd, *rest in (["normalize", "-e", "y^2*x^2"], ["normalize", "-e", "y^3*x^5"],
+                           ["normalize", "-e", "z^2"], ["center"], ["simples", "-n", "3"]):
+            assert main([cmd, "-f", "zeta(3)*h + i", *rest]) == 0
+        capsys.readouterr()
+        exact_ns = [n for backend, n in made if backend == "exact"]
+        assert len(exact_ns) > 100 and min(exact_ns) >= 1 and 12 in exact_ns
+
+
 class TestImmutability:
     @pytest.mark.parametrize(
         "p",
@@ -560,6 +616,48 @@ class TestImmutability:
             with pytest.raises(AttributeError, match="immutable"):
                 setattr(p, name, getattr(p, name))
         assert str(p) == before
+
+
+class TestCopyAndPickle:
+    """copy, deepcopy and pickle rebuild a Poly through a constructor, so
+    the immutability guard holds and a zero comes back as the shared one."""
+
+    @staticmethod
+    def _twins(x):
+        return [copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))]
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            Poly([1, Fraction(2, 3)]),
+            Poly([zeta(3), 1]),
+            Poly([]),
+            Poly([approx(1), approx(2j)]),
+            Poly([approx(0)]),
+            Poly([zeta(4), zeta(3)]),
+        ],
+        ids=["rational", "cyclotomic", "zero", "approx", "approx-zero", "mixed-conductors"],
+    )
+    def test_poly_round_trips(self, p):
+        for twin in self._twins(p):
+            assert twin == p and str(twin) == str(p) and twin.backend == p.backend
+            assert (twin._n, twin._den, twin._num) == (p._n, p._den, p._num)
+            if p is polys._ZERO:
+                assert twin is polys._ZERO
+            with pytest.raises(AttributeError, match="immutable"):
+                twin._num = ()
+
+    def test_elements_and_modules_round_trip(self):
+        f = Poly([zeta(4), zeta(3)])
+        pres = Presentation(f)
+        x, y = pres.generator("x"), pres.generator("y")
+        e = y * y * x * x + pres.generator("h") * 3
+        orbit = Orbit((zeta(3), zeta(3) ** 2))
+        m = build(CyclicXDescriptor(orbit=orbit, zdot=exact(1), a=exact(3)), H * H)
+        for twin in self._twins(e):
+            assert twin == e and str(twin) == str(e)
+        for twin in self._twins(m):
+            assert twin == m and is_simple(twin)
 
 
 class TestDivmod:

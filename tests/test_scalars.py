@@ -1,3 +1,6 @@
+import copy
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +11,9 @@ from gha.scalars import (
     ApproxComplex,
     BackendMismatchError,
     CyclotomicNumber,
+    _lift_rows,
     _power,
+    _reduce_mod_cyclotomic,
     approx,
     as_scalar,
     backend_of,
@@ -84,6 +89,57 @@ class TestCyclotomicField:
     def test_division_exactness(self):
         a = (exact(1) + zeta(3)) / (exact(2) - zeta(3))
         assert a * (exact(2) - zeta(3)) == exact(1) + zeta(3)
+
+
+def _field_element(coords, n, step=1):
+    """sum coords[j] * zeta_n^(j*step), built from rational multiples of
+    powers of zeta_n alone, so no conductor is lifted on the way."""
+    return sum((exact(q) * zeta(n, j * step) for j, q in enumerate(coords)), exact(0))
+
+
+def _coords_over(c, n):
+    return list(c.coords) if c.conductor == n else [c.coords[0]] + [0] * (euler_phi(n) - 1)
+
+
+@pytest.mark.parametrize("n, stride", [(12, 1), (15, 1), (15, 3), (5, 2), (12, 4), (7, 9)])
+def test_reduce_mod_cyclotomic_gives_phi_coordinates_per_row(n, stride):
+    rng = random.Random(100 * n + stride)
+    for rows in (1, 2, 5):
+        c = [rng.randint(-9, 9) for _ in range(rows * stride)]
+        got = _reduce_mod_cyclotomic(list(c), n, stride)
+        phi = euler_phi(n)
+        assert len(got) == rows * phi
+        for r in range(rows):
+            want = _field_element(c[r * stride : (r + 1) * stride], n)
+            assert got[r * phi : (r + 1) * phi] == _coords_over(want, n)
+    # short rows are padded row by row, not as one short input
+    assert _reduce_mod_cyclotomic([1, 2], 12, 1) == [1, 0, 0, 0, 2, 0, 0, 0]
+    assert _reduce_mod_cyclotomic([], 5) == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("m, n", [(1, 12), (3, 12), (4, 12), (3, 15), (5, 15), (4, 8)])
+def test_lift_rows_embeds_zeta_m_as_a_power_of_zeta_n(m, n):
+    rng = random.Random(1000 * m + n)
+    pm, phi = euler_phi(m), euler_phi(n)
+    rows = [[rng.randint(-50, 50) for _ in range(pm)] for _ in range(4)] + [[0] * pm]
+    got = _lift_rows([q for row in rows for q in row], m, n)
+    assert len(got) == len(rows) * phi
+    for k, row in enumerate(rows):
+        lifted = got[k * phi : (k + 1) * phi]
+        # zeta_m = zeta_n^(n/m), computed in Q(zeta_n) alone
+        assert lifted == _coords_over(_field_element(row, n, n // m), n)
+        # the same value as the row over Q(zeta_m)
+        here, there = CyclotomicNumber(m, row).embed(), CyclotomicNumber(n, lifted).embed()
+        assert abs(here - there) <= 1e-9 * (1 + abs(here))
+    assert CyclotomicNumber(m, rows[0]) == CyclotomicNumber(n, got[:phi])
+
+
+@pytest.mark.parametrize(
+    "s", [exact(Fraction(-3, 7)), zeta(3), zeta(4) + zeta(3) / 5, approx(0.5 - 2j)], ids=str
+)
+def test_copy_and_pickle_rebuild_through_the_constructor(s):
+    for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert type(twin) is type(s) and twin == s and str(twin) == str(s)
 
 
 def test_cyclotomic_polynomial_small():
