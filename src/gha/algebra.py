@@ -19,7 +19,17 @@ product.
 
 from __future__ import annotations
 
-from .polys import _ZERO, Poly, _extend_iterates, _h_power, _terms_text
+from .polys import (
+    _ZERO,
+    Poly,
+    _add_product_entry,
+    _entry_poly,
+    _extend_iterates,
+    _h_power,
+    _shift_entry,
+    _terms_text,
+    _unit_entry,
+)
 from .scalars import (
     _NEUTRAL,
     ApproxComplex,
@@ -39,8 +49,9 @@ class PresentationMismatchError(ValueError):
 class Presentation:
     """H(f) for a fixed defining polynomial f.
 
-    Carries per-presentation caches: iterates f^(i), the normal forms of
-    y^k x^i, and the recursive y-action on free-module monomials.
+    Carries per-presentation caches: iterates f^(i), the cells of y^k x^i
+    on numerator rows, the normal forms of the cells a product has read,
+    and the recursive y-action on free-module monomials.
     ``middle_reductions`` counts distinct y^k x^i reductions actually
     computed.  y^k x^i fills only the trapezoid of cells (kk, ii) with
     max(0, i-(k-kk)) <= ii <= i, which is sum over kk = 0..k of
@@ -55,6 +66,7 @@ class Presentation:
         self._iterates: list[Poly] = [Poly.variable(f.backend)]
         self._one = Poly.constant(1, f.backend)
         self._f_powers: list[Poly] = [self._one]
+        self._cells: dict[tuple[int, int], dict] = {}
         self._middles: dict[tuple[int, int], dict[tuple[int, int], Poly]] = {}
         self._y_actions: dict[tuple[int, int, int], dict[tuple[int, int, int], Scalar]] = {}
         self.middle_reductions = 0
@@ -123,30 +135,19 @@ class Presentation:
     def _middle(self, k: int, i: int) -> dict[tuple[int, int], Poly]:
         """Normal form of y^k x^i as a map (a, b) -> polynomial.
 
-        Each (k, i) comes from (k-1, i) and (k-1, i-1) by peeling off one y
-        (see ``_compute_middle``), so y^k x^i reads only the trapezoid of
-        cells (kk, ii) with max(0, i-(k-kk)) <= ii <= i.  Filled bottom-up,
-        that is sum over kk = 0..k of min(i, k-kk) + 1 reductions, not the
-        (k+1)*(i+1) of the whole rectangle: 6 instead of 18 for (2, 5), 91
-        instead of 169 for (12, 12).  The memo persists on the presentation;
-        the factors f^(ii+b) - f^(b) are kept for one fill only.
+        ``_fill`` fills the cells, for an exact f on numerator rows.  A cell
+        becomes a map to canonical polynomials only here, when a product
+        reads it, and that view is kept, so a warm read is one lookup.
         """
         hit = self._middles.get((k, i))
-        if hit is not None:
-            return hit
-        if k and i:
-            # the highest iterate the trapezoid needs, built first so that the
-            # degree guard refuses before any reduction is done
-            self.f_iterate(i + min(k, i) - 1)
-        shifts: dict[tuple[int, int], Poly] = {}
-        for kk in range(k + 1):
-            for ii in range(max(0, i - (k - kk)), i + 1):
-                if (kk, ii) not in self._middles:
-                    self._compute_middle(kk, ii, shifts)
-        return self._middles[(k, i)]
+        if hit is None:
+            n = self.f._n
+            cell = self._fill(k, i)
+            hit = self._middles[(k, i)] = {ab: _entry_poly(e, n) for ab, e in cell.items()}
+        return hit
 
-    def _compute_middle(self, k: int, i: int, shifts: dict[tuple[int, int], Poly]) -> None:
-        """Store y^k x^i, given the middles (k-1, i) and (k-1, i-1).
+    def _fill(self, k: int, i: int) -> dict:
+        """The cell of y^k x^i, filling the cells it reads first.
 
         The relations telescope to y x^i = x^i y + x^(i-1) (f^(i)(h) - h), so
 
@@ -154,21 +155,46 @@ class Presentation:
 
         Right multiplication by y sends the key (a, b) to (a, b+1); right
         multiplication by g(h) sends x^a p y^b to x^a p (g o f^(b)) y^b, and
-        for g = f^(i) - h that factor is f^(i+b) - f^(b), kept in ``shifts``
-        under (i, b).  So y^k x^i needs f-iterates up to f^(i + min(k, i) - 1)
-        and no other composition.
+        for g = f^(i) - h that factor is the shift f^(i+b) - f^(b).  So
+        y^k x^i reads only the trapezoid of cells (kk, ii) with
+        max(0, i-(k-kk)) <= ii <= i.  Filled bottom-up, that is sum over
+        kk = 0..k of min(i, k-kk) + 1 reductions, not the (k+1)*(i+1) of the
+        whole rectangle: 6 instead of 18 for (2, 5), 91 instead of 169 for
+        (12, 12).  The leading term x^(i-1) y^(k-1) of y^(k-1) x^(i-1) needs
+        the shift by f^(i+k-1), the highest iterate of the fill; it is built
+        first, so the degree guard refuses before any reduction.
+
+        A cell maps (a, b) to the entry of p over the conductor n of f (the
+        cell entries of ``polys``): numerator rows for an exact f, so that a
+        step builds no Poly, and p itself for an approximate one.  The
+        shifts are kept for one fill.
         """
-        self.middle_reductions += 1
-        if k == 0 or i == 0:
-            self._middles[(k, i)] = {(i, k): self._one}
-            return
-        out = {(a, b + 1): p for (a, b), p in self._middles[(k - 1, i)].items()}
-        for (a, b), p in self._middles[(k - 1, i - 1)].items():
-            shift = shifts.get((i, b))
-            if shift is None:
-                shift = shifts[(i, b)] = self.f_iterate(i + b) - self.f_iterate(b)
-            _accumulate(out, (a, b), p * shift)
-        self._middles[(k, i)] = {ab: g for ab, g in out.items() if not g.is_zero()}
+        cells = self._cells
+        if (k, i) in cells:
+            return cells[(k, i)]
+        n = self.f._n
+        iterates = self._iterates
+        if k and i:
+            self.f_iterate(i + k - 1)
+        unit = _unit_entry(n)
+        shifts: dict = {}
+        for kk in range(k + 1):
+            for ii in range(max(0, i - (k - kk)), i + 1):
+                if (kk, ii) in cells:
+                    continue
+                self.middle_reductions += 1
+                if kk == 0 or ii == 0:
+                    cells[(kk, ii)] = {(ii, kk): unit}
+                    continue
+                out = {(a, b + 1): p for (a, b), p in cells[(kk - 1, ii)].items()}
+                for (a, b), p in cells[(kk - 1, ii - 1)].items():
+                    if (ii, b) not in shifts:
+                        shifts[(ii, b)] = _shift_entry(iterates[ii + b], iterates[b], n)
+                    shift = shifts[(ii, b)]
+                    if shift is not None:
+                        _add_product_entry(out, (a, b), p, shift, n)
+                cells[(kk, ii)] = out
+        return cells[(k, i)]
 
     def _mul_terms(
         self,

@@ -35,7 +35,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, zip_longest
 
 from .config import CONFIG
 from .scalars import (
@@ -75,15 +75,14 @@ class ContinuumOfOrbitsError(ValueError):
     """Every point is periodic, so orbits form a continuum, not a list."""
 
 
-def _lift_all(coeffs) -> tuple[tuple[Scalar, ...], str]:
-    coeffs = list(coeffs)
+def _backend_of_coeffs(coeffs) -> str:
+    """The backend of a coefficient list; neutral int/Fraction literals
+    take the other coefficients' backend, or the exact one."""
     backend = None
     for c in coeffs:
         if isinstance(c, CyclotomicNumber):
             b = "exact"
-        elif isinstance(c, ApproxComplex):
-            b = "approx"
-        elif isinstance(c, (float, complex)):
+        elif isinstance(c, (ApproxComplex, float, complex)):
             b = "approx"
         elif isinstance(c, _NEUTRAL):
             continue
@@ -93,20 +92,7 @@ def _lift_all(coeffs) -> tuple[tuple[Scalar, ...], str]:
             backend = b
         elif backend != b:
             raise BackendMismatchError("polynomial mixes exact and approximate coefficients")
-    backend = backend or "exact"
-    lifted = []
-    for c in coeffs:
-        if isinstance(c, (CyclotomicNumber, ApproxComplex)):
-            lifted.append(c)
-        elif backend == "exact":
-            lifted.append(exact(c))
-        else:
-            lifted.append(approx(complex(c)))
-    # the trim must not change degree semantics, so an approximate
-    # coefficient goes only when it is exactly 0.0 (_exact trims exact ones)
-    while backend == "approx" and lifted and lifted[-1].value == 0:
-        lifted.pop()
-    return tuple(lifted), backend
+    return backend or "exact"
 
 
 class Poly:
@@ -141,11 +127,16 @@ class Poly:
     __slots__ = ("backend", "_n", "_den", "_num", "_scalars")
 
     def __new__(cls, coeffs=()) -> "Poly":
-        lifted, backend = _lift_all(coeffs)
-        if backend == "exact":
-            return _integer_form(lifted)
+        coeffs = tuple(coeffs)
+        if _backend_of_coeffs(coeffs) == "exact":
+            return _integer_form(coeffs)
+        lifted = [c if isinstance(c, ApproxComplex) else approx(complex(c)) for c in coeffs]
+        # the trim must not change degree semantics, so an approximate
+        # coefficient goes only when it is exactly 0.0
+        while lifted and lifted[-1].value == 0:
+            lifted.pop()
         p = _new(cls)
-        _fill(p, backend, 0, 1, (), lifted)
+        _fill(p, "approx", 0, 1, (), tuple(lifted))
         return p
 
     def __setattr__(self, *a):
@@ -478,27 +469,49 @@ _ZERO = _raw(1, 1, ())
 def _exact(n: int, den: int, num) -> Poly:
     """The exact Poly of the integer form (n, den, num), made canonical."""
     phi = euler_phi(n)
+    form = _reduced(den, num, phi)
+    if form is None:
+        return _ZERO
+    den, num = form
+    if n > 1 and not any(any(num[j::phi]) for j in range(1, phi)):
+        n, num = 1, num[::phi]
+    return _raw(n, den, tuple(num))
+
+
+def _reduced(den: int, num, phi: int):
+    """(den, num) with the trailing zero rows of phi numerators cut and
+    the gcd of den and num divided out; None when every numerator is 0."""
     end = len(num)
     while end and not any(num[end - phi : end]):
         end -= phi
     if not end:
-        return _ZERO
-    num = tuple(num[:end])
-    if n > 1 and not any(any(num[j::phi]) for j in range(1, phi)):
-        n, num = 1, num[::phi]
+        return None
+    if end < len(num):
+        num = num[:end]
     if den != 1:
         g = math.gcd(den, *num)
         if g != 1:
             den //= g
-            num = tuple([x // g for x in num])
-    return _raw(n, den, num)
+            num = [x // g for x in num]
+    return den, num
 
 
-def _integer_form(lifted: tuple[CyclotomicNumber, ...]) -> Poly:
-    """The exact Poly of these scalars, each lifted to the lcm N of their
-    conductors."""
-    n = math.lcm(*[c.conductor for c in lifted])
-    fracs = [q for c in lifted for q in c._lift_coords(n)]
+def _integer_form(coeffs) -> Poly:
+    """The exact Poly of these ints, Fractions and CyclotomicNumbers, each
+    lifted to the lcm N of their conductors.  A rational coefficient gives
+    its numerator and denominator straight, with no scalar built."""
+    n = math.lcm(*[c.conductor for c in coeffs if isinstance(c, CyclotomicNumber)])
+    pad = [0] * (euler_phi(n) - 1)
+    fracs: list = []
+    for c in coeffs:
+        if not isinstance(c, CyclotomicNumber):
+            fracs.append(c)
+        elif c.conductor == 1:
+            fracs.append(c.coords[0])
+        else:
+            fracs += c._lift_coords(n)
+            continue
+        fracs += pad
     den = math.lcm(*[q.denominator for q in fracs])
     return _exact(n, den, [q.numerator * (den // q.denominator) for q in fracs])
 
@@ -624,7 +637,84 @@ def _compose_forms(outer: Poly, inner: Poly, n: int) -> Poly:
 
 def _scale(p: Poly, num: int, den: int) -> Poly:
     """p * num/den for integers num and den > 0."""
+    if num == den:
+        return p
     return _exact(p._n, p._den * den, [x * num for x in p._num])
+
+
+# -- cell entries ---------------------------------------------------------------
+#
+# Presentation._fill holds each term x^a p y^b of the normal form of y^k x^i
+# as an entry over the conductor n of f.  For an exact f (n > 0) that is
+# (den, numerators of p over n), reduced as by _reduced but never moved to
+# conductor 1, so that a reduction step is one product of numerator rows
+# and builds no Poly.  For an approximate f (n = 0) it is the Poly p.
+
+
+def _unit_entry(n: int):
+    """The entry of the constant 1."""
+    return (1, [1] + [0] * (euler_phi(n) - 1)) if n else Poly.constant(1, "approx")
+
+
+def _entry_poly(entry, n: int) -> Poly:
+    """The canonical Poly of an entry."""
+    return _exact(n, *entry) if n else entry
+
+
+def _shift_entry(hi: Poly, lo: Poly, n: int):
+    """The entry of hi - lo, read off the two integer forms; None when it
+    is 0."""
+    if not n:
+        d = hi - lo
+        return None if d.is_zero() else d
+    x, y, den = _num_in(hi, n), _num_in(lo, n), hi._den
+    if den != lo._den:
+        den = math.lcm(den, lo._den)
+        x = [v * (den // hi._den) for v in x]
+        y = [v * (den // lo._den) for v in y]
+    return _reduced(den, [u - v for u, v in zip_longest(x, y, fillvalue=0)], euler_phi(n))
+
+
+def _add_product_entry(out: dict, key, p, shift, n: int) -> None:
+    """out[key] += p * shift for entries p and shift; a sum of 0 leaves
+    out.  On rows that is one product of numerator rows, or a scaling when
+    p is a rational constant, to which the entry already there is added in
+    place."""
+    if not n:
+        cur = out.get(key)
+        g = p * shift if cur is None else cur + p * shift
+        if g.is_zero():
+            out.pop(key, None)
+        else:
+            out[key] = g
+        return
+    phi = euler_phi(n)
+    if len(p[1]) == phi and not any(p[1][1:]):
+        # a rational constant, such as the 1 of every leading term
+        c = p[1][0]
+        num = [v * c for v in shift[1]]
+    else:
+        num = _mul_rows(shift[1], phi, p[1], phi, n)
+    den = p[0] * shift[0]
+    cur = out.get(key)
+    if cur is not None:
+        cur_den, cur_num = cur
+        if cur_den != den:
+            m = math.lcm(cur_den, den)
+            if m != den:
+                num = [v * (m // den) for v in num]
+            if m != cur_den:
+                cur_num = [v * (m // cur_den) for v in cur_num]
+            den = m
+        if len(num) < len(cur_num):
+            num += [0] * (len(cur_num) - len(num))
+        for j, v in enumerate(cur_num):
+            num[j] += v
+    entry = _reduced(den, num, phi)
+    if entry is not None:
+        out[key] = entry
+    elif cur is not None:
+        del out[key]
 
 
 def _max_abs(num) -> int:

@@ -92,13 +92,16 @@ class TestRewriteEngine:
             CONFIG.max_compose_degree = old
 
     def test_degree_guard_refuses_before_any_reduction(self):
-        # y^7 x^7 over h^2 needs f^(13), of degree 8192 > 4096
-        pres = Presentation(parse_poly("h^2"))
-        y7, x7 = pres.generator("y") ** 7, pres.generator("x") ** 7
-        before = pres.middle_reductions
-        with pytest.raises(DegreeOverflowError):
-            y7 * x7
-        assert pres.middle_reductions == before
+        # y^k x^i needs f^(i+k-1): of degree 2^13 = 8192 > 4096 for the
+        # first two, 3^10 = 59049 for the last; with k > i the fill reaches
+        # past f^(i + min(k, i) - 1)
+        for f, k, i in (("h^2", 7, 7), ("h^2", 13, 1), ("h^3 - h", 9, 2)):
+            pres = Presentation(parse_poly(f))
+            yk, xi = pres.generator("y") ** k, pres.generator("x") ** i
+            before = pres.middle_reductions
+            with pytest.raises(DegreeOverflowError):
+                yk * xi
+            assert pres.middle_reductions == before, (f, k, i)
 
     def test_middle_needs_no_composition_beyond_iterates(self, compose_calls):
         # y^k x^i only composes to extend the f-iterates, up to f^(k+i-1)
@@ -129,16 +132,17 @@ class TestRewriteEngine:
         assert pres.middle_reductions == 30
         fresh = Presentation(f)
         fresh._middle(5, 5)
-        for cell, terms in fresh._middles.items():
-            assert pres._middles[cell] == terms, cell
+        # every filled cell, read through the memo of normal forms
+        for cell in fresh._cells:
+            assert pres._middle(*cell) == fresh._middle(*cell), cell
         oracle = Presentation(f)
         x, y = oracle.generator("x"), oracle.generator("y")
         one = FreeModuleElement.one()
-        for (k, i), terms in pres._middles.items():
+        for k, i in pres._cells:
             v = one
             for letter in [x] * i + [y] * k:
                 v = free_module_action(letter, v)
-            assert free_module_action(GHAElement(oracle, terms), one) == v, (k, i)
+            assert free_module_action(GHAElement(oracle, pres._middle(k, i)), one) == v, (k, i)
 
     def test_product_composes_each_composite_once(self, compose_calls):
         pres = Presentation(parse_poly("2*h - 1"))
@@ -221,26 +225,40 @@ class TestOracle:
         [
             ("0", 6),
             ("5", 6),
+            ("3", 3),
+            ("h", 3),
             ("2*h - 1", 6),
             ("h/2 + 1/3", 6),
+            # constant shifts, so terms with constant coefficients: over a
+            # denominator, and not rational
+            ("h - 1/2", 4),
+            ("h + zeta(3)", 4),
             ("h^2", 3),
             ("h^2 + 1", 3),
             ("h^3 - h", 3),
+            ("h^2/2 + 1/3", 3),
             ("zeta(3)*h", 6),
             ("zeta(3)*h + 1", 6),
+            # conductor 12, the lcm of 3 and 4
+            ("zeta(3)*h + i", 3),
         ],
     )
-    def test_middles_match_letter_by_letter_action(self, f, top):
+    def test_middles_match_letter_by_letter_action(self, f, top, backend="exact"):
         # the normal form of y^k x^i acts on 1 like x i times, then y k times
-        pres = Presentation(parse_poly(f))
+        pres = Presentation(parse_poly(f, backend))
         x, y = pres.generator("x"), pres.generator("y")
-        xs = FreeModuleElement.one()
+        one = FreeModuleElement.basis(0, 0, 0, backend)
+        xs = one
         for i in range(top + 1):
             v = xs
             for k in range(top + 1):
-                assert free_module_action(y**k * x**i, FreeModuleElement.one()) == v, (k, i)
+                assert free_module_action(y**k * x**i, one) == v, (k, i)
                 v = free_module_action(y, v)
             xs = free_module_action(x, xs)
+
+    @pytest.mark.parametrize("f", ["h/2 + 1/3", "zeta(3)*h + 1"])
+    def test_approx_middles_match_letter_by_letter_action(self, f):
+        self.test_middles_match_letter_by_letter_action(f, 3, "approx")
 
 
 class TestDegreeLaw:
