@@ -53,10 +53,9 @@ class Presentation:
     on numerator rows, the normal forms of the cells a product has read,
     and the recursive y-action on free-module monomials.
     ``middle_reductions`` counts distinct y^k x^i reductions actually
-    computed.  y^k x^i fills only the trapezoid of cells (kk, ii) with
-    max(0, i-(k-kk)) <= ii <= i, which is sum over kk = 0..k of
-    min(i, k-kk) + 1 reductions, at most (k+1)*(i+1); that bound is the
-    termination certificate for the rewriting recursion.
+    computed.  y^k x^i with k > i is read off y^i x^k, so a fresh
+    presentation reduces y^k x^i in (m+1)(m+2)/2 steps, m = min(k, i);
+    that bound is the termination certificate for the rewriting recursion.
     """
 
     def __init__(self, f: Poly) -> None:
@@ -137,17 +136,21 @@ class Presentation:
 
         ``_fill`` fills the cells, for an exact f on numerator rows.  A cell
         becomes a map to canonical polynomials only here, when a product
-        reads it, and that view is kept, so a warm read is one lookup.
+        reads it, and that view is kept, so a warm read is one lookup.  The
+        anti-automorphism x <-> y, h -> h sends x^a p(h) y^b to x^b p(h) y^a,
+        so for k > i the normal form is read off that of y^i x^k.
         """
         hit = self._middles.get((k, i))
         if hit is None:
-            n = self.f._n
-            cell = self._fill(k, i)
-            hit = self._middles[(k, i)] = {ab: _entry_poly(e, n) for ab, e in cell.items()}
+            if k > i:
+                hit = {(b, a): p for (a, b), p in self._middle(i, k).items()}
+            else:
+                hit = {ab: _entry_poly(e, self.f._n) for ab, e in self._fill(k, i).items()}
+            self._middles[(k, i)] = hit
         return hit
 
     def _fill(self, k: int, i: int) -> dict:
-        """The cell of y^k x^i, filling the cells it reads first.
+        """The cell of y^k x^i for k <= i, filling the cells it reads first.
 
         The relations telescope to y x^i = x^i y + x^(i-1) (f^(i)(h) - h), so
 
@@ -156,13 +159,13 @@ class Presentation:
         Right multiplication by y sends the key (a, b) to (a, b+1); right
         multiplication by g(h) sends x^a p y^b to x^a p (g o f^(b)) y^b, and
         for g = f^(i) - h that factor is the shift f^(i+b) - f^(b).  So
-        y^k x^i reads only the trapezoid of cells (kk, ii) with
-        max(0, i-(k-kk)) <= ii <= i.  Filled bottom-up, that is sum over
-        kk = 0..k of min(i, k-kk) + 1 reductions, not the (k+1)*(i+1) of the
-        whole rectangle: 6 instead of 18 for (2, 5), 91 instead of 169 for
-        (12, 12).  The leading term x^(i-1) y^(k-1) of y^(k-1) x^(i-1) needs
-        the shift by f^(i+k-1), the highest iterate of the fill; it is built
-        first, so the degree guard refuses before any reduction.
+        y^k x^i reads only the trapezoid of cells (kk, ii), kk <= ii, with
+        i-k+kk <= ii <= i.  Filled bottom-up, that is (m+1)(m+2)/2 reductions
+        for m = min(k, i) = k, the termination bound, not the (k+1)*(i+1) of
+        the rectangle: 6 instead of 18 for (2, 5), 91 instead of 169 for (12, 12).
+        The leading term x^(i-1) y^(k-1) of y^(k-1) x^(i-1) needs the shift
+        by f^(i+k-1), the highest iterate of the fill; it is built first, so
+        the degree guard refuses before any reduction.
 
         A cell maps (a, b) to the entry of p over the conductor n of f (the
         cell entries of ``polys``): numerator rows for an exact f, so that a
@@ -174,17 +177,17 @@ class Presentation:
             return cells[(k, i)]
         n = self.f._n
         iterates = self._iterates
-        if k and i:
+        if k:
             self.f_iterate(i + k - 1)
         unit = _unit_entry(n)
         shifts: dict = {}
         for kk in range(k + 1):
-            for ii in range(max(0, i - (k - kk)), i + 1):
+            for ii in range(i - k + kk, i + 1):
                 if (kk, ii) in cells:
                     continue
                 self.middle_reductions += 1
-                if kk == 0 or ii == 0:
-                    cells[(kk, ii)] = {(ii, kk): unit}
+                if kk == 0:
+                    cells[(0, ii)] = {(ii, 0): unit}
                     continue
                 out = {(a, b + 1): p for (a, b), p in cells[(kk - 1, ii)].items()}
                 for (a, b), p in cells[(kk - 1, ii - 1)].items():

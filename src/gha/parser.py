@@ -10,15 +10,15 @@ Grammar (whitespace insignificant):
 
 ``*`` is mandatory between factors, ``^`` binds tighter than ``*`` and
 ``/``, which bind tighter than ``+`` and ``-``.  Exponents are nonnegative
-integer literals.  Division is only by scalar-valued subexpressions, which
-is how rational literals like 3/4 are written.  NAME is one of x, y, h, z,
-i; which of them are legal depends on the context (a polynomial in h
-cannot mention x).  Decimal and exponent-notation literals (0.5, 1e-9)
-are only meaningful on the approx backend.
+integer literals.  Division is only by nonzero scalar-valued
+subexpressions, which is how rational literals like 3/4 are written.  NAME
+is one of x, y, h, z, i; which of them are legal depends on the context (a
+polynomial in h cannot mention x).  Decimal and exponent-notation literals
+(0.5, 1e-9) are only meaningful on the approx backend.
 
 Parsing runs in two phases.  A recursive descent checks the grammar of the
 whole text and emits it as postfix steps ``(op, arg, pos)``; then
-:func:`_evaluate` runs the steps on a stack, with a symbol table that
+:func:`_evaluate` runs the steps on a stack, with a symbol lookup that
 decides the context.  So a syntax error anywhere in the text is reported
 before any arithmetic runs (and before a degree guard can trip).
 """
@@ -26,12 +26,13 @@ before any arithmetic runs (and before a degree guard can trip).
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+import re
+from fractions import Fraction
 from typing import NoReturn
 
 from .algebra import GHAElement, Presentation
 from .polys import Poly
-from .scalars import ApproxComplex, CyclotomicNumber, Scalar, as_scalar, zeta
+from .scalars import _NEUTRAL, Scalar, approx, as_scalar, zeta
 
 
 class ParseError(ValueError):
@@ -44,61 +45,32 @@ class ParseError(ValueError):
 # -- tokenizer ------------------------------------------------------------------
 
 _PUNCT = set("+-*/^()")
+# digits are the Unicode decimal digits (str.isdecimal), as int() reads them
+_NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_WORD = re.compile(r"\w+")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "num", "name", "punct", "end"
-    text: str
-    pos: int
-    is_float: bool = False
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The tokens ``(kind, text, pos)`` of the text, kind one of "int",
+    "dec" (a literal with a dot or an exponent), "name", "punct" and "end"."""
     toks = []
     idx = 0
-    size = len(text)
-    while idx < size:
+    while idx < len(text):
         ch = text[idx]
         if ch.isspace():
             idx += 1
             continue
         if ch in _PUNCT:
-            toks.append(_Token("punct", ch, idx))
-            idx += 1
-            continue
-        if ch.isdecimal() or (ch == "." and idx + 1 < size and text[idx + 1].isdecimal()):
-            start = idx
-            seen_dot = False
-            seen_exp = False
-            while idx < size:
-                c = text[idx]
-                if c.isdecimal():
-                    idx += 1
-                elif c == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    idx += 1
-                elif c in "eE" and not seen_exp and idx + 1 < size and (
-                    text[idx + 1].isdecimal()
-                    or (text[idx + 1] in "+-" and idx + 2 < size and text[idx + 2].isdecimal())
-                ):
-                    seen_exp = True
-                    idx += 1
-                    if text[idx] in "+-":
-                        idx += 1
-                else:
-                    break
-            lit = text[start:idx]
-            toks.append(_Token("num", lit, start, is_float=seen_dot or seen_exp))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = idx
-            while idx < size and (text[idx].isalnum() or text[idx] == "_"):
-                idx += 1
-            toks.append(_Token("name", text[start:idx], start))
-            continue
-        _fail(text, f"unexpected character {ch!r}", idx)
-    toks.append(_Token("end", "", size))
+            tok = ("punct", ch, idx)
+        elif m := _NUMBER.match(text, idx):
+            tok = ("int" if m[0].isdecimal() else "dec", m[0], idx)
+        elif ch.isalpha() or ch == "_":
+            tok = ("name", _WORD.match(text, idx)[0], idx)
+        else:
+            _fail(text, f"unexpected character {ch!r}", idx)
+        toks.append(tok)
+        idx += len(tok[1])
+    toks.append(("end", "", len(text)))
     return toks
 
 
@@ -124,19 +96,20 @@ class _Postfix:
         self.idx = 0
         self.steps: list[tuple[str, object, int]] = []
         self.expr()
-        tok = self.toks[self.idx]
-        if tok.kind != "end":
-            self.fail(f"unexpected trailing input {tok.text!r}")
+        kind, lit, _ = self.toks[self.idx]
+        if kind != "end":
+            self.fail(f"unexpected trailing input {lit!r}")
 
     def fail(self, message: str) -> NoReturn:
-        _fail(self.text, message, self.toks[self.idx].pos)
+        _fail(self.text, message, self.toks[self.idx][2])
 
-    def take(self, ops: str) -> _Token | None:
-        """The next token, consumed, if it is one of the punctuation ops."""
-        tok = self.toks[self.idx]
-        if tok.kind == "punct" and tok.text in ops:
+    def take(self, ops: str) -> tuple[str, int] | None:
+        """The next token's (text, pos), consumed, if it is one of the
+        punctuation ops."""
+        kind, lit, pos = self.toks[self.idx]
+        if kind == "punct" and lit in ops:
             self.idx += 1
-            return tok
+            return lit, pos
         return None
 
     def expect(self, ch: str) -> None:
@@ -147,13 +120,13 @@ class _Postfix:
         self.term()
         while tok := self.take("+-"):
             self.term()
-            self.steps.append((tok.text, None, tok.pos))
+            self.steps.append((tok[0], None, tok[1]))
 
     def term(self) -> None:
         self.unary()
         while tok := self.take("*/"):
             self.unary()
-            self.steps.append((tok.text, None, tok.pos))
+            self.steps.append((tok[0], None, tok[1]))
 
     def unary(self) -> None:
         tok = self.take("-")
@@ -161,36 +134,35 @@ class _Postfix:
             self.power()
         else:
             self.unary()
-            self.steps.append(("neg", None, tok.pos))
+            self.steps.append(("neg", None, tok[1]))
 
     def power(self) -> None:
         self.atom()
         if self.take("^"):
-            tok = self.toks[self.idx]
-            if tok.kind == "punct" and tok.text == "-":
+            kind, lit, pos = self.toks[self.idx]
+            if kind == "punct" and lit == "-":
                 self.fail("negative exponents are not allowed")
-            if tok.kind != "num" or tok.is_float:
+            if kind != "int":
                 self.fail("exponent must be a nonnegative integer")
             self.idx += 1
-            self.steps.append(("^", int(tok.text), tok.pos))
+            self.steps.append(("^", int(lit), pos))
 
     def atom(self) -> None:
         tok = self.toks[self.idx]
-        if tok.kind == "num":
+        kind, lit, pos = tok
+        if kind == "int" or kind == "dec" or (kind == "name" and lit != "zeta"):
+            # the token is its own step
             self.idx += 1
-            self.steps.append(("dec" if tok.is_float else "int", tok.text, tok.pos))
-        elif tok.kind == "name" and tok.text == "zeta":
+            self.steps.append(tok)
+        elif kind == "name":
             self.idx += 1
             self.expect("(")
-            order = self.toks[self.idx]
-            if order.kind != "num" or order.is_float or int(order.text) < 1:
+            order_kind, order, _ = self.toks[self.idx]
+            if order_kind != "int" or int(order) < 1:
                 self.fail("zeta() needs a positive integer order")
             self.idx += 1
             self.expect(")")
-            self.steps.append(("zeta", int(order.text), tok.pos))
-        elif tok.kind == "name":
-            self.idx += 1
-            self.steps.append(("name", tok.text, tok.pos))
+            self.steps.append(("zeta", int(order), pos))
         elif self.take("("):
             self.expr()
             self.expect(")")
@@ -201,73 +173,92 @@ class _Postfix:
 # -- evaluation: postfix steps -> value -----------------------------------------
 
 
-def _evaluate(text: str, backend: str, symbols: dict):
-    """Value of the text; ``symbols`` decides the legal names besides i."""
+def _evaluate(text: str, backend: str, symbol):
+    """Value of the text; ``symbol(name)`` is the value of a name besides
+    i, or None where the name is not legal.
+
+    On the exact backend a value made of literals alone stays an int or a
+    Fraction until it meets a scalar, a polynomial or an element, or the
+    text ends; the caller lifts what is left.
+    """
+    plain = backend == "exact"
     stack: list = []
     for op, arg, pos in _Postfix(text).steps:
         if op == "int":
-            stack.append(as_scalar(int(arg), backend))
+            stack.append(int(arg) if plain else approx(int(arg)))
         elif op == "dec":
-            if backend != "approx":
+            if plain:
                 _fail(text, "decimal literals need the approx backend (use p/q on exact)", pos)
-            stack.append(as_scalar(float(arg), "approx"))
+            stack.append(approx(float(arg)))
         elif op == "zeta":
-            if backend == "exact":
-                stack.append(zeta(arg))
-            else:
-                stack.append(as_scalar(cmath.exp(2j * cmath.pi / arg), "approx"))
+            stack.append(zeta(arg) if plain else approx(cmath.exp(2j * cmath.pi / arg)))
         elif op == "name":
             if arg == "i":
-                stack.append(zeta(4) if backend == "exact" else as_scalar(1j, "approx"))
-            elif arg in symbols:
-                stack.append(symbols[arg])
+                stack.append(zeta(4) if plain else approx(1j))
             else:
-                _fail(text, f"unknown symbol {arg!r} in this context", pos)
+                value = symbol(arg)
+                if value is None:
+                    _fail(text, f"unknown symbol {arg!r} in this context", pos)
+                stack.append(value)
         elif op == "neg":
             stack[-1] = -stack[-1]
         elif op == "^":
             stack[-1] = stack[-1] ** arg
         else:
             right = stack.pop()
+            left = stack[-1]
+            if op == "/":
+                stack[-1] = _divide(text, pos, backend, left, right)
+                continue
+            if isinstance(left, _NEUTRAL) is not isinstance(right, _NEUTRAL):
+                left, right = _lift(left, backend), _lift(right, backend)
             if op == "+":
-                stack[-1] = stack[-1] + right
+                stack[-1] = left + right
             elif op == "-":
-                stack[-1] = stack[-1] - right
-            elif op == "*":
-                stack[-1] = stack[-1] * right
+                stack[-1] = left - right
             else:
-                scalar = _as_plain_scalar(right)
-                if scalar is None:
-                    _fail(text, "division is only by scalar values", pos)
-                stack[-1] = stack[-1] * (as_scalar(1, backend) / scalar)
+                stack[-1] = left * right
     return stack[0]
 
 
-def _as_plain_scalar(value) -> Scalar | None:
-    """The scalar a value stands for, or None if it is zero or not a constant."""
-    if isinstance(value, (CyclotomicNumber, ApproxComplex)):
-        return value
-    if isinstance(value, GHAElement):
-        if set(value.terms) != {(0, 0)}:
-            return None
-        value = value.terms[(0, 0)]
-    if isinstance(value, Poly) and value.is_constant() and not value.is_zero():
-        return value.coefficient(0)
-    return None
+def _divide(text: str, pos: int, backend: str, left, right):
+    """left / right for the '/' at pos, where right must be a scalar value."""
+    if isinstance(right, GHAElement):
+        right = right.terms.get((0, 0), 0) if set(right.terms) <= {(0, 0)} else None
+    if isinstance(right, Poly):
+        right = right.coefficient(0) if right.is_constant() else None
+    if right is None:
+        _fail(text, "division is only by scalar values", pos)
+    try:
+        inverse = 1 / (Fraction(right) if isinstance(right, int) else right)
+    except ZeroDivisionError:
+        _fail(text, "division by zero", pos)
+    if isinstance(left, _NEUTRAL) is not isinstance(inverse, _NEUTRAL):
+        left, inverse = _lift(left, backend), _lift(inverse, backend)
+    return left * inverse
+
+
+def _lift(value, backend: str):
+    """An int or a Fraction as a scalar of the backend; other values as they are."""
+    return as_scalar(value, backend) if isinstance(value, _NEUTRAL) else value
 
 
 def parse_scalar(text: str, backend: str = "exact") -> Scalar:
-    return as_scalar(_evaluate(text, backend, {}), backend)
+    return as_scalar(_evaluate(text, backend, {}.get), backend)
 
 
 def parse_poly(text: str, backend: str = "exact") -> Poly:
     """A polynomial in h over the chosen backend."""
-    value = _evaluate(text, backend, {"h": Poly.variable(backend)})
+    value = _evaluate(text, backend, lambda name: Poly.variable(backend) if name == "h" else None)
     return value if isinstance(value, Poly) else Poly([as_scalar(value, backend)])
 
 
 def parse_element(text: str, presentation: Presentation) -> GHAElement:
-    """An element of H(f), normalized."""
-    symbols = {name: presentation.generator(name) for name in "hxyz"}
-    value = _evaluate(text, presentation.f.backend, symbols)
+    """An element of H(f), normalized; only the generators the text names
+    are built."""
+    value = _evaluate(
+        text,
+        presentation.f.backend,
+        lambda name: presentation.generator(name) if name in ("h", "x", "y", "z") else None,
+    )
     return value if isinstance(value, GHAElement) else presentation.scalar(value)

@@ -1,6 +1,9 @@
 """Normal-form arithmetic in H(f) against hand-computed values and the
 free-module oracle."""
 
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,9 +19,9 @@ from gha.algebra import (
     is_central,
 )
 from gha.config import CONFIG
-from gha.parser import parse_element, parse_poly
+from gha.parser import parse_element, parse_poly, parse_scalar
 from gha.polys import DegreeOverflowError, Poly, iterate
-from gha.scalars import approx, exact, zeta
+from gha.scalars import approx, as_scalar, exact, zeta
 
 H2 = Presentation(parse_poly("h^2"))
 W3 = Presentation(parse_poly("zeta(3)*h"))
@@ -117,8 +120,9 @@ class TestRewriteEngine:
         assert len(compose_calls) == 23
 
     def test_middle_fills_only_the_trapezoid(self):
-        # y^k x^i reads the cells (kk, ii) with max(0, i-(k-kk)) <= ii <= i
-        for (k, i), cells in {(2, 5): 6, (5, 2): 15, (4, 8): 15}.items():
+        # y^k x^i, k <= i, reads the cells (kk, ii) with i-k+kk <= ii <= i,
+        # and y^k x^i, k > i, is read off y^i x^k
+        for (k, i), cells in {(2, 5): 6, (5, 2): 6, (4, 8): 15, (8, 4): 15}.items():
             pres = Presentation(parse_poly("h^2 + 1"))
             pres._middle(k, i)
             assert pres.middle_reductions == cells, (k, i)
@@ -128,8 +132,9 @@ class TestRewriteEngine:
         pres = Presentation(f)
         for k, i in ((2, 5), (5, 2), (5, 5)):
             pres._middle(k, i)
-        # 6 + 15 + the 9 cells of the (5, 5) trapezoid not filled before
-        assert pres.middle_reductions == 30
+        # 6, then none for (5, 2), then the 15 cells of the (5, 5)
+        # trapezoid not filled before
+        assert pres.middle_reductions == 21
         fresh = Presentation(f)
         fresh._middle(5, 5)
         # every filled cell, read through the memo of normal forms
@@ -138,7 +143,7 @@ class TestRewriteEngine:
         oracle = Presentation(f)
         x, y = oracle.generator("x"), oracle.generator("y")
         one = FreeModuleElement.one()
-        for k, i in pres._cells:
+        for k, i in {c for cell in pres._cells for c in (cell, cell[::-1])}:
             v = one
             for letter in [x] * i + [y] * k:
                 v = free_module_action(letter, v)
@@ -239,8 +244,10 @@ class TestOracle:
             ("h^2/2 + 1/3", 3),
             ("zeta(3)*h", 6),
             ("zeta(3)*h + 1", 6),
-            # conductor 12, the lcm of 3 and 4
+            # conductor 12, the lcm of 3 and 4; the y^k x^i with k > i up to
+            # y^5 x^4 are read off y^i x^k
             ("zeta(3)*h + i", 3),
+            ("zeta(3)*h + i", 5),
         ],
     )
     def test_middles_match_letter_by_letter_action(self, f, top, backend="exact"):
@@ -259,6 +266,57 @@ class TestOracle:
     @pytest.mark.parametrize("f", ["h/2 + 1/3", "zeta(3)*h + 1"])
     def test_approx_middles_match_letter_by_letter_action(self, f):
         self.test_middles_match_letter_by_letter_action(f, 3, "approx")
+
+
+def tau(a: GHAElement) -> GHAElement:
+    """The anti-automorphism x <-> y, h -> h on a normal form:
+    x^i g(h) y^k -> x^k g(h) y^i."""
+    return GHAElement(a.presentation, {(k, i): g for (i, k), g in a.terms.items()})
+
+
+def random_element(rng: random.Random, pres: Presentation, cap: int) -> GHAElement:
+    """A sum of 3 terms x^i g(h) y^k with i, k <= cap, deg g <= 2 and
+    coefficients q * zeta(3)^j, q rational."""
+    backend = pres.f.backend
+    w = parse_scalar("zeta(3)", backend)
+    out = pres.zero()
+    for _ in range(3):
+        g = Poly(
+            [
+                as_scalar(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))), backend)
+                * w ** rng.randint(0, 2)
+                for _ in range(rng.randint(1, 3))
+            ]
+        )
+        out = out + pres.monomial(rng.randint(0, cap), g, rng.randint(0, cap))
+    return out
+
+
+class TestAntiAutomorphism:
+    """x <-> y, h -> h reverses products: tau(a*b) == tau(b)*tau(a).  The
+    two sides read the middles y^k x^i and y^i x^k of each other."""
+
+    @pytest.mark.parametrize(
+        "f, cap",
+        [("h^2 + 1", 3), ("2*h - 1", 3), ("h/2 + 1/3", 3), ("zeta(3)*h + 1", 3), ("h^3 - h", 2)],
+    )
+    def test_reverses_products(self, f, cap):
+        rng = random.Random(f"tau {f}")
+        pres = Presentation(parse_poly(f))
+        for _ in range(30):
+            a, b = random_element(rng, pres, cap), random_element(rng, pres, cap)
+            assert tau(a * b) == tau(b) * tau(a)
+
+    @pytest.mark.parametrize("f", ["h/2 + 1/3", "zeta(3)*h + 1"])
+    def test_reverses_approximate_products(self, f):
+        rng = random.Random(f"tau approx {f}")
+        pres = Presentation(parse_poly(f, "approx"))
+        for _ in range(30):
+            a, b = random_element(rng, pres, 3), random_element(rng, pres, 3)
+            left = tau(a * b)
+            diff = left - tau(b) * tau(a)
+            scale = max(abs(c.value) for g in left.terms.values() for c in g.coeffs)
+            assert all(abs(c.value) <= 1e-12 * scale for g in diff.terms.values() for c in g.coeffs)
 
 
 class TestDegreeLaw:

@@ -176,6 +176,33 @@ class TestExitCodes:
         assert code == 2
         assert err == "error: unexpected character '\u00b2' (line 1, column 3)\n"
 
+    @pytest.mark.parametrize(
+        "argv, col",
+        [
+            (["normalize", "-f", "h^2", "-e", "1/0"], 2),
+            (["normalize", "-f", "h/0", "-e", "x"], 2),
+            (["normalize", "-f", "h^2", "-e", "x/(1-1)"], 2),
+            (["normalize", "-f", "h^2", "-e", "x/(h-h)"], 2),
+            (["--backend", "approx", "normalize", "-f", "h^2", "-e", "x/0"], 2),
+            (["central", "-f", "h^2", "-e", "y + 2*x/(3 - 3)"], 8),
+            (["iso", "-f1", "2*h", "-f2", "h/(1 - 1)"], 2),
+        ],
+    )
+    def test_division_by_zero_is_two(self, capsys, argv, col):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: division by zero (line 1, column {col})\n"
+
+    @pytest.mark.parametrize("backend", ["exact", "approx"])
+    def test_division_by_zero_in_a_module_entry_is_two(self, capsys, backend):
+        doc = {"schema_version": 1, "n": 1, "X": [["0"]], "H": [["1/(2 - 2)"]], "Y": [["0"]]}
+        for command in ("verify", "classify"):
+            code, out, err = run(
+                capsys, "--backend", backend, command, "-f", "h^2", "--module", json.dumps(doc)
+            )
+            assert (code, out) == (2, "")
+            assert err == "error: division by zero (line 1, column 2)\n"
+
     def test_missing_module_key_is_named(self, capsys):
         doc = {"schema_version": 1, "n": 1, "X": [["0"]], "H": [["0"]]}
         code, _, err = run(capsys, "verify", "-f", "h^2", "--module", json.dumps(doc))

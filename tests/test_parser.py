@@ -12,6 +12,10 @@ from gha.scalars import approx, exact, zeta
 PRES = Presentation(parse_poly("h^2"))
 
 
+def parse_h2_element(text, backend):
+    return parse_element(text, Presentation(parse_poly("h^2", backend)))
+
+
 class TestGrammar:
     def test_precedence_power_over_product(self):
         assert parse_poly("2*h^3") == Poly([exact(0)] * 3 + [exact(2)])
@@ -125,6 +129,24 @@ class TestErrors:
             parse(text)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("backend", ["exact", "approx"])
+    @pytest.mark.parametrize(
+        "parse, text, col",
+        [
+            (parse_scalar, "1/0", 2),
+            (parse_scalar, "2 + 3/(1/2 - 2/4)", 6),
+            (parse_scalar, "zeta(3)/(i - i)", 8),
+            (parse_poly, "h/0", 2),
+            (parse_poly, "1/(h - h)", 2),
+            (parse_h2_element, "x/(1-1)", 2),
+            (parse_h2_element, "x/(y-y)", 2),
+        ],
+    )
+    def test_division_by_zero(self, parse, text, col, backend):
+        with pytest.raises(ParseError) as exc:
+            parse(text, backend)
+        assert str(exc.value) == f"division by zero (line 1, column {col})"
+
     def test_division_by_element_names_the_slash(self):
         with pytest.raises(ParseError) as exc:
             parse_element("x/y", PRES)
@@ -138,6 +160,49 @@ class TestErrors:
         with pytest.raises(ParseError) as exc:
             parse(text)
         assert str(exc.value) == f"unexpected character '\u00b2' (line 1, column {col})"
+
+
+# Literal edge cases of the tokenizer: an exponent marker needs a digit
+# after it (after a sign, if any), a literal takes at most one dot and no
+# dot after its exponent, and digits are the Unicode decimal digits.
+@pytest.mark.parametrize("backend", ["exact", "approx"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1e", "unexpected trailing input 'e' (line 1, column 2)"),
+        ("2e+", "unexpected trailing input 'e' (line 1, column 2)"),
+        ("2e+h", "unexpected trailing input 'e' (line 1, column 2)"),
+        ("1e5e", "unexpected trailing input 'e' (line 1, column 4)"),
+        ("1.2.3", "unexpected trailing input '.3' (line 1, column 4)"),
+        ("1..2", "unexpected trailing input '.2' (line 1, column 3)"),
+        ("\u00b2", "unexpected character '\u00b2' (line 1, column 1)"),
+        ("1 + h^\u00b3", "unexpected character '\u00b3' (line 1, column 7)"),
+        ("h^1e2", "exponent must be a nonnegative integer (line 1, column 3)"),
+        ("zeta(1e1)", "zeta() needs a positive integer order (line 1, column 6)"),
+    ],
+)
+def test_literal_syntax_errors(text, message, backend):
+    with pytest.raises(ParseError) as exc:
+        parse_poly(text, backend)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text", [".5e-3", "3e2", "3E-2", "1.", "5.e3"])
+def test_decimal_literals(text):
+    assert parse_scalar(text, "approx") == approx(float(text))
+    with pytest.raises(ParseError) as exc:
+        parse_poly(f"h + {text}")
+    assert str(exc.value) == (
+        "decimal literals need the approx backend (use p/q on exact) (line 1, column 5)"
+    )
+
+
+@pytest.mark.parametrize("backend", ["exact", "approx"])
+def test_full_width_digits_are_decimal_digits(backend):
+    # U+FF11.. are Unicode decimal digits, so they read like 1, 2, 3
+    assert parse_scalar("\uff11\uff12", backend) == parse_scalar("12", backend)
+    assert parse_poly("h^\uff12", backend) == parse_poly("h^2", backend)
+    assert parse_scalar("zeta(\uff13)", backend) == parse_scalar("zeta(3)", backend)
 
 
 class TestFixpoint:
