@@ -134,9 +134,9 @@ class Presentation:
     def _middle(self, k: int, i: int) -> dict[tuple[int, int], Poly]:
         """Normal form of y^k x^i as a map (a, b) -> polynomial.
 
-        ``_fill`` fills the cells, for an exact f on numerator rows.  A cell
-        becomes a map to canonical polynomials only here, when a product
-        reads it, and that view is kept, so a warm read is one lookup.  The
+        ``_fill`` fills the cells on numerator rows.  A cell becomes a map
+        to canonical polynomials only here, when a product reads it, and
+        that view is kept, so a warm read is one lookup.  The
         anti-automorphism x <-> y, h -> h sends x^a p(h) y^b to x^b p(h) y^a,
         so for k > i the normal form is read off that of y^i x^k.
         """
@@ -168,9 +168,9 @@ class Presentation:
         the degree guard refuses before any reduction.
 
         A cell maps (a, b) to the entry of p over the conductor n of f (the
-        cell entries of ``polys``): numerator rows for an exact f, so that a
-        step builds no Poly, and p itself for an approximate one.  The
-        shifts are kept for one fill.
+        cell entries of ``polys``): numerator rows, or the complex row of an
+        approximate p (n = 0), so that a step builds no Poly.  The shifts
+        are kept for one fill.
         """
         cells = self._cells
         if (k, i) in cells:

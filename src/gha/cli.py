@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 mathematical negative (not isomorphic, element
 not central, relations fail, module outside the three families), 2 input
 error (syntax, bad JSON, descriptor constraint violations), 3 numeric
-failure (root finding gave up, degree guard tripped).
+failure (root finding gave up, degree guard tripped, overflow).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .modules import (
     verify_relations,
 )
 from .parser import parse_element, parse_poly
-from .polys import DegreeOverflowError, RootFindingError
+from .polys import CoefficientOverflowError, DegreeOverflowError, RootFindingError
 from .scalars import BackendMismatchError
 from .schemas import (
     SCHEMA_VERSION,
@@ -279,7 +279,7 @@ def main(argv=None) -> int:
     except ClassifyError as err:
         print(f"not classifiable: {err}", file=sys.stderr)
         return MATH_NEGATIVE
-    except (RootFindingError, DegreeOverflowError) as err:
+    except (RootFindingError, DegreeOverflowError, CoefficientOverflowError) as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return NUMERIC_FAILURE
     except (ValueError, BackendMismatchError) as err:

@@ -14,9 +14,9 @@ ones as one big-integer product by Kronecker substitution (Harvey,
 "Faster polynomial multiplication via multipoint Kronecker substitution",
 2009), then reduces each coefficient mod Phi_N; a composition runs Horner
 on the rows under one running denominator.  Each result is made canonical
-once, at the end.  The approximate backend keeps a tuple of scalars and the
-coefficientwise scalar loops.  ``Poly.coeffs`` is always a tuple of
-scalars; for the integer form it is built on each access.
+once, at the end.  An approximate :class:`Poly` is the same form with
+conductor 0 and one ``complex`` per coefficient, run through the same
+code.  ``Poly.coeffs`` is always a tuple of scalars, built on each access.
 
 Root finding comes in two flavours:
 
@@ -35,6 +35,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, zip_longest
 
 from .config import CONFIG
@@ -98,23 +99,23 @@ def _backend_of_coeffs(coeffs) -> str:
 class Poly:
     """Dense univariate polynomial in h over one scalar backend.
 
-    An exact polynomial is held in integer form ``(N, den, num)``: ``num``
-    lists, coefficient after coefficient in ascending degree, the phi(N)
-    integer numerators of each coefficient in the power basis 1, zeta_N,
-    ..., zeta_N^(phi(N)-1), and ``den > 0`` is their one common
-    denominator.  N is the lcm of the conductors of the inputs, and every
-    coefficient prints in Q(zeta_N).  The form is canonical: no trailing
-    zero coefficient, gcd(den, num) = 1, and N = 1 whenever every
-    coefficient is rational.  ``+``, ``-``, negation, ``*``, ``==`` and
-    ``compose`` lift operands to the lcm of their conductors and make each
-    result canonical once: ``compose`` runs Horner on the numerator rows
-    under the one denominator den_self * den_inner^d.  Two integer-form
-    operands skip coercion and the backend check.  The approximate backend
-    keeps a tuple of scalars and runs the coefficientwise scalar loops.
+    A polynomial is held in the form ``(N, den, num)``: ``num`` lists,
+    coefficient after coefficient in ascending degree, the phi(N) integer
+    numerators of each coefficient in the power basis 1, zeta_N, ...,
+    zeta_N^(phi(N)-1), and ``den > 0`` is their one common denominator.
+    N is the lcm of the conductors of the inputs, and every coefficient
+    prints in Q(zeta_N).  The form is canonical: no trailing zero
+    coefficient, gcd(den, num) = 1, and N = 1 whenever every coefficient
+    is rational.  An approximate polynomial has N = 0, den = 1 and one
+    finite ``complex`` per coefficient, of which only a trailing exact 0
+    is cut.  ``+``, ``-``, negation, ``*``, ``==`` and ``compose`` lift
+    operands to the lcm of their conductors and make each result canonical
+    once: ``compose`` runs Horner on the numerator rows under the one
+    denominator den_self * den_inner^d.
 
-    ``coeffs`` is a tuple of scalars either way.  For the integer form it
-    is built on each access and not kept, so read it once per loop;
-    ``coefficient(k)`` builds a single scalar.
+    ``coeffs`` is a tuple of scalars either way, built on each access and
+    not kept, so read it once per loop; ``coefficient(k)`` builds a single
+    scalar.
 
     >>> Poly([1, 2]) * Poly([1, 2])
     Poly(4*h^2 + 4*h + 1)
@@ -122,22 +123,17 @@ class Poly:
     Poly(h^2 - 3)
     """
 
-    # _n is the conductor N of the integer form, or 0 when _scalars holds
-    # the (approximate) coefficients instead
-    __slots__ = ("backend", "_n", "_den", "_num", "_scalars")
+    # _n is the conductor N of the form, 0 for an approximate polynomial
+    __slots__ = ("backend", "_n", "_den", "_num")
 
     def __new__(cls, coeffs=()) -> "Poly":
         coeffs = tuple(coeffs)
         if _backend_of_coeffs(coeffs) == "exact":
             return _integer_form(coeffs)
-        lifted = [c if isinstance(c, ApproxComplex) else approx(complex(c)) for c in coeffs]
-        # the trim must not change degree semantics, so an approximate
-        # coefficient goes only when it is exactly 0.0
-        while lifted and lifted[-1].value == 0:
-            lifted.pop()
-        p = _new(cls)
-        _fill(p, "approx", 0, 1, (), tuple(lifted))
-        return p
+        # a literal is checked as a scalar, so a non-finite one is an input error
+        return _approx_form(
+            [c.value if isinstance(c, ApproxComplex) else approx(complex(c)).value for c in coeffs]
+        )
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
@@ -145,10 +141,7 @@ class Poly:
     def __reduce__(self):
         # copy and pickle rebuild through a constructor, never by restoring
         # slots: Poly() is the shared _ZERO
-        if self._n:
-            return _exact, (self._n, self._den, self._num)
-        # an approximate zero has no scalar left to tell its backend by
-        return Poly, (self._scalars or (approx(0),),)
+        return _exact, (self._n, self._den, self._num)
 
     # -- constructors -----------------------------------------------------
 
@@ -163,20 +156,20 @@ class Poly:
     def variable(cls, backend: str = "exact") -> "Poly":
         if backend == "exact":
             return _raw(1, 1, (0, 1))
-        return cls([approx(0), approx(1)])
+        return _raw(0, 1, (0j, 1 + 0j))
 
     # -- basic queries ------------------------------------------------------
 
     @property
     def coeffs(self) -> tuple[Scalar, ...]:
         """The coefficients in ascending degree, as scalars."""
-        if not self._n:
-            return self._scalars
         return tuple(self._scalar(k) for k in range(self.degree + 1))
 
-    def _scalar(self, k: int) -> CyclotomicNumber:
+    def _scalar(self, k: int) -> Scalar:
         if self._n == 1:
             return CyclotomicNumber(1, (Fraction(self._num[k], self._den),))
+        if not self._n:
+            return approx(self._num[k])
         phi = euler_phi(self._n)
         return CyclotomicNumber(
             self._n, [Fraction(x, self._den) for x in self._num[k * phi : (k + 1) * phi]]
@@ -184,15 +177,12 @@ class Poly:
 
     @property
     def degree(self) -> int:
-        if self._n == 1:
+        if self._n <= 1:
             return len(self._num) - 1
-        if self._n:
-            return len(self._num) // euler_phi(self._n) - 1
-        return len(self._scalars) - 1
+        return len(self._num) // euler_phi(self._n) - 1
 
     def is_zero(self) -> bool:
-        # the integer form keeps _scalars None, the scalar form keeps _num ()
-        return not (self._num or self._scalars)
+        return not self._num
 
     def is_constant(self) -> bool:
         return self.degree <= 0
@@ -205,15 +195,14 @@ class Poly:
 
     def coefficient(self, k: int) -> Scalar:
         if 0 <= k <= self.degree:
-            return self._scalar(k) if self._n else self._scalars[k]
+            return self._scalar(k)
         return self._zero()
 
     def is_identity(self) -> bool:
         """True when this polynomial is exactly h."""
         if self._n:
             return self._n == 1 and self._den == 1 and self._num == (0, 1)
-        cs = self._scalars
-        return len(cs) == 2 and cs[1] == 1 and cs[0] == zero_like(cs[0])
+        return len(self._num) == 2 and self == Poly.variable("approx")
 
     def _zero(self) -> Scalar:
         return exact(0) if self.backend == "exact" else approx(0)
@@ -231,8 +220,9 @@ class Poly:
 
     # -- ring operations ----------------------------------------------------
 
-    # +, * and == test for a Poly operand first and for two integer forms
-    # next: those are exact, so they skip coercion and the backend check.
+    # +, * and == test for a Poly operand first and for two exact forms
+    # next, which skip coercion and the backend check; a shared conductor
+    # of 0 means an approximate operand.
 
     def __add__(self, other):
         if type(other) is not Poly:
@@ -244,25 +234,16 @@ class Poly:
         if other.is_zero():
             return self
         n = _shared_conductor(self, other)
-        if n:
-            return _add_forms(self, other, n)
-        self._check(other)
-        a, b, zero = self.coeffs, other.coeffs, self._zero()
-        return Poly(
-            [
-                (a[k] if k < len(a) else zero) + (b[k] if k < len(b) else zero)
-                for k in range(max(len(a), len(b)))
-            ]
-        )
+        if not n:
+            self._check(other)
+        return _add_forms(self, other, n)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self._n:
-            if not self._num:
-                return self
-            return _raw(self._n, self._den, tuple([-x for x in self._num]))
-        return Poly([-c for c in self._scalars])
+        if not self._num:
+            return self
+        return _raw(self._n, self._den, tuple([-x for x in self._num]))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -280,24 +261,19 @@ class Poly:
         if type(other) is not Poly:
             if self._n and isinstance(other, _NEUTRAL):
                 return _scale(self, other.numerator, other.denominator)
-            if self._n and isinstance(other, CyclotomicNumber):
+            if not self._n and isinstance(other, (ApproxComplex,) + _NEUTRAL):
+                v = as_scalar(other, "approx").value
+                return _approx_form([x * v for x in self._num])
+            if isinstance(other, (CyclotomicNumber, ApproxComplex)):
                 return self * Poly([other])
-            if isinstance(other, (CyclotomicNumber, ApproxComplex) + _NEUTRAL):
-                return Poly([c * other for c in self.coeffs])
             if not isinstance(other, Poly):
                 return NotImplemented
         if self.is_zero() or other.is_zero():
             return _ZERO
         n = _shared_conductor(self, other)
-        if n:
-            return _mul_forms(self, other, n)
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        out = [self._zero()] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] = out[i + j] + x * y
-        return Poly(out)
+        if not n:
+            self._check(other)
+        return _mul_forms(self, other, n)
 
     __rmul__ = __mul__
 
@@ -323,7 +299,7 @@ class Poly:
             q[i] = c
             for j, b in enumerate(divisor):
                 rem[i + j] = rem[i + j] - c * b
-        return Poly(q), Poly(rem[:dd])
+        return Poly(q or [self._zero()]), Poly(rem[:dd] or [self._zero()])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -341,17 +317,13 @@ class Poly:
             # canonical integer forms: equal values have equal forms over n
             a, b = _over(self, n), _over(other, n)
             return a._n == b._n and a._den == b._den and a._num == b._num
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            # compare an all-but-trimmed approx poly against zero coefficientwise
-            return all(c == zero_like(c) for c in a or b)
-        if self.backend != other.backend:
+        # an approximate operand: equal within CONFIG.tol coefficient by
+        # coefficient, where an exact operand can only be equal as zero
+        a, b = self._num, other._num
+        if (self._n and a) or (other._n and b):
             return False
-        zero = self._zero()
-        return all(
-            (a[k] if k < len(a) else zero) == (b[k] if k < len(b) else zero)
-            for k in range(max(len(a), len(b)))
-        )
+        tol = CONFIG.tol
+        return all(abs(u - v) <= tol for u, v in zip_longest(a, b, fillvalue=0))
 
     __hash__ = None
 
@@ -361,39 +333,35 @@ class Poly:
         point = as_scalar(point, self.backend)
         if backend_of(point) != self.backend and not self.is_zero():
             raise BackendMismatchError("evaluation point uses the other backend")
-        acc = zero_like(point)
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        if self._n or not self._num:
+            acc = zero_like(point)
+            for c in reversed(self.coeffs):
+                acc = acc * point + c
+            return acc
+        z, acc = point.value, 0j
+        for c in reversed(self._num):
+            acc = acc * z + c
+        return approx(acc)
 
     def compose(self, inner: "Poly") -> "Poly":
-        """self(inner(h)), by Horner.
-
-        Over integer forms the Horner steps run on the numerator rows, over
-        the lcm of the two conductors, and the result is made canonical
-        once; over the approximate backend Horner runs over constant
-        polynomials."""
+        """self(inner(h)), by Horner on the numerator rows, over the lcm of
+        the two conductors (0 for approximate rows); the result is made
+        canonical once."""
         self._check(inner)
         if inner.degree > 1:
             _check_degree(self.degree * inner.degree)
-        n = _shared_conductor(self, inner)
-        if n:
-            return _compose_forms(self, inner, n)
-        acc = _ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly([c])
-        return acc
+        return _compose_forms(self, inner, _shared_conductor(self, inner))
 
     def derivative(self) -> "Poly":
-        return Poly([c * k for k, c in enumerate(self.coeffs)][1:])
+        return Poly([c * k for k, c in enumerate(self.coeffs)][1:] or [self._zero()])
 
     def approx(self) -> "Poly":
         if self.backend == "approx":
             return self
-        return Poly([c.approx() for c in self.coeffs])
+        return _approx_form([c.embed() for c in self.coeffs])
 
     def embed_coeffs(self) -> list[complex]:
-        return [c.embed() for c in self.coeffs]
+        return [c.embed() for c in self.coeffs] if self._n else list(self._num)
 
     def conductor(self) -> int:
         """N of the integer form, the lcm of the conductors of the inputs or
@@ -412,7 +380,7 @@ class Poly:
         denominator and builds no scalar.  The cyclotomic one tells a zero
         coefficient by its numerators, so it builds a scalar only for the
         nonzero ones; an approximate coefficient within CONFIG.tol of 0
-        counts as zero."""
+        counts as zero and builds none."""
         if self._n == 1:
             den = self._den
             return [(k, *_rational_parts(x, den)) for k, x in enumerate(self._num) if x]
@@ -423,7 +391,8 @@ class Poly:
                 for k in range(len(num) // phi)
                 if any(num[k * phi : (k + 1) * phi])
             ]
-        return [(k, *_scalar_parts(c)) for k, c in enumerate(self._scalars) if c != zero_like(c)]
+        tol = CONFIG.tol
+        return [(k, *_scalar_parts(approx(v))) for k, v in enumerate(self._num) if abs(v) > tol]
 
     def __str__(self) -> str:
         return _terms_text(self._terms())
@@ -433,8 +402,12 @@ class Poly:
 
 
 # ---------------------------------------------------------------------------
-# the integer form
+# the form (N, den, num)
 # ---------------------------------------------------------------------------
+
+
+class CoefficientOverflowError(OverflowError):
+    """An approximate coefficient overflowed to an infinity or a NaN."""
 
 
 # the slot setters, which pass by the immutability guard of Poly.__setattr__
@@ -442,23 +415,29 @@ _set_backend = Poly.backend.__set__
 _set_n = Poly._n.__set__
 _set_den = Poly._den.__set__
 _set_num = Poly._num.__set__
-_set_scalars = Poly._scalars.__set__
 _new = object.__new__
 
 
-def _fill(p: Poly, backend: str, n: int, den: int, num: tuple, scalars) -> None:
+def _fill(p: Poly, backend: str, n: int, den: int, num: tuple) -> None:
     _set_backend(p, backend)
     _set_n(p, n)
     _set_den(p, den)
     _set_num(p, num)
-    _set_scalars(p, scalars)
 
 
 def _raw(n: int, den: int, num: tuple) -> Poly:
-    """The exact Poly of an integer form that is already canonical."""
+    """The Poly of a form that is already canonical: exact for a conductor
+    n > 0, approximate for n = 0."""
     p = _new(Poly)
-    _fill(p, "exact", n, den, num, None)
+    _fill(p, "exact" if n else "approx", n, den, num)
     return p
+
+
+@lru_cache(maxsize=None)
+def _width(n: int) -> int:
+    """Numerators per coefficient of a form over conductor n: phi(n), and
+    1 for an approximate row (n = 0)."""
+    return euler_phi(n) if n else 1
 
 
 # the zero polynomial, shared; a zero operand passes every backend check, so
@@ -467,7 +446,10 @@ _ZERO = _raw(1, 1, ())
 
 
 def _exact(n: int, den: int, num) -> Poly:
-    """The exact Poly of the integer form (n, den, num), made canonical."""
+    """The Poly of the form (n, den, num), made canonical; an approximate
+    row (n = 0, den = 1) goes to :func:`_approx_form`."""
+    if not n:
+        return _approx_form(num)
     phi = euler_phi(n)
     form = _reduced(den, num, phi)
     if form is None:
@@ -496,6 +478,19 @@ def _reduced(den: int, num, phi: int):
     return den, num
 
 
+def _approx_form(num) -> Poly:
+    """The approximate Poly of a row of complex coefficients: trailing
+    exact zeros cut, so that the degree does not depend on CONFIG.tol, and
+    a value that is not finite an overflow of the computation."""
+    end = len(num)
+    while end and not num[end - 1]:
+        end -= 1
+    num = tuple(num[:end])
+    if not all(map(cmath.isfinite, num)):
+        raise CoefficientOverflowError("an approximate coefficient overflowed to inf or nan")
+    return _raw(0, 1, num)
+
+
 def _integer_form(coeffs) -> Poly:
     """The exact Poly of these ints, Fractions and CyclotomicNumbers, each
     lifted to the lcm N of their conductors.  A rational coefficient gives
@@ -517,8 +512,8 @@ def _integer_form(coeffs) -> Poly:
 
 
 def _shared_conductor(a: Poly, b: Poly) -> int:
-    """The conductor an operation on two integer forms runs over, the lcm
-    of theirs; 0 when either is approximate (_n is 0)."""
+    """The conductor an operation on two forms runs over, the lcm of
+    theirs; 0 when either is approximate (_n is 0)."""
     if a._n == b._n or b._n == 1:
         return a._n
     if a._n == 1:
@@ -561,14 +556,15 @@ _SCHOOLBOOK_MAX = 192
 
 
 def _mul_forms(a: Poly, b: Poly, n: int) -> Poly:
-    """a*b for nonzero integer forms, over the lcm n of their conductors."""
+    """a*b for nonzero forms, over the lcm n of their conductors (0 for two
+    approximate rows)."""
     if a._n == 1 and len(a._num) == 1:
         return _scale(b, a._num[0], a._den)
     if b._n == 1 and len(b._num) == 1:
         return _scale(a, b._num[0], b._den)
     if a._n != b._n and a._n != 1 and b._n != 1:  # two non-rational conductors
         a, b = _over(a, n), _over(b, n)
-    digits = _mul_rows(a._num, euler_phi(a._n), b._num, euler_phi(b._n), n)
+    digits = _mul_rows(a._num, _width(a._n), b._num, _width(b._n), n)
     return _exact(n, a._den * b._den, digits)
 
 
@@ -577,11 +573,12 @@ def _mul_rows(x, pa: int, y, pb: int, n: int) -> list[int]:
 
     x and y are nonempty lists of rows of pa and pb integer numerators,
     rational (pa = 1) or over Q(zeta_n) itself, never another conductor
-    (:func:`_over` lifts those).  Coefficient k of x, a polynomial of
-    degree < pa in zeta, goes to the slots k*stride .. k*stride + pa - 1,
-    with stride = pa + pb - 1 so the zeta-degrees of a product cannot spill
-    into the next h-degree.  Short operands convolve those slot lists
-    directly.  Long ones pack them into one integer each, h and zeta_n
+    (:func:`_over` lifts those), or for n = 0 approximate rows of complex
+    coefficients, always multiplied by schoolbook.  Coefficient k of x, a
+    polynomial of degree < pa in zeta, goes to the slots k*stride ..
+    k*stride + pa - 1, with stride = pa + pb - 1 so the zeta-degrees of a
+    product cannot spill into the next h-degree.  Short operands convolve
+    those slot lists directly.  Long ones pack them into one integer each, h and zeta_n
     becoming powers of 2 (Kronecker substitution): a slot holds any product
     coefficient with a sign bit to spare, so the product of the two
     integers carries every coefficient of x*y in Z[h, zeta].  Either way
@@ -590,10 +587,10 @@ def _mul_rows(x, pa: int, y, pb: int, n: int) -> list[int]:
     stride = pa + pb - 1
     la, lb = len(x) // pa, len(y) // pb
     count = (la + lb - 1) * stride
-    if len(x) * len(y) <= _SCHOOLBOOK_MAX:
+    if len(x) * len(y) <= _SCHOOLBOOK_MAX or not n:
         sx = _spread(x, pa, stride)
         sy = sx if y is x else _spread(y, pb, stride)
-        digits = [0] * count
+        digits = [0 if n else 0j] * count
         for i, u in enumerate(sx):
             if u:
                 for j, v in enumerate(sy, i):
@@ -604,14 +601,14 @@ def _mul_rows(x, pa: int, y, pb: int, n: int) -> list[int]:
         vx = _pack(x, pa, stride, width)
         vy = vx if y is x else _pack(y, pb, stride, width)
         digits = _unpack(vx * vy, width, count)
-    if stride > euler_phi(n):
+    if stride > _width(n):
         digits = _reduce_mod_cyclotomic(digits, n, stride)
     return digits
 
 
 def _compose_forms(outer: Poly, inner: Poly, n: int) -> Poly:
-    """outer(inner(h)) for integer forms, over the lcm n of their
-    conductors.
+    """outer(inner(h)) for forms of one backend, or with a zero operand,
+    over the lcm n of their conductors (0 for approximate rows).
 
     With outer = sum a_k h^k / E and inner = P / D (numerator rows a_k and
     P), Horner keeps acc = A / (E * D^j) after j steps and updates the
@@ -619,12 +616,12 @@ def _compose_forms(outer: Poly, inner: Poly, n: int) -> Poly:
     made canonical once."""
     if outer.degree <= 0:
         return outer
+    if not inner._num:
+        return _exact(outer._n, outer._den, outer._num[: _width(outer._n)])
     if outer._n != inner._n and outer._n != 1 and inner._n != 1:  # as in _mul_forms
         outer, inner = _over(outer, n), _over(inner, n)
-    po, pi, phi = euler_phi(outer._n), euler_phi(inner._n), euler_phi(n)
+    po, pi, phi = _width(outer._n), _width(inner._n), _width(n)
     num = outer._num
-    if not inner._num:
-        return _exact(outer._n, outer._den, num[:po])
     acc = list(num[len(num) - po :]) + [0] * (phi - po)
     inner_den, scale = inner._den, 1
     for k in range(len(num) - 2 * po, -1, -po):
@@ -645,56 +642,45 @@ def _scale(p: Poly, num: int, den: int) -> Poly:
 # -- cell entries ---------------------------------------------------------------
 #
 # Presentation._fill holds each term x^a p y^b of the normal form of y^k x^i
-# as an entry over the conductor n of f.  For an exact f (n > 0) that is
-# (den, numerators of p over n), reduced as by _reduced but never moved to
-# conductor 1, so that a reduction step is one product of numerator rows
-# and builds no Poly.  For an approximate f (n = 0) it is the Poly p.
+# as an entry over the conductor n of f: (den, numerators of p over n),
+# reduced as by _reduced but never moved to conductor 1, so that a
+# reduction step is one product of numerator rows and builds no Poly.  For
+# an approximate f (n = 0) the entry is (1, the complex row of p).
 
 
 def _unit_entry(n: int):
     """The entry of the constant 1."""
-    return (1, [1] + [0] * (euler_phi(n) - 1)) if n else Poly.constant(1, "approx")
+    return (1, [1] + [0] * (euler_phi(n) - 1)) if n else (1, [1 + 0j])
 
 
 def _entry_poly(entry, n: int) -> Poly:
     """The canonical Poly of an entry."""
-    return _exact(n, *entry) if n else entry
+    return _exact(n, *entry)
 
 
 def _shift_entry(hi: Poly, lo: Poly, n: int):
-    """The entry of hi - lo, read off the two integer forms; None when it
-    is 0."""
-    if not n:
-        d = hi - lo
-        return None if d.is_zero() else d
+    """The entry of hi - lo, read off the two forms; None when it is 0."""
     x, y, den = _num_in(hi, n), _num_in(lo, n), hi._den
     if den != lo._den:
         den = math.lcm(den, lo._den)
         x = [v * (den // hi._den) for v in x]
         y = [v * (den // lo._den) for v in y]
-    return _reduced(den, [u - v for u, v in zip_longest(x, y, fillvalue=0)], euler_phi(n))
+    return _reduced(den, [u - v for u, v in zip_longest(x, y, fillvalue=0)], _width(n))
 
 
 def _add_product_entry(out: dict, key, p, shift, n: int) -> None:
     """out[key] += p * shift for entries p and shift; a sum of 0 leaves
-    out.  On rows that is one product of numerator rows, or a scaling when
-    p is a rational constant, to which the entry already there is added in
-    place."""
-    if not n:
-        cur = out.get(key)
-        g = p * shift if cur is None else cur + p * shift
-        if g.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = g
-        return
-    phi = euler_phi(n)
+    out.  On rows that is one product of numerator rows, p's the outer one
+    (which fixes the order of the approximate sums), or a scaling when p is
+    a constant with no zeta part, to which the entry already there is added
+    in place."""
+    phi = _width(n)
     if len(p[1]) == phi and not any(p[1][1:]):
-        # a rational constant, such as the 1 of every leading term
+        # such as the 1 of every leading term
         c = p[1][0]
         num = [v * c for v in shift[1]]
     else:
-        num = _mul_rows(shift[1], phi, p[1], phi, n)
+        num = _mul_rows(p[1], phi, shift[1], phi, n)
     den = p[0] * shift[0]
     cur = out.get(key)
     if cur is not None:

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -394,6 +395,51 @@ def test_golden_normal_form_cells(capsys):
     for (f, k, i), command, text in zip(jobs, lines[0::2], lines[1::2]):
         assert command == f"normalize -f '{f}' -e 'y^{k}*x^{i}'\n"
         assert run(capsys, "normalize", "-f", f, "-e", f"y^{k}*x^{i}") == (0, text, ""), command
+
+
+def test_golden_normal_form_cells_approx(capsys):
+    """normalize_cells_approx.txt holds the same for the cells of
+    NORMAL_FORM_CELLS with a rational f, on the approx backend."""
+    jobs = sorted(
+        {
+            (f, k, i)
+            for f, cells in NORMAL_FORM_CELLS.items()
+            if "zeta" not in f
+            for a, b in cells
+            for k, i in ((a, b), (b, a))
+        }
+    )
+    lines = (GOLDEN / "normalize_cells_approx.txt").read_text().splitlines(keepends=True)
+    assert len(jobs) == 51 and len(lines) == 2 * len(jobs)
+    for (f, k, i), command, text in zip(jobs, lines[0::2], lines[1::2]):
+        assert command == f"--backend approx normalize -f '{f}' -e 'y^{k}*x^{i}'\n"
+        argv = ["--backend", "approx", "normalize", "-f", f, "-e", f"y^{k}*x^{i}"]
+        assert run(capsys, *argv) == (0, text, ""), command
+
+
+def test_golden_normalize_approx_decimal(capsys):
+    """normalize_decimal_approx.txt holds command lines and their stdout
+    for an f with decimal coefficients, whose floats are rounded at every
+    step: the text pins the order of the sums and products of the
+    rewriting on the approx backend, which the rational cells above do not."""
+    lines = (GOLDEN / "normalize_decimal_approx.txt").read_text().splitlines(keepends=True)
+    assert len(lines) == 6
+    for command, text in zip(lines[0::2], lines[1::2]):
+        assert run(capsys, *shlex.split(command)) == (0, text, ""), command
+
+
+@pytest.mark.parametrize(
+    "f, expr, code, reason",
+    [
+        # f^(11) overflows the doubles: the computation fails, not the input
+        ("h^2 + 1", "y^6*x^6", 3, "numeric failure: an approximate coefficient overflowed"),
+        ("1e999*h", "y*x", 2, "error: approximate scalars must be finite"),
+    ],
+    ids=["overflow", "infinite-literal"],
+)
+def test_approx_overflow_exit_codes(capsys, f, expr, code, reason):
+    got, out, err = run(capsys, "--backend", "approx", "normalize", "-f", f, "-e", expr)
+    assert (got, out) == (code, "") and err.startswith(reason), err
 
 
 @pytest.mark.parametrize(

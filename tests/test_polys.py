@@ -291,12 +291,21 @@ class TestIntegerFormAgainstSchoolbook:
         assert str(iterate(H * H, 6)) == "h^64"
 
 
-def _scalar_twin(p):
-    """The exact Poly p held as a tuple of scalars, the form that prints
-    through _scalar_parts."""
-    twin = object.__new__(Poly)
-    polys._fill(twin, "exact", 0, 1, (), p.coeffs)
-    return twin
+class _ScalarTwin:
+    """The exact Poly p read as a tuple of scalars, each of which prints
+    through _scalar_parts; it stands in for p in str and in element terms."""
+
+    def __init__(self, p):
+        self.cs = p.coeffs
+
+    def is_zero(self):
+        return not self.cs
+
+    def _terms(self):
+        return [(k, *polys._scalar_parts(c)) for k, c in enumerate(self.cs) if not c.is_zero()]
+
+    def __str__(self):
+        return polys._terms_text(self._terms())
 
 
 class TestIntegerPrinter:
@@ -323,8 +332,8 @@ class TestIntegerPrinter:
             lead = rng.choice(self.POOL)
             cs.append(-abs(lead) if trial % 3 == 0 else lead)
             p = Poly([exact(c) for c in cs])
-            twin = _scalar_twin(p)
-            assert (p._n, twin._n) == (1, 0)
+            twin = _ScalarTwin(p)
+            assert p._n == 1
             assert list(self._texts(p)) == list(self._texts(twin)), cs
 
     def test_pinned_texts(self):
@@ -518,7 +527,7 @@ class TestCostModel:
 
 
 def _assert_canonical(p):
-    assert p._n >= 1 and p._scalars is None
+    assert p._n >= 1
     if p.is_zero():
         assert p is polys._ZERO
         return
@@ -585,9 +594,9 @@ class TestCanonicalForm:
         made = []
         fill = polys._fill
 
-        def recording(p, backend, n, den, num, scalars):
+        def recording(p, backend, n, den, num):
             made.append((backend, n))
-            fill(p, backend, n, den, num, scalars)
+            fill(p, backend, n, den, num)
 
         monkeypatch.setattr(polys, "_fill", recording)
         for cmd, *rest in (["normalize", "-e", "y^2*x^2"], ["normalize", "-e", "y^3*x^5"],
@@ -612,7 +621,7 @@ class TestImmutability:
     )
     def test_slots_cannot_be_assigned(self, p):
         before = str(p)
-        for name in ("backend", "_n", "_den", "_num", "_scalars"):
+        for name in ("backend", "_n", "_den", "_num"):
             with pytest.raises(AttributeError, match="immutable"):
                 setattr(p, name, getattr(p, name))
         assert str(p) == before
@@ -634,9 +643,11 @@ class TestCopyAndPickle:
             Poly([]),
             Poly([approx(1), approx(2j)]),
             Poly([approx(0)]),
+            Poly([approx(1), approx(2j)]) - Poly([approx(1), approx(2j)]),
             Poly([zeta(4), zeta(3)]),
         ],
-        ids=["rational", "cyclotomic", "zero", "approx", "approx-zero", "mixed-conductors"],
+        ids=["rational", "cyclotomic", "zero", "approx", "approx-zero", "approx-difference-zero",
+             "mixed-conductors"],
     )
     def test_poly_round_trips(self, p):
         for twin in self._twins(p):
@@ -874,3 +885,62 @@ class TestApproxBridge:
         assert (H * H).conductor() == 1
         assert Poly([exact(0), zeta(3)]).conductor() == 3
         assert Poly([zeta(4), zeta(3)]).conductor() == 12
+
+
+def _assert_close(got, want, rel=1e-9):
+    """got and want, approximate Polys or scalars, agree coefficient by
+    coefficient within rel times their largest coefficient (at least 1)."""
+    if isinstance(got, Poly):
+        assert got.backend == want.backend == "approx"
+        g, w = got.embed_coeffs(), want.embed_coeffs()
+    else:
+        g, w = [got.embed()], [want.embed()]
+    g += [0j] * (len(w) - len(g))
+    w += [0j] * (len(g) - len(w))
+    scale = max([1.0] + [abs(v) for v in g + w])
+    assert all(abs(a - b) <= rel * scale for a, b in zip(g, w)), (got, want)
+
+
+class TestApproxAgainstExact:
+    """Seeded exact p and q: each operation on p.approx() and q.approx()
+    gives the approximation of the exact result, within a relative
+    tolerance, on the one row layout of both backends."""
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_operations(self, n):
+        rng = random.Random(7000 + n)
+
+        def draw(max_degree):
+            cs = [_element(rng, n, 4) for _ in range(rng.randint(0, max_degree))]
+            return Poly(cs + [CyclotomicNumber(n, [rng.choice([-2, 1, 3])] + [1] * (euler_phi(n) - 1))])
+
+        for _ in range(40):
+            p, q, inner = draw(6), draw(4), draw(2)
+            pa, qa = p.approx(), q.approx()
+            c, k = _element(rng, n, 4), rng.randint(-3, 3)
+            _assert_close(pa + qa, (p + q).approx())
+            _assert_close(pa - qa, (p - q).approx())
+            _assert_close(-pa, (-p).approx())
+            _assert_close(pa * qa, (p * q).approx())
+            _assert_close(pa * c.approx(), (p * c).approx())
+            _assert_close(pa * k, (p * k).approx())
+            _assert_close(pa.compose(inner.approx()), p.compose(inner).approx())
+            quo, rem = divmod(pa, qa)
+            _assert_close(quo, (p // q).approx())
+            _assert_close(rem, (p % q).approx())
+            t = _element(rng, n, 2)
+            _assert_close(pa.evaluate(t.approx()), p.evaluate(t).approx())
+            _assert_close(pa.derivative(), p.derivative().approx())
+            assert pa == p.approx() and pa != pa + Poly([approx(1)])
+
+    def test_zero_stays_approximate(self):
+        pa = Poly([zeta(3), exact(2)]).approx()
+        zeros = [pa - pa, pa * 0, pa * approx(0), -(pa - pa), pa % pa, pa.derivative().derivative()]
+        for zero in zeros + [Poly.constant(0, "approx")]:
+            assert zero.is_zero() and zero.backend == "approx" and str(zero) == "0"
+
+    def test_rows_hold_complex(self):
+        pa = (Poly([exact(0), exact(Fraction(1, 2)), zeta(4)]) ** 3).approx()
+        for p in (pa, pa * pa, pa + pa, pa.compose(pa), -pa, pa * 2, Poly.variable("approx")):
+            assert (p._n, p._den) == (0, 1)
+            assert p._num and all(type(v) is complex for v in p._num)

@@ -11,7 +11,9 @@ checked too.  Seeded square matrices up to 5x5 over Q, Q(zeta_3),
 Q(zeta_4) and Q(zeta_12), singular ones among them, get their
 characteristic polynomial from ``linalg.charpoly`` and their rank from an
 ``EchelonBasis`` of their rows, checked against sympy's ``DomainMatrix``.
-Skipped when sympy is not installed.
+The roots that ``exact_roots`` finds in Q(zeta_N) are checked against
+``sympy.factor_list(..., extension=zeta_N)``; the open root defects are
+strict xfails.  Skipped when sympy is not installed.
 """
 
 import random
@@ -24,7 +26,8 @@ sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from gha.linalg import EchelonBasis, charpoly, mat_mul  # noqa: E402
-from gha.polys import Poly, poly_gcd  # noqa: E402
+from gha.parser import parse_poly  # noqa: E402
+from gha.polys import Poly, exact_roots, poly_gcd  # noqa: E402
 from gha.scalars import CyclotomicNumber, euler_phi  # noqa: E402
 
 H = sympy.Symbol("h")
@@ -120,3 +123,54 @@ def test_charpoly_and_rank_match_sympy(n):
             assert basis.dim == ref.rank()
             singular.add(basis.dim < size)
     assert singular == {True, False}
+
+
+def linear_roots(expr, n: int) -> list[complex]:
+    """The roots of expr in Q(zeta_n) with multiplicity, as sympy's
+    factorisation over that field gives them in linear factors."""
+    extension = {"extension": sympy.exp(2 * sympy.pi * sympy.I / n)} if n > 1 else {}
+    _, factors = sympy.factor_list(expr, H, **extension)
+    out = []
+    for factor, m in factors:
+        p = sympy.Poly(factor, H)
+        if p.degree() == 1:
+            a, b = p.all_coeffs()
+            out += [complex(sympy.N(-b / a, 30))] * m
+    return out
+
+
+def assert_same_roots(got: list[complex], want: list[complex]) -> None:
+    def key(z):
+        return (round(z.real, 9), round(z.imag, 9))
+
+    got, want = sorted(got, key=key), sorted(want, key=key)
+    assert len(got) == len(want) and all(abs(a - b) <= 1e-9 for a, b in zip(got, want)), (got, want)
+
+
+ZETA3 = sympy.exp(2 * sympy.pi * sympy.I / 3)
+
+
+def root_case(text, expr, n, defect=None):
+    """A parameter of test_exact_roots_match_sympy; an open root defect is
+    a strict xfail, so the change that mends it has to flip it."""
+    marks = [pytest.mark.xfail(strict=True, raises=AssertionError, reason=defect)] if defect else []
+    return pytest.param(text, expr, n, marks=marks, id=f"{text} over Q(zeta_{n})")
+
+
+@pytest.mark.parametrize(
+    "text, expr, n",
+    [
+        root_case("(h - 2)*(h + 1/2)^2", (H - 2) * (2 * H + 1) ** 2, 1),
+        root_case("(h - zeta(3))*(h - 1)^2", (H - ZETA3) * (H - 1) ** 2, 3),
+        root_case("(h^2 + 1)*(h - 3)", (H**2 + 1) * (H - 3), 1),
+        root_case("(h^2 + 1)*(h - 3)", (H**2 + 1) * (H - 3), 4),
+        root_case("(h - 2)^5", (H - 2) ** 5, 1, "finds no root"),
+        root_case("(h - 1/3)^6*(h + 1)", (3 * H - 1) ** 6 * (H + 1), 1, "finds only -1"),
+        root_case("(h - zeta(3))^3*(h - 1)", (H - ZETA3) ** 3 * (H - 1), 3, "misses zeta(3)"),
+        root_case("h^2 - 2", H**2 - 2, 8, "finds no root"),
+    ],
+)
+def test_exact_roots_match_sympy(text, expr, n):
+    found, _ = exact_roots(parse_poly(text), conductor=n)
+    got = [r.embed() for r, m in found for _ in range(m)]
+    assert_same_roots(got, linear_roots(sympy.expand(expr), n))
