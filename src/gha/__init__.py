@@ -6,7 +6,17 @@ Exact normal-form arithmetic for the algebra on generators x, h, y with
 
 its center, the isomorphism problem between two such algebras, and the
 finite-dimensional simple modules realized as explicit matrices.
+
+``import gha`` loads the rewriting core only: ``config``, ``scalars``,
+``polys``, ``algebra`` and ``parser``, and so does ``gha normalize`` (and
+``gha central``).  The simple-module and structure layers (``modules``,
+``linalg``, ``structure``; ``schemas`` for the JSON documents) load on
+first use: the names this package re-exports from them, such as
+``gha.build`` or ``gha.iso_check``, import their submodule when first
+read, as does ``gha.modules`` itself.
 """
+
+from importlib import import_module as _import_module
 
 from .algebra import (
     FreeModuleElement,
@@ -18,26 +28,6 @@ from .algebra import (
     is_central,
 )
 from .config import CONFIG, NumericConfig
-from .modules import (
-    CYCLIC_X,
-    CYCLIC_Y,
-    NILPOTENT_X,
-    ClassifyError,
-    CyclicXDescriptor,
-    CyclicYDescriptor,
-    DescriptorError,
-    MatrixModule,
-    ModuleFamily,
-    NilpotentXDescriptor,
-    RelationReport,
-    build,
-    classify,
-    descriptor_problems,
-    enumerate_simples,
-    is_simple,
-    modules_isomorphic,
-    verify_relations,
-)
 from .parser import ParseError, parse_element, parse_poly, parse_scalar
 from .polys import (
     ContinuumOfOrbitsError,
@@ -64,15 +54,57 @@ from .scalars import (
     root_of_unity_order,
     zeta,
 )
-from .structure import (
-    CenterDescription,
-    IsoVerdict,
-    IsoWitness,
-    affine_conjugate,
-    center,
-    compositional_inverse_linear,
-    iso_check,
-)
+
+# the names re-exported from the layers that load on first use, by the
+# submodule that defines them
+_LAZY_EXPORTS = {
+    "modules": (
+        "CYCLIC_X",
+        "CYCLIC_Y",
+        "NILPOTENT_X",
+        "ClassifyError",
+        "CyclicXDescriptor",
+        "CyclicYDescriptor",
+        "DescriptorError",
+        "MatrixModule",
+        "ModuleFamily",
+        "NilpotentXDescriptor",
+        "RelationReport",
+        "build",
+        "classify",
+        "descriptor_problems",
+        "enumerate_simples",
+        "is_simple",
+        "modules_isomorphic",
+        "verify_relations",
+    ),
+    "structure": (
+        "CenterDescription",
+        "IsoVerdict",
+        "IsoWitness",
+        "affine_conjugate",
+        "center",
+        "compositional_inverse_linear",
+        "iso_check",
+    ),
+}
+_OWNER = {name: module for module, names in _LAZY_EXPORTS.items() for name in names}
+_LAZY_SUBMODULES = ("linalg", "modules", "structure")
+
+
+def __getattr__(name: str):
+    # Nothing is cached here: every access reads the submodule's current
+    # binding, so a name rebound there (by a tracer, say) is seen at once.
+    if name in _OWNER:
+        return getattr(_import_module(f".{_OWNER[name]}", __name__), name)
+    if name in _LAZY_SUBMODULES:
+        return _import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_OWNER, *_LAZY_SUBMODULES})
+
 
 __version__ = "0.1.0"
 

@@ -14,30 +14,14 @@ import json
 import math
 import sys
 
-from .algebra import GHAElement, Presentation, commutator
-from .config import CONFIG
-from .modules import (
-    ClassifyError,
-    build,
-    classify,
-    enumerate_simples,
-    verify_relations,
-)
+from .algebra import Presentation, commutator
+from .config import CONFIG, SCHEMA_VERSION
 from .parser import parse_element, parse_poly
 from .polys import CoefficientOverflowError, DegreeOverflowError, RootFindingError
 from .scalars import BackendMismatchError
-from .schemas import (
-    SCHEMA_VERSION,
-    center_to_json,
-    descriptor_from_json,
-    descriptor_to_json,
-    families_to_json,
-    iso_to_json,
-    module_from_json,
-    module_to_json,
-    verify_to_json,
-)
-from .structure import center, iso_check
+
+# The subcommands past ``central`` import the module, structure and schema
+# layers when they run, so ``normalize`` and ``central`` never load them.
 
 MATH_NEGATIVE = 1
 INPUT_ERROR = 2
@@ -118,12 +102,18 @@ def _cmd_central(args) -> int:
 
 
 def _cmd_center(args) -> int:
+    from .schemas import center_to_json
+    from .structure import center
+
     f = _poly(args)
     _emit(center_to_json(str(f), center(f)))
     return 0
 
 
 def _cmd_iso(args) -> int:
+    from .schemas import iso_to_json
+    from .structure import iso_check
+
     f1 = parse_poly(args.f1, args.backend)
     f2 = parse_poly(args.f2, args.backend)
     verdict = iso_check(f1, f2, conductor=args.conductor)
@@ -132,6 +122,9 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_simples(args) -> int:
+    from .modules import enumerate_simples
+    from .schemas import families_to_json
+
     f = _poly(args)
     fams = enumerate_simples(f, args.n, samples=args.samples, conductor=args.conductor)
     _emit(families_to_json(str(f), args.n, f.backend, fams))
@@ -139,6 +132,9 @@ def _cmd_simples(args) -> int:
 
 
 def _cmd_build(args) -> int:
+    from .modules import build
+    from .schemas import descriptor_from_json, module_to_json
+
     f = _poly(args)
     doc = _read_json_arg(args.descriptor)
     desc = descriptor_from_json(doc, f.backend)
@@ -148,10 +144,15 @@ def _cmd_build(args) -> int:
 
 
 def _load_module(args, f):
+    from .schemas import module_from_json
+
     return module_from_json(_read_json_arg(args.module), f.backend)
 
 
 def _cmd_verify(args) -> int:
+    from .modules import verify_relations
+    from .schemas import verify_to_json
+
     f = _poly(args)
     mod = _load_module(args, f)
     report = verify_relations(mod, f)
@@ -163,9 +164,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .modules import ClassifyError, classify
+    from .schemas import descriptor_to_json
+
     f = _poly(args)
     mod = _load_module(args, f)
-    desc = classify(mod, f)
+    try:
+        desc = classify(mod, f)
+    except ClassifyError as err:
+        print(f"not classifiable: {err}", file=sys.stderr)
+        return MATH_NEGATIVE
     _emit({"schema_version": SCHEMA_VERSION, "descriptor": descriptor_to_json(desc)})
     return 0
 
@@ -276,9 +284,6 @@ def main(argv=None) -> int:
         CONFIG.tol = args.tol
     try:
         return args.func(args)
-    except ClassifyError as err:
-        print(f"not classifiable: {err}", file=sys.stderr)
-        return MATH_NEGATIVE
     except (RootFindingError, DegreeOverflowError, CoefficientOverflowError) as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return NUMERIC_FAILURE

@@ -1,4 +1,5 @@
-"""The two numeric values a caller may set, shared through ``CONFIG``.
+"""The two numeric values a caller may set, shared through ``CONFIG``, and
+the version every JSON document carries.
 
 ``tol`` is read by the approximate code paths only (the exact backend never
 consults it); ``max_compose_degree`` guards both backends.  The fixed
@@ -10,6 +11,11 @@ only reader.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+# "schema_version" of every JSON document; kept here, in a module that
+# ``import gha`` loads anyway, so that ``gha normalize --json`` can stamp
+# it without loading the schemas and the module layers behind them
+SCHEMA_VERSION = 1
 
 
 @dataclass

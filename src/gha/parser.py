@@ -32,7 +32,7 @@ from typing import NoReturn
 
 from .algebra import GHAElement, Presentation
 from .polys import Poly
-from .scalars import _NEUTRAL, Scalar, approx, as_scalar, zeta
+from .scalars import _NEUTRAL, ApproxComplex, Scalar, approx, as_scalar, zeta
 
 
 class ParseError(ValueError):
@@ -185,7 +185,10 @@ def _evaluate(text: str, backend: str, symbol):
     stack: list = []
     for op, arg, pos in _Postfix(text).steps:
         if op == "int":
-            stack.append(int(arg) if plain else approx(int(arg)))
+            try:
+                stack.append(int(arg) if plain else approx(int(arg)))
+            except OverflowError:
+                _fail(text, "number too large for the approx backend", pos)
         elif op == "dec":
             if plain:
                 _fail(text, "decimal literals need the approx backend (use p/q on exact)", pos)
@@ -203,7 +206,15 @@ def _evaluate(text: str, backend: str, symbol):
         elif op == "neg":
             stack[-1] = -stack[-1]
         elif op == "^":
-            stack[-1] = stack[-1] ** arg
+            base = stack[-1]
+            try:
+                stack[-1] = base ** arg
+            except OverflowError:
+                # a power of an approximate scalar overflowed in complex ** int;
+                # a polynomial or an element overflowing is a numeric failure
+                if not isinstance(base, ApproxComplex):
+                    raise
+                _fail(text, "number too large for the approx backend", pos)
         else:
             right = stack.pop()
             left = stack[-1]

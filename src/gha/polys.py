@@ -815,11 +815,13 @@ def _extend_iterates(f: Poly, iterates: list[Poly], i: int) -> Poly:
     """f^(i), extending the cache iterates = [f^(0), f^(1), ...] in place.
 
     f^(i) has degree deg(f)**i when deg(f) >= 2, so the guard sees that
-    number before the first composition.
+    number before the first composition.  f^(1) is f itself, not composed.
     """
     if i >= len(iterates):
         if f.degree >= 2:
             _check_degree(f.degree**i)
+        if len(iterates) == 1:
+            iterates.append(f)
         while len(iterates) <= i:
             iterates.append(f.compose(iterates[-1]))
     return iterates[i]

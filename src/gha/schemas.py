@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from .config import SCHEMA_VERSION
 from .modules import (
     CYCLIC_X,
     CYCLIC_Y,
@@ -24,8 +25,6 @@ from .modules import (
 from .parser import parse_scalar
 from .polys import Orbit
 from .structure import CenterDescription, IsoVerdict
-
-SCHEMA_VERSION = 1
 
 _SCALAR = {"type": "string", "minLength": 1}
 _VERSION = {"const": SCHEMA_VERSION}

@@ -434,12 +434,22 @@ def test_golden_normalize_approx_decimal(capsys):
         # f^(11) overflows the doubles: the computation fails, not the input
         ("h^2 + 1", "y^6*x^6", 3, "numeric failure: an approximate coefficient overflowed"),
         ("1e999*h", "y*x", 2, "error: approximate scalars must be finite"),
+        # a literal past the doubles is an input error, however it is written
+        ("10^400*h", "y*x", 2, "error: number too large for the approx backend"),
+        ("1" + "0" * 400 + "*h", "y*x", 2, "error: number too large for the approx backend"),
+        ("h", "10^400*y*x", 2, "error: number too large for the approx backend"),
     ],
-    ids=["overflow", "infinite-literal"],
+    ids=["overflow", "infinite-literal", "power-literal", "long-literal", "power-literal-in-element"],
 )
 def test_approx_overflow_exit_codes(capsys, f, expr, code, reason):
     got, out, err = run(capsys, "--backend", "approx", "normalize", "-f", f, "-e", expr)
     assert (got, out) == (code, "") and err.startswith(reason), err
+
+
+def test_exact_backend_takes_huge_literals(capsys):
+    code, out, err = run(capsys, "normalize", "-f", "10^400*h", "-e", "y*x")
+    # y*x = x*y + f(h) - h
+    assert (code, out, err) == (0, "x*y + " + "9" * 400 + "*h\n", "")
 
 
 @pytest.mark.parametrize(

@@ -589,8 +589,8 @@ class TestCanonicalForm:
 
 
     def test_no_exact_poly_in_scalar_form(self, monkeypatch, capsys):
-        """Normal forms, the center and the simple modules over an f of two
-        conductors build every exact Poly in integer form."""
+        """Normal forms, commutators, the center and the simple modules over
+        an f of two conductors build every exact Poly in integer form."""
         made = []
         fill = polys._fill
 
@@ -600,7 +600,8 @@ class TestCanonicalForm:
 
         monkeypatch.setattr(polys, "_fill", recording)
         for cmd, *rest in (["normalize", "-e", "y^2*x^2"], ["normalize", "-e", "y^3*x^5"],
-                           ["normalize", "-e", "z^2"], ["center"], ["simples", "-n", "3"]):
+                           ["normalize", "-e", "z^2"], ["central", "-e", "z"], ["center"],
+                           ["simples", "-n", "3"]):
             assert main([cmd, "-f", "zeta(3)*h + i", *rest]) == 0
         capsys.readouterr()
         exact_ns = [n for backend, n in made if backend == "exact"]
