@@ -24,11 +24,11 @@ from .polys import (
     Poly,
     _add_product_entry,
     _entry_poly,
-    _extend_iterates,
     _h_power,
     _shift_entry,
     _terms_text,
     _unit_entry,
+    iterate,
 )
 from .scalars import (
     _NEUTRAL,
@@ -49,9 +49,10 @@ class PresentationMismatchError(ValueError):
 class Presentation:
     """H(f) for a fixed defining polynomial f.
 
-    Carries per-presentation caches: iterates f^(i), the cells of y^k x^i
-    on numerator rows, the normal forms of the cells a product has read,
-    and the recursive y-action on free-module monomials.
+    Carries per-presentation caches: the cells of y^k x^i on numerator
+    rows, the normal forms of the cells a product has read, and the
+    recursive y-action on free-module monomials.  The iterates f^(i) are
+    kept with f itself, by :func:`gha.polys.iterate`.
     ``middle_reductions`` counts distinct y^k x^i reductions actually
     computed.  y^k x^i with k > i is read off y^i x^k, so a fresh
     presentation reduces y^k x^i in (m+1)(m+2)/2 steps, m = min(k, i);
@@ -62,7 +63,6 @@ class Presentation:
         if f.is_zero():
             f = Poly.constant(0, f.backend)
         self.f = f
-        self._iterates: list[Poly] = [Poly.variable(f.backend)]
         self._one = Poly.constant(1, f.backend)
         self._f_powers: list[Poly] = [self._one]
         self._cells: dict[tuple[int, int], dict] = {}
@@ -82,7 +82,7 @@ class Presentation:
 
     def f_iterate(self, i: int) -> Poly:
         """f^(i), the i-fold self-composition (f^(0) = h)."""
-        return _extend_iterates(self.f, self._iterates, i)
+        return iterate(self.f, i)
 
     def f_power(self, j: int) -> Poly:
         """f(h)**j as a polynomial (plain power, not composition)."""
@@ -176,9 +176,9 @@ class Presentation:
         if (k, i) in cells:
             return cells[(k, i)]
         n = self.f._n
-        iterates = self._iterates
         if k:
             self.f_iterate(i + k - 1)
+            iterates = self.f._iterates  # f^(0..i+k-1), kept with f by iterate
         unit = _unit_entry(n)
         shifts: dict = {}
         for kk in range(k + 1):

@@ -282,6 +282,11 @@ def main(argv=None) -> int:
     old_tol = CONFIG.tol
     if args.tol is not None:
         CONFIG.tol = args.tol
+    # an exact answer prints whatever its number of digits: the limit on
+    # printing integers (absent before Python 3.10.7) is lifted for this call
+    old_digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if old_digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (RootFindingError, DegreeOverflowError, CoefficientOverflowError) as err:
@@ -292,6 +297,8 @@ def main(argv=None) -> int:
         return INPUT_ERROR
     finally:
         CONFIG.tol = old_tol
+        if old_digits is not None:
+            sys.set_int_max_str_digits(old_digits)
 
 
 if __name__ == "__main__":

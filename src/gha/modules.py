@@ -43,8 +43,8 @@ from .linalg import (
     poly_at_matrix,
     zeros,
 )
-from .polys import ContinuumOfOrbitsError, Orbit, Poly, exact_roots, least_period
-from .polys import _extend_iterates, _group_orbits, orbit_match, periodic_points, roots
+from .polys import Orbit, Poly, _group_orbits, exact_roots, iterate, least_period
+from .polys import orbit_match, periodic_points, roots
 from .scalars import BackendMismatchError, Scalar, as_scalar, backend_of, zero_like
 
 CYCLIC_X = "cyclic_x"
@@ -118,10 +118,24 @@ def _orbit_problems(orbit: Orbit, f: Poly) -> list[str]:
         if f.evaluate(vals[i]) != vals[(i + 1) % n]:
             problems.append(f"orbit is not an f-cycle: f(orbit[{i}]) != orbit[{(i + 1) % n}]")
             break
-    d = least_period(vals)
-    if d < n:
-        problems.append(f"orbit period is {d}, not the full length {n}")
-    return problems
+    return problems + _period_problems(orbit)
+
+
+def _period_problems(orbit: Orbit) -> list[str]:
+    n = len(orbit.values)
+    d = least_period(orbit.values)
+    return [f"orbit period is {d}, not the full length {n}"] if d < n else []
+
+
+def _exclusion_problems(zdot: Scalar, weights: list[Scalar]) -> list[str]:
+    """The nilpotent_x exclusions zdot + f^(i)(-zdot) != 0 for 0 < i < n,
+    read off the weights f^(0..n-1)(-zdot)."""
+    zero = zero_like(zdot)
+    return [
+        f"exclusion fails: zdot + f^({i})(-zdot) = 0 (module not simple)"
+        for i in range(1, len(weights))
+        if zdot + weights[i] == zero
+    ]
 
 
 def descriptor_problems(d: ModuleDescriptor, f: Poly, *, strict: bool = True) -> list[str]:
@@ -155,17 +169,7 @@ def descriptor_problems(d: ModuleDescriptor, f: Poly, *, strict: bool = True) ->
             f"closure fails: zdot + f^({d.n})(-zdot) = {closure}, expected 0"
         )
     if strict:
-        for i in range(1, d.n):
-            v = d.zdot + pres[i]
-            if v == zero:
-                problems.append(
-                    f"exclusion fails: zdot + f^({i})(-zdot) = 0 (module not simple)"
-                )
-            elif f.backend == "approx" and _mag(v) <= CONFIG.tol:
-                problems.append(
-                    f"borderline: zdot + f^({i})(-zdot) = {v} is within tolerance of 0; "
-                    "rejecting to fail closed"
-                )
+        problems.extend(_exclusion_problems(d.zdot, pres))
     return problems
 
 
@@ -248,28 +252,37 @@ def verify_relations(m: MatrixModule, f: Poly) -> RelationReport:
     """Check the three defining relations on the matrices of m.
 
     Exact backend: entries must vanish identically.  Approx backend: the
-    largest embedded residual of each relation must stay within CONFIG.tol.
+    largest embedded residual of each relation must stay within CONFIG.tol
+    times max(1, the largest entry of the matrices the relation compares),
+    so a module with large entries is held to the same relative precision
+    as one with small entries.
     """
     fH = poly_at_matrix(f, m.H)
+    HX, XfH = mat_mul(m.H, m.X), mat_mul(m.X, fH)
+    YH, fHY = mat_mul(m.Y, m.H), mat_mul(fH, m.Y)
+    YX, XY = mat_mul(m.Y, m.X), mat_mul(m.X, m.Y)
+    # each relation's residual, and the matrices it compares
     diffs = {
-        RELATION_NAMES[0]: mat_sub(mat_mul(m.H, m.X), mat_mul(m.X, fH)),
-        RELATION_NAMES[1]: mat_sub(mat_mul(m.Y, m.H), mat_mul(fH, m.Y)),
-        RELATION_NAMES[2]: mat_sub(
-            mat_sub(mat_mul(m.Y, m.X), mat_mul(m.X, m.Y)),
-            mat_sub(fH, m.H),
-        ),
+        RELATION_NAMES[0]: (mat_sub(HX, XfH), (HX, XfH)),
+        RELATION_NAMES[1]: (mat_sub(YH, fHY), (YH, fHY)),
+        RELATION_NAMES[2]: (mat_sub(mat_sub(YX, XY), mat_sub(fH, m.H)), (YX, XY, fH, m.H)),
     }
     residuals = {}
     failed = []
-    for name, diff in diffs.items():
-        r = max((_mag(x) for row in diff for x in row), default=0.0)
+    for name, (diff, compared) in diffs.items():
+        r = _largest(diff)
         residuals[name] = r
         if m.backend == "exact":
             if not is_zero_matrix(diff):
                 failed.append(name)
-        elif r > CONFIG.tol:
+        # the scale is at least 1, so it is read only past CONFIG.tol
+        elif r > CONFIG.tol and r > CONFIG.tol * max(1.0, *map(_largest, compared)):
             failed.append(name)
     return RelationReport(not failed, residuals, tuple(failed))
+
+
+def _largest(mat: Matrix) -> float:
+    return max((_mag(x) for row in mat for x in row), default=0.0)
 
 
 def is_simple(m: MatrixModule) -> bool:
@@ -343,7 +356,10 @@ def classify(m: MatrixModule, f: Poly) -> ModuleDescriptor:
     h-spectrum itself, chained into one f-orbit by the matcher
     periodic_points uses (each f(lambda) is matched to a remaining
     eigenvalue, never iterated further), and the result always satisfies
-    modules_isomorphic(classify(build(d)), d).
+    modules_isomorphic(classify(build(d)), d).  A module whose descriptor
+    breaks its family's simplicity conditions (an orbit of period less
+    than n, a failed nilpotent_x exclusion), such as a direct sum of two
+    copies of one simple module, raises ClassifyError.
     """
     n = m.n
     zmat = mat_sub(mat_mul(m.X, m.Y), m.H)
@@ -372,15 +388,23 @@ def classify(m: MatrixModule, f: Poly) -> ModuleDescriptor:
         raise ClassifyError(
             "h-spectrum does not match the forward iterates of -zdot"
         )
+    _raise_if_not_simple(_exclusion_problems(zdot, expected))
     return NilpotentXDescriptor(zdot, n)
 
 
 def _orbit_from_spectrum(m: MatrixModule, f: Poly) -> Orbit:
-    """The eigenvalues of H as one f-orbit, in canonical rotation."""
+    """The eigenvalues of H as one f-orbit of exact period n, in canonical
+    rotation."""
     orbits, residuals = _group_orbits(f, _h_eigenvalues(m, f), m.n, orbit_match)
     if len(orbits) != 1 or residuals:
         raise ClassifyError("h-spectrum is not a single f-orbit")
+    _raise_if_not_simple(_period_problems(orbits[0]))
     return orbits[0]
+
+
+def _raise_if_not_simple(problems: list[str]) -> None:
+    if problems:
+        raise ClassifyError(f"not a simple module: {problems[0]}")
 
 
 def modules_isomorphic(d1: ModuleDescriptor, d2: ModuleDescriptor) -> bool:
@@ -485,14 +509,13 @@ def _nilpotent_families(
     f: Poly, n: int, samples: int, conductor: int | None = None
 ) -> list[ModuleFamily]:
     backend = f.backend
-    iterates = [Poly.variable(backend)]
-    q = _closure_poly(_extend_iterates(f, iterates, n))
+    q = _closure_poly(iterate(f, n))
     if q.is_zero():
         # closure holds for every zdot: a one-parameter family, minus the
         # finitely many values breaking an exclusion at a smaller index
         excluded: list[Scalar] = []
         for i in range(1, n):
-            qi = _closure_poly(iterates[i])
+            qi = _closure_poly(iterate(f, i))
             if qi.is_zero():
                 # an exclusion fails identically, so no zdot works at all
                 return []
@@ -586,10 +609,7 @@ def enumerate_simples(
         )
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    try:
-        orbit_set = periodic_points(f, n, conductor=conductor)
-    except ContinuumOfOrbitsError:
-        orbit_set = periodic_points(f, n, samples=samples, conductor=conductor)
+    orbit_set = periodic_points(f, n, samples=samples, conductor=conductor)
     f_orb = f
     orbit_notes: tuple[str, ...] = ()
     if (

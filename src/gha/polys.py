@@ -123,8 +123,9 @@ class Poly:
     Poly(h^2 - 3)
     """
 
-    # _n is the conductor N of the form, 0 for an approximate polynomial
-    __slots__ = ("backend", "_n", "_den", "_num")
+    # _n is the conductor N of the form, 0 for an approximate polynomial;
+    # _iterates, set on first use, is the list of f^(i) that iterate keeps
+    __slots__ = ("backend", "_n", "_den", "_num", "_iterates")
 
     def __new__(cls, coeffs=()) -> "Poly":
         coeffs = tuple(coeffs)
@@ -140,7 +141,7 @@ class Poly:
 
     def __reduce__(self):
         # copy and pickle rebuild through a constructor, never by restoring
-        # slots: Poly() is the shared _ZERO
+        # slots: Poly() is the shared _ZERO, and a copy starts without iterates
         return _exact, (self._n, self._den, self._num)
 
     # -- constructors -----------------------------------------------------
@@ -415,6 +416,7 @@ _set_backend = Poly.backend.__set__
 _set_n = Poly._n.__set__
 _set_den = Poly._den.__set__
 _set_num = Poly._num.__set__
+_set_iterates = Poly._iterates.__set__
 _new = object.__new__
 
 
@@ -811,12 +813,23 @@ def _check_degree(degree: int) -> None:
         )
 
 
-def _extend_iterates(f: Poly, iterates: list[Poly], i: int) -> Poly:
-    """f^(i), extending the cache iterates = [f^(0), f^(1), ...] in place.
+def iterate(f: Poly, i: int) -> Poly:
+    """i-fold composition of f with itself; f^(0) is the identity h.
 
-    f^(i) has degree deg(f)**i when deg(f) >= 2, so the guard sees that
-    number before the first composition.  f^(1) is f itself, not composed.
+    The one place f is composed with itself: the list f^(0), f^(1), ... is
+    kept with f (a copy starts without it) and extended in place; f^(1) is
+    f itself.  f^(i) has degree deg(f)**i when deg(f) >= 2, so the degree
+    guard sees that number before any composition, and a refusal leaves the
+    list as it was.  An iterate already in the list is returned without
+    checking the guard again.
     """
+    if i < 0:
+        raise ValueError("iteration count must be >= 0")
+    try:
+        iterates = f._iterates
+    except AttributeError:
+        iterates = [Poly.variable(f.backend)]
+        _set_iterates(f, iterates)
     if i >= len(iterates):
         if f.degree >= 2:
             _check_degree(f.degree**i)
@@ -825,17 +838,6 @@ def _extend_iterates(f: Poly, iterates: list[Poly], i: int) -> Poly:
         while len(iterates) <= i:
             iterates.append(f.compose(iterates[-1]))
     return iterates[i]
-
-
-def iterate(f: Poly, i: int) -> Poly:
-    """i-fold composition of f with itself; f^(0) is the identity h.
-
-    Degree grows like deg(f)**i, so growth past
-    CONFIG.max_compose_degree raises DegreeOverflowError up front.
-    """
-    if i < 0:
-        raise ValueError("iteration count must be >= 0")
-    return _extend_iterates(f, [Poly.variable(f.backend)], i)
 
 
 # ---------------------------------------------------------------------------
@@ -1285,9 +1287,8 @@ def periodic_points(
         raise ContinuumOfOrbitsError(
             "continuum of orbits: f = h fixes every point; handle this case separately"
         )
-    # one list f^(0..n) per backend; lower periods read its prefix
-    iterates = [Poly.variable(f.backend)]
-    g = _extend_iterates(f, iterates, n) - iterates[0]
+    h = iterate(f, 0)
+    g = iterate(f, n) - h
     if g.is_zero():
         if samples is None:
             raise ContinuumOfOrbitsError(
@@ -1306,7 +1307,7 @@ def periodic_points(
         # irrational coordinates, say) cannot force the period-n search numeric
         core = g
         for d in divisors(n)[:-1]:
-            gd = iterates[d] - iterates[0]
+            gd = iterate(f, d) - h
             common = poly_gcd(core, gd)
             while common.degree >= 1:
                 core = core // common
@@ -1324,14 +1325,14 @@ def periodic_points(
 
     # numeric path
     fa = f.approx()
-    iterates = [Poly.variable("approx")]
-    ga = _extend_iterates(fa, iterates, n) - iterates[0]
+    h = iterate(fa, 0)
+    ga = iterate(fa, n) - h
     numeric = [r.value for r in roots(ga)]
     centers = _cluster(numeric)
     scale = 1 + max((abs(v) for v in centers), default=0.0)
     radius = _CLUSTER_SCALE * scale
     for d in divisors(n)[:-1]:
-        gd = iterates[d] - iterates[0]
+        gd = iterate(fa, d) - h
         if gd.is_zero() or all(c == zero_like(c) for c in gd.coeffs):
             return OrbitSet(())
         fixed = [r.value for r in roots(gd)]

@@ -1,6 +1,8 @@
 """Normal-form arithmetic in H(f) against hand-computed values and the
 free-module oracle."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -19,6 +21,7 @@ from gha.algebra import (
     is_central,
 )
 from gha.config import CONFIG
+from gha.modules import enumerate_simples
 from gha.parser import parse_element, parse_poly, parse_scalar
 from gha.polys import DegreeOverflowError, Poly, iterate
 from gha.scalars import approx, as_scalar, exact, zeta
@@ -174,6 +177,66 @@ class TestRewriteEngine:
     def test_presentations_do_not_mix(self):
         with pytest.raises(PresentationMismatchError):
             H2.generator("x") + W3.generator("x")
+
+
+class TestIterateCache:
+    """iterate keeps f^(0), f^(1), ... with f, and every reader shares it."""
+
+    @pytest.mark.parametrize(
+        "f_text, first, again",
+        [
+            # f^(3) = h: f^(2) and f^(3) once, then z + f^(i)(-z) for i = 1, 2, 3
+            ("zeta(3)*h", 5, 3),
+            # f^(2) and f^(3) once; the 3-cycles do not split over Q, so the
+            # same two on f.approx(); then the closure z + f^(3)(-z)
+            ("h^2 - 1", 5, 3),
+        ],
+    )
+    def test_enumerate_simples_builds_each_iterate_once(self, compose_calls, f_text, first, again):
+        f = parse_poly(f_text)
+        enumerate_simples(f, 3)
+        assert len(compose_calls) == first
+        compose_calls.clear()
+        # a second call reads the exact iterates back and builds none
+        enumerate_simples(f, 3)
+        assert len(compose_calls) == again
+
+    def test_presentation_reads_the_iterates_of_f(self, compose_calls):
+        f = parse_poly("h^2 + 1")
+        f3 = iterate(f, 3)
+        assert len(compose_calls) == 2
+        pres = Presentation(f)
+        assert pres.f_iterate(3) is f3
+        assert pres.f_iterate(2) is iterate(f, 2)
+        assert len(compose_calls) == 2
+
+    @pytest.mark.parametrize("backend", ["exact", "approx"])
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_start_without_the_iterates(self, clone, backend):
+        f = parse_poly("h^2 + 1", backend)
+        iterate(f, 3)
+        g = clone(f)
+        assert g == f and g is not f
+        assert not hasattr(g, "_iterates")
+        assert len(f._iterates) == 4
+
+    def test_refused_extension_leaves_the_iterates(self, compose_calls, monkeypatch):
+        f = parse_poly("h^2")
+        kept = [iterate(f, i) for i in range(4)]
+        with pytest.raises(DegreeOverflowError):
+            iterate(f, 13)
+        assert len(f._iterates) == 4
+        assert all(a is b for a, b in zip(f._iterates, kept))
+        # an iterate already built is returned without checking the guard again
+        monkeypatch.setattr(CONFIG, "max_compose_degree", 4)
+        assert iterate(f, 3) is kept[3]
+        with pytest.raises(DegreeOverflowError):
+            iterate(f, 4)
+        assert len(compose_calls) == 2 and len(f._iterates) == 4
 
 
 def rand_term(draw, pres, cap):

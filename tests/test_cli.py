@@ -138,6 +138,21 @@ class TestExitCodes:
         code, _, err = run(capsys, "classify", "-f", "h^2", "--module", json.dumps(bad))
         assert code == 1 and "not classifiable" in err
 
+    def test_non_simple_module_is_one(self, capsys):
+        # h^2 - 1 has the 2-cycle (-1, 0); two copies of its cyclic_x module
+        # make a module whose h-spectrum is that 2-cycle twice
+        desc = {"variant": "cyclic_x", "orbit": ["-1", "0"], "zdot": "0", "a": "1"}
+        code, out, _ = run(capsys, "build", "-f", "h^2 - 1", "--descriptor", json.dumps(desc))
+        assert code == 0
+        mod = json.loads(out)
+        zero = ["0", "0"]
+        for key in ("X", "H", "Y"):
+            mod[key] = [row + zero for row in mod[key]] + [zero + row for row in mod[key]]
+        mod["n"] = 4
+        code, out, err = run(capsys, "classify", "-f", "h^2 - 1", "--module", json.dumps(mod))
+        assert (code, out) == (1, "")
+        assert err == "not classifiable: not a simple module: orbit period is 2, not the full length 4\n"
+
     def test_empty_enumeration_is_zero(self, capsys):
         code, out, _ = run(capsys, "simples", "-f", "h^2+2*h-3/4", "-n", "2")
         assert code == 0
@@ -450,6 +465,25 @@ def test_exact_backend_takes_huge_literals(capsys):
     code, out, err = run(capsys, "normalize", "-f", "10^400*h", "-e", "y*x")
     # y*x = x*y + f(h) - h
     assert (code, out, err) == (0, "x*y + " + "9" * 400 + "*h\n", "")
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no limit on printing integers"
+)
+@pytest.mark.parametrize(
+    "expr, expected",
+    [
+        # y*x = x*y + f(h) - h and h*x = x*f(h)
+        ("y*x", "x*y + " + "9" * 5000 + "*h\n"),
+        ("h*x", "x*1" + "0" * 5000 + "*h\n"),
+    ],
+)
+def test_exact_results_print_past_the_integer_digit_limit(capsys, expr, expected):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "normalize", "-f", "10^5000*h", "-e", expr)
+    assert (code, out, err) == (0, expected, "")
+    # the limit is lifted for the call only
+    assert sys.get_int_max_str_digits() == limit
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,11 @@
 """Building, verifying, classifying, and enumerating the finite-dimensional
 simple modules."""
 
+from dataclasses import replace
+
 import pytest
 
+from gha.config import CONFIG
 from gha.linalg import (
     identity,
     is_zero_matrix,
@@ -32,7 +35,7 @@ from gha.modules import (
 )
 from gha.parser import parse_poly
 from gha.polys import Orbit
-from gha.scalars import as_scalar, backend_of, exact, zeta
+from gha.scalars import as_scalar, backend_of, exact, zero_like, zeta
 from gha.schemas import module_from_json, module_to_json
 
 H2 = parse_poly("h^2")
@@ -215,6 +218,85 @@ class TestClassifyErrors:
         f = parse_poly("h^2", backend)
         with pytest.raises(ClassifyError, match="h-spectrum is not a single f-orbit"):
             classify(MatrixModule(n=2, X=X, H=H, Y=Y), f)
+
+
+def direct_sum(a: MatrixModule, b: MatrixModule) -> MatrixModule:
+    """The direct sum of a and b: block-diagonal X, H and Y."""
+    zero = zero_like(a.X[0][0])
+
+    def block(p, q):
+        return [row + [zero] * b.n for row in p] + [[zero] * a.n + row for row in q]
+
+    return MatrixModule(a.n + b.n, block(a.X, b.X), block(a.H, b.H), block(a.Y, b.Y))
+
+
+def first_instantiations(f, n, variant, conductor=None):
+    fams = enumerate_simples(f, n, conductor=conductor)
+    return next(fam for fam in fams if fam.variant == variant).instantiations
+
+
+class TestClassifyNonSimple:
+    """A direct sum satisfies the relations but is not simple, so classify
+    refuses it instead of returning a descriptor that build refuses."""
+
+    @pytest.mark.parametrize(
+        "f_text, n, conductor, variant, backend, message",
+        [
+            ("zeta(3)*h", 3, None, CYCLIC_X, "exact", "orbit period is 3, not the full length 6"),
+            ("zeta(3)*h", 3, None, CYCLIC_Y, "exact", "orbit period is 3, not the full length 6"),
+            ("h^2", 2, 3, CYCLIC_X, "exact", "orbit period is 2, not the full length 4"),
+            ("h^2 - 1", 2, None, CYCLIC_X, "exact", "orbit period is 2, not the full length 4"),
+            ("h^2 - 1", 2, None, CYCLIC_X, "approx", "orbit period is 2, not the full length 4"),
+            ("zeta(3)*h", 3, None, NILPOTENT_X, "exact", r"exclusion fails: zdot \+ f\^\(3\)"),
+        ],
+    )
+    def test_two_copies_of_one_module(self, f_text, n, conductor, variant, backend, message):
+        f = parse_poly(f_text, backend)
+        m = build(first_instantiations(f, n, variant, conductor)[0], f)
+        s = direct_sum(m, m)
+        assert verify_relations(s, f).ok and not is_simple(s)
+        with pytest.raises(ClassifyError, match="not a simple module: " + message):
+            classify(s, f)
+
+    @pytest.mark.parametrize(
+        "variant, message",
+        [
+            (CYCLIC_X, r"x\^n is neither zero nor an invertible scalar"),
+            (CYCLIC_Y, r"y\^n is not an invertible scalar"),
+        ],
+    )
+    def test_two_modules_with_different_a(self, variant, message):
+        f = parse_poly("zeta(3)*h")
+        d1, d2 = first_instantiations(f, 3, variant)[:2]
+        assert d1.zdot == d2.zdot and d1.a != d2.a
+        s = direct_sum(build(d1, f), build(d2, f))
+        assert verify_relations(s, f).ok and not is_simple(s)
+        with pytest.raises(ClassifyError, match=message):
+            classify(s, f)
+
+
+class TestVerifyApprox:
+    """On the approx backend a relation holds when its residual is within tol
+    times the size of the products it compares."""
+
+    F = parse_poly("h^2 - 2", "approx")
+
+    def module(self, a):
+        d = first_instantiations(self.F, 3, CYCLIC_X)[0]
+        return build(replace(d, a=as_scalar(a, "approx")), self.F)
+
+    def test_large_entries_pass(self):
+        rep = verify_relations(self.module(1e6), self.F)
+        assert rep.ok, str(rep)
+        # above the absolute tolerance, within the relative one
+        assert rep.residuals["h*x = x*f(h)"] > CONFIG.tol
+
+    def test_moved_entry_fails(self):
+        m = self.module(1)
+        assert verify_relations(m, self.F).ok
+        m.X[1][0] = m.X[1][0] + as_scalar(1e-6, "approx")
+        rep = verify_relations(m, self.F)
+        assert not rep.ok and rep.failed == ("y*x - x*y = f(h) - h",), str(rep)
 
 
 class TestClassifyExpandingCycle:
