@@ -23,7 +23,7 @@ from .polys import (
     _ZERO,
     Poly,
     _add_product_entry,
-    _entry_poly,
+    _exact,
     _h_power,
     _shift_entry,
     _terms_text,
@@ -145,7 +145,7 @@ class Presentation:
             if k > i:
                 hit = {(b, a): p for (a, b), p in self._middle(i, k).items()}
             else:
-                hit = {ab: _entry_poly(e, self.f._n) for ab, e in self._fill(k, i).items()}
+                hit = {ab: _exact(self.f._n, *e) for ab, e in self._fill(k, i).items()}
             self._middles[(k, i)] = hit
         return hit
 

@@ -13,10 +13,12 @@ a product multiplies the numerator rows, short ones by schoolbook and long
 ones as one big-integer product by Kronecker substitution (Harvey,
 "Faster polynomial multiplication via multipoint Kronecker substitution",
 2009), then reduces each coefficient mod Phi_N; a composition runs Horner
-on the rows under one running denominator.  Each result is made canonical
+on the rows under one running denominator, and so do evaluation (the
+composition with a constant) and division.  Each result is made canonical
 once, at the end.  An approximate :class:`Poly` is the same form with
 conductor 0 and one ``complex`` per coefficient, run through the same
-code.  ``Poly.coeffs`` is always a tuple of scalars, built on each access.
+code.  ``Poly.coeffs``, scalars built on each access, is a view for
+printing, JSON and matrices; no operation here reads it.
 
 Root finding comes in two flavours:
 
@@ -33,10 +35,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, zip_longest
+from itertools import chain, repeat, zip_longest
 
 from .config import CONFIG
 from .scalars import (
@@ -108,14 +111,14 @@ class Poly:
     coefficient, gcd(den, num) = 1, and N = 1 whenever every coefficient
     is rational.  An approximate polynomial has N = 0, den = 1 and one
     finite ``complex`` per coefficient, of which only a trailing exact 0
-    is cut.  ``+``, ``-``, negation, ``*``, ``==`` and ``compose`` lift
-    operands to the lcm of their conductors and make each result canonical
-    once: ``compose`` runs Horner on the numerator rows under the one
-    denominator den_self * den_inner^d.
+    is cut.  Every operation lifts its operands to the lcm of their
+    conductors and makes its result canonical once: ``compose`` runs
+    Horner on the numerator rows under the one denominator
+    den_self * den_inner^d.
 
     ``coeffs`` is a tuple of scalars either way, built on each access and
-    not kept, so read it once per loop; ``coefficient(k)`` builds a single
-    scalar.
+    not kept, so read it once per loop; ``coefficient(k)`` and ``leading``
+    build a single scalar.
 
     >>> Poly([1, 2]) * Poly([1, 2])
     Poly(4*h^2 + 4*h + 1)
@@ -197,16 +200,13 @@ class Poly:
     def coefficient(self, k: int) -> Scalar:
         if 0 <= k <= self.degree:
             return self._scalar(k)
-        return self._zero()
+        return exact(0) if self.backend == "exact" else approx(0)
 
     def is_identity(self) -> bool:
         """True when this polynomial is exactly h."""
         if self._n:
             return self._n == 1 and self._den == 1 and self._num == (0, 1)
         return len(self._num) == 2 and self == Poly.variable("approx")
-
-    def _zero(self) -> Scalar:
-        return exact(0) if self.backend == "exact" else approx(0)
 
     def _check(self, other: "Poly") -> None:
         if not self.is_zero() and not other.is_zero() and self.backend != other.backend:
@@ -237,7 +237,7 @@ class Poly:
         n = _shared_conductor(self, other)
         if not n:
             self._check(other)
-        return _add_forms(self, other, n)
+        return _exact(n, *_add_rows(_num_in(self, n), self._den, _num_in(other, n), other._den))
 
     __radd__ = __add__
 
@@ -284,23 +284,31 @@ class Poly:
         return _power(self, k, Poly.constant(1, self.backend))
 
     def __divmod__(self, other: "Poly"):
+        """Long division on the rows by the divisor made monic once, M / E.
+        With the rows at R / D, the step at h^i sets R to R*E - t*M*h^i over
+        D*E for the top row t, but that row, which would be 0 (about 0 on
+        approximate rows), stays as t*E: the quotient coefficient t / D."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        divisor = other.coeffs
-        dd = other.degree
-        lead_inv = one_like(divisor[-1]) / divisor[-1]
-        q = [self._zero()] * max(0, len(rem) - dd)
-        for i in range(len(rem) - dd - 1, -1, -1):
-            c = rem[i + dd] * lead_inv
-            q[i] = c
-            for j, b in enumerate(divisor):
-                rem[i + j] = rem[i + j] - c * b
-        return Poly(q or [self._zero()]), Poly(rem[:dd] or [self._zero()])
+        if self.degree < other.degree:
+            return _exact(self._n, 1, ()), self
+        n, inv = _shared_conductor(self, other), Poly([other.leading.inverse()])
+        monic = other * inv
+        phi, e, dd = _width(n), monic._den, other.degree
+        low = _num_in(monic, n)[: dd * phi]
+        rows, den = list(_num_in(self, n)), self._den
+        for i in range(self.degree - dd, -1, -1):
+            top = rows[(i + dd) * phi : (i + dd + 1) * phi]
+            if e != 1:
+                rows, den = [v * e for v in rows], den * e
+            if dd and any(top):
+                for j, v in enumerate(_mul_rows(top, phi, low, phi, n), i * phi):
+                    rows[j] -= v
+        return _exact(n, den, rows[dd * phi :]) * inv, _exact(n, den, rows[: dd * phi])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -334,11 +342,11 @@ class Poly:
         point = as_scalar(point, self.backend)
         if backend_of(point) != self.backend and not self.is_zero():
             raise BackendMismatchError("evaluation point uses the other backend")
-        if self._n or not self._num:
-            acc = zero_like(point)
-            for c in reversed(self.coeffs):
-                acc = acc * point + c
-            return acc
+        if not self._num:
+            return zero_like(point)
+        if self._n:
+            at = Poly([point])
+            return _compose_forms(self, at, _shared_conductor(self, at)).coefficient(0)
         z, acc = point.value, 0j
         for c in reversed(self._num):
             acc = acc * z + c
@@ -354,15 +362,22 @@ class Poly:
         return _compose_forms(self, inner, _shared_conductor(self, inner))
 
     def derivative(self) -> "Poly":
-        return Poly([c * k for k, c in enumerate(self.coeffs)][1:] or [self._zero()])
+        w = _width(self._n)
+        return _exact(self._n, self._den, [x * (j // w) for j, x in enumerate(self._num[w:], w)])
 
     def approx(self) -> "Poly":
-        if self.backend == "approx":
-            return self
-        return _approx_form([c.embed() for c in self.coeffs])
+        return self if self.backend == "approx" else _approx_form(self.embed_coeffs())
 
     def embed_coeffs(self) -> list[complex]:
-        return [c.embed() for c in self.coeffs] if self._n else list(self._num)
+        """Each coefficient in C, summed from its row as
+        ``CyclotomicNumber.embed`` sums the coordinates."""
+        if not self._n:
+            return list(self._num)
+        phi, den, num, units = _width(self._n), self._den, self._num, _units(self._n)
+        return [
+            sum((x / den) * u for x, u in zip(num[k : k + phi], units) if x) + 0j
+            for k in range(0, len(num), phi)
+        ]
 
     def conductor(self) -> int:
         """N of the integer form, the lcm of the conductors of the inputs or
@@ -538,17 +553,19 @@ def _over(p: Poly, n: int) -> Poly:
     return _raw(n, p._den, tuple(_lift_rows(p._num, p._n, n)))
 
 
-def _add_forms(a: Poly, b: Poly, n: int) -> Poly:
-    x, y, den = _num_in(a, n), _num_in(b, n), a._den
-    if a._den != b._den:
-        den = math.lcm(a._den, b._den)
-        x = [v * (den // a._den) for v in x]
-        y = [v * (den // b._den) for v in y]
-    if len(x) < len(y):
-        x, y = y, x
-    out = [u + v for u, v in zip(x, y)]
+def _add_rows(x, dx: int, y, dy: int, op=operator.add) -> tuple[int, list]:
+    """(d, z) with z / d = op(x / dx, y / dy) for numerator lists, op + or
+    -, the shorter list padded with zeros and d = lcm(dx, dy)."""
+    d = dx if dx == dy else math.lcm(dx, dy)
+    if d != dx:
+        x = [v * (d // dx) for v in x]
+    if d != dy:
+        y = [v * (d // dy) for v in y]
+    out = list(map(op, x, y))
     out += x[len(y) :]
-    return _exact(n, den, out)
+    if len(y) > len(x):
+        out += map(op, repeat(0), y[len(x) :])
+    return d, out
 
 
 # Operand size, len(a._num) * len(b._num), up to which _mul_forms
@@ -634,6 +651,12 @@ def _compose_forms(outer: Poly, inner: Poly, n: int) -> Poly:
     return _exact(n, outer._den * scale, acc)
 
 
+@lru_cache(maxsize=None)
+def _units(n: int) -> tuple[complex, ...]:
+    """exp(2*pi*i*j/n) for j < phi(n), as ``CyclotomicNumber.embed`` has them."""
+    return tuple(cmath.exp(2j * math.pi * j / n) for j in range(euler_phi(n)))
+
+
 def _scale(p: Poly, num: int, den: int) -> Poly:
     """p * num/den for integers num and den > 0."""
     if num == den:
@@ -655,27 +678,17 @@ def _unit_entry(n: int):
     return (1, [1] + [0] * (euler_phi(n) - 1)) if n else (1, [1 + 0j])
 
 
-def _entry_poly(entry, n: int) -> Poly:
-    """The canonical Poly of an entry."""
-    return _exact(n, *entry)
-
-
 def _shift_entry(hi: Poly, lo: Poly, n: int):
     """The entry of hi - lo, read off the two forms; None when it is 0."""
-    x, y, den = _num_in(hi, n), _num_in(lo, n), hi._den
-    if den != lo._den:
-        den = math.lcm(den, lo._den)
-        x = [v * (den // hi._den) for v in x]
-        y = [v * (den // lo._den) for v in y]
-    return _reduced(den, [u - v for u, v in zip_longest(x, y, fillvalue=0)], _width(n))
+    den, num = _add_rows(_num_in(hi, n), hi._den, _num_in(lo, n), lo._den, operator.sub)
+    return _reduced(den, num, _width(n))
 
 
 def _add_product_entry(out: dict, key, p, shift, n: int) -> None:
     """out[key] += p * shift for entries p and shift; a sum of 0 leaves
     out.  On rows that is one product of numerator rows, p's the outer one
     (which fixes the order of the approximate sums), or a scaling when p is
-    a constant with no zeta part, to which the entry already there is added
-    in place."""
+    a constant with no zeta part; the entry already there is added to it."""
     phi = _width(n)
     if len(p[1]) == phi and not any(p[1][1:]):
         # such as the 1 of every leading term
@@ -686,18 +699,7 @@ def _add_product_entry(out: dict, key, p, shift, n: int) -> None:
     den = p[0] * shift[0]
     cur = out.get(key)
     if cur is not None:
-        cur_den, cur_num = cur
-        if cur_den != den:
-            m = math.lcm(cur_den, den)
-            if m != den:
-                num = [v * (m // den) for v in num]
-            if m != cur_den:
-                cur_num = [v * (m // cur_den) for v in cur_num]
-            den = m
-        if len(num) < len(cur_num):
-            num += [0] * (len(cur_num) - len(num))
-        for j, v in enumerate(cur_num):
-            num[j] += v
+        den, num = _add_rows(num, den, cur[1], cur[0])
     entry = _reduced(den, num, phi)
     if entry is not None:
         out[key] = entry
@@ -1068,27 +1070,26 @@ def exact_roots(p: Poly, conductor: int | None = None):
     n = math.lcm(conductor or 1, p.conductor())
     rem = p
     found: list[tuple[CyclotomicNumber, int]] = []
-    if rem.degree >= 1:
-        candidates: list[CyclotomicNumber] = []
-        if rem.degree == 1:
-            candidates = [-rem.coefficient(0) / rem.coefficient(1)]
-        else:
-            for z in roots(p):
-                for c in _recognize(z.value, n):
-                    if not any(c == d for d in candidates):
-                        candidates.append(c)
-        for cand in candidates:
-            mult = 0
-            while rem.degree >= 1 and rem.evaluate(cand) == 0:
-                rem = rem // Poly([-cand, exact(1)])
-                mult += 1
-            if mult:
-                found.append((cand, mult))
-        # a leftover linear factor always splits
-        if rem.degree == 1:
-            r = -rem.coefficient(0) / rem.coefficient(1)
-            found.append((r, 1))
-            rem = Poly([rem.leading])
+    candidates: list[CyclotomicNumber] = []
+    for z in roots(p) if p.degree >= 2 else ():
+        for c in _recognize(z.value, n):
+            if not any(c == d for d in candidates):
+                candidates.append(c)
+    for cand in candidates:
+        # the remainder on division by h - cand is rem(cand): one division
+        # tests and divides
+        linear, mult = Poly([-cand, 1]), 0
+        while rem.degree >= 1:
+            quo, at = divmod(rem, linear)
+            if not at.is_zero():
+                break
+            rem, mult = quo, mult + 1
+        if mult:
+            found.append((cand, mult))
+    # a leftover linear factor always splits
+    if rem.degree == 1:
+        found.append((-rem.coefficient(0) / rem.coefficient(1), 1))
+        rem = Poly([rem.leading])
     return found, rem
 
 
@@ -1150,17 +1151,15 @@ class OrbitSet:
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic greatest common divisor, by Euclid over the exact scalars."""
-    if (not p.is_zero() and p.backend != "exact") or (
-        not q.is_zero() and q.backend != "exact"
-    ):
+    """Monic greatest common divisor, by Euclid on the exact rows."""
+    if any(not r.is_zero() and r.backend != "exact" for r in (p, q)):
         raise BackendMismatchError("poly_gcd needs exact-backend polynomials")
     a, b = p, q
     while not b.is_zero():
         a, b = b, a % b
     if a.is_zero():
         return a
-    return a * Poly([one_like(a.leading) / a.leading])
+    return a * Poly([a.leading.inverse()])
 
 
 def least_period(vals) -> int:
@@ -1289,7 +1288,7 @@ def periodic_points(
         )
     h = iterate(f, 0)
     g = iterate(f, n) - h
-    if g.is_zero():
+    if g == 0:  # within tol on approximate rows, where f^(n) - h is only about 0
         if samples is None:
             raise ContinuumOfOrbitsError(
                 "continuum of orbits: f^(n) is the identity, every point is n-periodic; "
@@ -1333,7 +1332,7 @@ def periodic_points(
     radius = _CLUSTER_SCALE * scale
     for d in divisors(n)[:-1]:
         gd = iterate(fa, d) - h
-        if gd.is_zero() or all(c == zero_like(c) for c in gd.coeffs):
+        if gd == 0:
             return OrbitSet(())
         fixed = [r.value for r in roots(gd)]
         centers = [c for c in centers if all(abs(c - w) > radius for w in fixed)]

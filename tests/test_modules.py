@@ -420,6 +420,29 @@ class TestEnumerate:
         assert nil.zdot_free
         assert tuple(str(v) for v in nil.excluded_zdot) == ("0",)
 
+    @pytest.mark.parametrize("samples", [1, 2])
+    @pytest.mark.parametrize("text, n", [("zeta(3)*h", 3), ("zeta(4)*h", 4)])
+    def test_approx_continuum_matches_exact(self, text, n, samples):
+        """On approximate rows f^(n) - h of a continuum is only about 0;
+        the approx backend still samples the continuum as the exact one does."""
+
+        def shape(fams):
+            return sorted(
+                (fam.variant, fam.continuum_orbit, fam.zdot_free, len(fam.instantiations))
+                for fam in fams
+            )
+
+        f = parse_poly(text, "approx")
+        fams = enumerate_simples(f, n, samples=samples)
+        exact_fams = enumerate_simples(parse_poly(text), n, samples=samples)
+        assert fams and shape(fams) == shape(exact_fams)
+        for fam in fams:
+            for d in fam.instantiations:
+                m = build(d, f)
+                assert verify_relations(m, f).ok and is_simple(m)
+                back = module_from_json(module_to_json(m), "approx")
+                assert modules_isomorphic(classify(back, f), d), d
+
     def test_family_instantiations_respect_exclusions(self):
         w3 = parse_poly("zeta(3)*h")
         fams = enumerate_simples(w3, 3, samples=3)

@@ -945,3 +945,100 @@ class TestApproxAgainstExact:
         for p in (pa, pa * pa, pa + pa, pa.compose(pa), -pa, pa * 2, Poly.variable("approx")):
             assert (p._n, p._den) == (0, 1)
             assert p._num and all(type(v) is complex for v in p._num)
+
+    def test_divmod_by_a_divisor_not_quite_monic(self):
+        """Made monic in floating point, a leading 49 becomes
+        0.9999999999999999, not 1; the division still takes one step per
+        quotient row and drops the top row, so it ends with a remainder
+        below the divisor's degree."""
+        rng = random.Random(49)
+        for n in (1, 3, 4):
+            for _ in range(10):
+                p = Poly([_element(rng, n, 4) for _ in range(rng.randint(4, 9))] + [exact(5)])
+                q = Poly([_element(rng, n, 4) for _ in range(rng.randint(1, 3))] + [exact(49)])
+                pa, qa = p.approx(), q.approx()
+                assert (qa * Poly([qa.leading.inverse()]))._num[-1] != 1
+                quo, rem = divmod(pa, qa)
+                assert quo.degree == p.degree - q.degree and rem.degree < q.degree
+                _assert_close(quo, (p // q).approx())
+                _assert_close(rem, (p % q).approx())
+
+
+class TestFormPaths:
+    """Division, evaluation, the derivative and the embedding run on the
+    (N, den, num) rows and build no scalar per coefficient."""
+
+    @staticmethod
+    def _count_scalars(monkeypatch):
+        made = []
+        init = CyclotomicNumber.__init__
+
+        def counting(self, *args):
+            made.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(CyclotomicNumber, "__init__", counting)
+        return made
+
+    def test_scalars_built_do_not_grow_with_the_degree(self, monkeypatch):
+        rng = random.Random(1215)
+        lead = zeta(15) + exact(Fraction(2, 3))
+        point = zeta(15, 4) - exact(Fraction(1, 3))
+
+        def draw(degree):
+            cs = [[rng.randint(-9, 9) for _ in range(8)] for _ in range(degree)]
+            return Poly([CyclotomicNumber(15, c) for c in cs] + [lead])
+
+        divisor = draw(5)
+        counts: dict = {}
+        made = self._count_scalars(monkeypatch)
+        for degree in (12, 24):
+            p = draw(degree)
+            ops = {
+                "divmod": lambda: divmod(p, divisor),
+                "evaluate": lambda: p.evaluate(point),
+                "derivative": p.derivative,
+                "approx": p.approx,
+                "embed_coeffs": p.embed_coeffs,
+            }
+            for name, op in ops.items():
+                made.clear()
+                op()
+                counts.setdefault(name, []).append(len(made))
+            quo, rem = divmod(p, divisor)
+            assert quo * divisor + rem == p and rem.degree < divisor.degree
+        assert all(c12 == c24 for c12, c24 in counts.values()), counts
+        assert counts["derivative"] == counts["approx"] == counts["embed_coeffs"] == [0, 0]
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 8, 12, 15])
+    def test_embedding_matches_the_scalars(self, n):
+        rng = random.Random(8100 + n)
+        for _ in range(40):
+            p = Poly([_element(rng, n, rng.choice([3, 64])) for _ in range(rng.randint(1, 9))])
+            want = [repr(c.embed()) for c in p.coeffs]
+            assert [repr(v) for v in p.embed_coeffs()] == want
+            assert [repr(v) for v in p.approx()._num] == want
+
+    def test_evaluate_is_the_scalar_horner(self):
+        rng = random.Random(77)
+        for n in (1, 3, 12, 15):
+            for _ in range(10):
+                p = Poly([_element(rng, n, 4) for _ in range(rng.randint(0, 9))])
+                t = _element(rng, rng.choice([1, n]), 3)
+                want = exact(0)
+                for c in reversed(p.coeffs):
+                    want = want * t + c
+                got = p.evaluate(t)
+                assert got == want and str(got) == str(want)
+
+    def test_exact_roots_divide_once_per_attempt(self, monkeypatch):
+        """The remainder on division by h - c is p(c): one division both
+        tests a candidate and divides it out."""
+        calls = []
+        real = Poly.__divmod__
+        monkeypatch.setattr(Poly, "__divmod__", lambda a, b: calls.append(1) or real(a, b))
+        found, rem = exact_roots((H - P(1)) ** 2 * (H + P(2)) * (H * H + P(1)))
+        assert sorted((str(r), m) for r, m in found) == [("-2", 1), ("1", 2)]
+        assert rem == H * H + P(1)
+        # 1 twice and once more to fail, -2 once and once more to fail
+        assert len(calls) == 5

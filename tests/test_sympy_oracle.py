@@ -12,8 +12,14 @@ Q(zeta_4) and Q(zeta_12), singular ones among them, get their
 characteristic polynomial from ``linalg.charpoly`` and their rank from an
 ``EchelonBasis`` of their rows, checked against sympy's ``DomainMatrix``.
 The roots that ``exact_roots`` finds in Q(zeta_N) are checked against
-``sympy.factor_list(..., extension=zeta_N)``; the open root defects are
-strict xfails.  Skipped when sympy is not installed.
+``sympy.factor_list(..., extension=zeta_N)``, on fixed cases (the open root
+defects are strict xfails) and on seeded squarefree products of linear
+factors of the shapes the recogniser proposes times a quadratic with no
+root in the field.  The exact-period-n points that ``periodic_points``
+finds on the census panel, n <= 3, are counted against the degree of the
+dynatomic factor prod_{d | n} (f^(d)(h) - h)^mu(n/d), computed in sympy,
+with its roots of lower exact period removed.  Skipped when sympy is not
+installed.
 """
 
 import random
@@ -27,8 +33,8 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from gha.linalg import EchelonBasis, charpoly, mat_mul  # noqa: E402
 from gha.parser import parse_poly  # noqa: E402
-from gha.polys import Poly, exact_roots, poly_gcd  # noqa: E402
-from gha.scalars import CyclotomicNumber, euler_phi  # noqa: E402
+from gha.polys import Poly, exact_roots, iterate, periodic_points, poly_gcd  # noqa: E402
+from gha.scalars import CyclotomicNumber, euler_phi, exact, zeta  # noqa: E402
 
 H = sympy.Symbol("h")
 
@@ -70,6 +76,7 @@ def poly(rng: random.Random, n: int, max_degree: int) -> Poly:
 @pytest.mark.parametrize("n", sorted(SUBFIELDS))
 def test_poly_arithmetic_matches_sympy(n):
     rng = random.Random(1000 + n)
+    points = random.Random(1100 + n)
     k = field(n)
     for _ in range(25):
         a, b, c = poly(rng, n, 4), poly(rng, n, 4), poly(rng, n, 2)
@@ -78,6 +85,11 @@ def test_poly_arithmetic_matches_sympy(n):
         assert to_sympy(a + b, n, k) == sa + sb
         assert to_sympy(a - b, n, k) == sa - sb
         assert to_sympy(a.compose(c), n, k) == sa.compose(sc)
+        assert to_sympy(a.derivative(), n, k) == sa.diff(H)
+        # a(t) is a composed with the constant t
+        t = scalar(points, points.choice(SUBFIELDS[n]))
+        st = sympy.Poly.from_list([to_field(t, n, k)], H, domain=k)
+        assert to_sympy(Poly([a.evaluate(t)]), n, k) == sa.compose(st)
         if not b.is_zero():
             q, r = divmod(a, b)
             sq, sr = sympy.div(sa, sb)
@@ -174,3 +186,94 @@ def test_exact_roots_match_sympy(text, expr, n):
     found, _ = exact_roots(parse_poly(text), conductor=n)
     got = [r.embed() for r, m in found for _ in range(m)]
     assert_same_roots(got, linear_roots(sympy.expand(expr), n))
+
+
+def root_shape(rng: random.Random, n: int) -> CyclotomicNumber:
+    """A root of a shape the recogniser proposes: a rational, a rational
+    multiple of a root of unity of the field, or q0 + q1*zeta_n when
+    phi(n) = 2."""
+    def q():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.choice((1, 1, 2, 3)))
+
+    shapes = ("rational", "unit", "linear") if euler_phi(n) == 2 else ("rational", "unit")
+    shape = rng.choice(shapes)
+    if shape == "rational":
+        return exact(q())
+    if shape == "unit":
+        return exact(q()) * zeta(n, rng.randrange(n))
+    return exact(q()) + exact(q()) * zeta(n)
+
+
+@pytest.mark.parametrize("n", sorted(SUBFIELDS))
+def test_random_exact_roots_match_sympy(n):
+    """(h^2 - 7) times 2 to 4 distinct linear factors: sqrt(7) lies in
+    none of these fields, so exactly the linear factors split."""
+    rng = random.Random(3000 + n)
+    k = field(n)
+    for _ in range(2):
+        want = []
+        while len(want) < rng.randint(2, 4):
+            r = root_shape(rng, n)
+            if all(r != w for w in want):
+                want.append(r)
+        p = Poly([-7, 0, 1])
+        for r in want:
+            p = p * Poly([-r, 1])
+        found, rem = exact_roots(p, conductor=n)
+        assert rem.degree == 2 and all(m == 1 for _, m in found)
+        # factor_list of a polynomial over QQ<zeta_n> factors over that field
+        _, factors = sympy.factor_list(to_sympy(p, n, k))
+        linear = [f.rep.to_list() for f, m in factors if f.degree() == 1 for _ in range(m)]
+        expected = [-b / a for a, b in linear]
+        got = [to_field(r, n, k) for r, _ in found]
+        assert len(got) == len(expected) == len(want)
+        assert all(g in expected for g in got), (p, found)
+
+
+# the census panel, and its conductor hint: for f = h^m the period-n points
+# lie in Q(zeta_(m^n - 1))
+PANEL = ["zeta(3)*h", "zeta(4)*h", "h^2", "h^3", "h^2 - 1", "h^2 + 2*h - 3/4", "2*h + 1"]
+
+
+def panel_hint(text: str, n: int) -> int | None:
+    m = parse_poly(text).degree
+    return m**n - 1 if text == f"h^{m}" and m**n > 2 else None
+
+
+def exact_period_count(f: Poly, n: int) -> int:
+    """The number of points of exact period n of f, from sympy: the
+    distinct roots of prod_{d | n} (f^(d)(h) - h)^mu(n/d) that are no root
+    of f^(d)(h) - h for a proper divisor d of n."""
+    k = field(f.conductor())
+    h = sympy.Poly(H, H, domain=k)
+    sf = to_sympy(f, f.conductor(), k)
+    its = [h]
+    for _ in range(n):
+        its.append(sf.compose(its[-1]))
+    top, bottom = h**0, h**0
+    for d in sympy.divisors(n):
+        mu = sympy.mobius(n // d)
+        if mu == 1:
+            top *= its[d] - h
+        elif mu == -1:
+            bottom *= its[d] - h
+    core, r = sympy.div(top, bottom)
+    assert r.is_zero
+    for d in sympy.divisors(n)[:-1]:
+        common = sympy.gcd(core, its[d] - h)
+        while common.degree() > 0:
+            core = sympy.quo(core, common)
+            common = sympy.gcd(core, its[d] - h)
+    return sympy.quo(core, sympy.gcd(core, core.diff(H))).degree()
+
+
+@pytest.mark.parametrize(
+    "text, n",
+    [(text, n) for text in PANEL for n in (1, 2, 3) if (text, n) != ("zeta(3)*h", 3)],
+)
+def test_periodic_points_match_the_dynatomic_degree(text, n):
+    """zeta(3)*h with n = 3 is left out: every point has period 3 there."""
+    f = parse_poly(text)
+    out = periodic_points(f, n, conductor=panel_hint(text, n))
+    assert not out.residual_roots
+    assert sum(o.period for o in out.orbits) == exact_period_count(f, n)
