@@ -29,6 +29,7 @@ from .polys import (
     _terms_text,
     _unit_entry,
     iterate,
+    period,
 )
 from .scalars import (
     _NEUTRAL,
@@ -55,8 +56,11 @@ class Presentation:
     kept with f itself, by :func:`gha.polys.iterate`.
     ``middle_reductions`` counts distinct y^k x^i reductions actually
     computed.  y^k x^i with k > i is read off y^i x^k, so a fresh
-    presentation reduces y^k x^i in (m+1)(m+2)/2 steps, m = min(k, i);
-    that bound is the termination certificate for the rewriting recursion.
+    presentation reduces y^k x^i in (m+1)(m+2)/2 steps, m = min(k, i).
+    When f^(p) = h, x^p and y^p are central and every y^k x^i is read off
+    the base block k, i < p, so no sequence of reads makes more than
+    p(p+1)/2 reductions.  min((m+1)(m+2)/2, p(p+1)/2) is the termination
+    certificate for the rewriting recursion.
     """
 
     def __init__(self, f: Poly) -> None:
@@ -139,13 +143,29 @@ class Presentation:
         that view is kept, so a warm read is one lookup.  The
         anti-automorphism x <-> y, h -> h sends x^a p(h) y^b to x^b p(h) y^a,
         so for k > i the normal form is read off that of y^i x^k.
+
+        When :func:`gha.polys.period` finds f^(p) = h among the iterates the
+        cell needs, x^p and y^p are central, so for i >= p
+
+            y^k x^i = x^(i - i mod p) (y^(k mod p) x^(i mod p)) y^(k - k mod p),
+
+        the base cell with its keys shifted.  The first such read fills the
+        whole base block, the trapezoid of y^(p-1) x^(p-1), and every later
+        cell is read off it with no reduction.
         """
         hit = self._middles.get((k, i))
         if hit is None:
             if k > i:
                 hit = {(b, a): p for (a, b), p in self._middle(i, k).items()}
             else:
-                hit = {ab: _exact(self.f._n, *e) for ab, e in self._fill(k, i).items()}
+                p = period(self.f, max(i, i + k - 1))
+                if p and i >= p:
+                    self._fill(p - 1, p - 1)
+                    da, db = i - i % p, k - k % p
+                    base = self._middle(k % p, i % p)
+                    hit = {(a + da, b + db): q for (a, b), q in base.items()}
+                else:
+                    hit = {ab: _exact(self.f._n, *e) for ab, e in self._fill(k, i).items()}
             self._middles[(k, i)] = hit
         return hit
 
@@ -165,7 +185,9 @@ class Presentation:
         the rectangle: 6 instead of 18 for (2, 5), 91 instead of 169 for (12, 12).
         The leading term x^(i-1) y^(k-1) of y^(k-1) x^(i-1) needs the shift
         by f^(i+k-1), the highest iterate of the fill; it is built first, so
-        the degree guard refuses before any reduction.
+        the degree guard refuses before any reduction.  Every iterate is
+        read through :func:`gha.polys.iterate`, which reads f^(j) of a
+        periodic f as f^(j mod p).
 
         A cell maps (a, b) to the entry of p over the conductor n of f (the
         cell entries of ``polys``): numerator rows, or the complex row of an
@@ -175,10 +197,9 @@ class Presentation:
         cells = self._cells
         if (k, i) in cells:
             return cells[(k, i)]
-        n = self.f._n
+        f, n = self.f, self.f._n
         if k:
-            self.f_iterate(i + k - 1)
-            iterates = self.f._iterates  # f^(0..i+k-1), kept with f by iterate
+            iterate(f, i + k - 1)
         unit = _unit_entry(n)
         shifts: dict = {}
         for kk in range(k + 1):
@@ -192,7 +213,7 @@ class Presentation:
                 out = {(a, b + 1): p for (a, b), p in cells[(kk - 1, ii)].items()}
                 for (a, b), p in cells[(kk - 1, ii - 1)].items():
                     if (ii, b) not in shifts:
-                        shifts[(ii, b)] = _shift_entry(iterates[ii + b], iterates[b], n)
+                        shifts[(ii, b)] = _shift_entry(iterate(f, ii + b), iterate(f, b), n)
                     shift = shifts[(ii, b)]
                     if shift is not None:
                         _add_product_entry(out, (a, b), p, shift, n)

@@ -178,6 +178,27 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+# the options whose value may start with "-", as f = -h + 1 or -y*x does
+_VALUE_OPTIONS = frozenset({"-f", "-f1", "-f2", "-e"})
+
+
+def _attach_values(argv: list[str]) -> list[str]:
+    """argv with each ``-f VALUE`` (and -f1, -f2, -e) whose VALUE starts
+    with "-" written as ``-f=VALUE``, which argparse reads as the value
+    and not as another option."""
+    out = []
+    it = iter(argv)
+    for arg in it:
+        value = next(it, None) if arg in _VALUE_OPTIONS else None
+        if value is None:
+            out.append(arg)
+        elif value.startswith("-"):
+            out.append(f"{arg}={value}")
+        else:
+            out += [arg, value]
+    return out
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built on the first call and reused by every later one.
@@ -271,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     if args.tol is not None and not 0 < args.tol < math.inf:
         print("error: --tol must be positive", file=sys.stderr)
         return INPUT_ERROR

@@ -127,7 +127,8 @@ class Poly:
     """
 
     # _n is the conductor N of the form, 0 for an approximate polynomial;
-    # _iterates, set on first use, is the list of f^(i) that iterate keeps
+    # _iterates, set on first use, is the list of f^(i) that iterate keeps,
+    # or the tuple of one period once it has met f^(p) = h
     __slots__ = ("backend", "_n", "_den", "_num", "_iterates")
 
     def __new__(cls, coeffs=()) -> "Poly":
@@ -355,8 +356,11 @@ class Poly:
     def compose(self, inner: "Poly") -> "Poly":
         """self(inner(h)), by Horner on the numerator rows, over the lcm of
         the two conductors (0 for approximate rows); the result is made
-        canonical once."""
+        canonical once.  An exact inner that is h itself, such as f^(p) of
+        a periodic f, returns self."""
         self._check(inner)
+        if inner._n and inner.is_identity():
+            return self
         if inner.degree > 1:
             _check_degree(self.degree * inner.degree)
         return _compose_forms(self, inner, _shared_conductor(self, inner))
@@ -824,6 +828,12 @@ def iterate(f: Poly, i: int) -> Poly:
     guard sees that number before any composition, and a refusal leaves the
     list as it was.  An iterate already in the list is returned without
     checking the guard again.
+
+    An exact f with f^(p) = h, such as w*h + c for a primitive p-th root of
+    unity w != 1 or h itself, is composed no further than f^(p): the list
+    becomes the tuple f^(0..p-1), and f^(i) is read as f^(i mod p).  The
+    approximate backend keeps composing, since there f^(p) is only close
+    to h.
     """
     if i < 0:
         raise ValueError("iteration count must be >= 0")
@@ -832,14 +842,31 @@ def iterate(f: Poly, i: int) -> Poly:
     except AttributeError:
         iterates = [Poly.variable(f.backend)]
         _set_iterates(f, iterates)
+    if type(iterates) is tuple:
+        return iterates[i % len(iterates)]
     if i >= len(iterates):
         if f.degree >= 2:
             _check_degree(f.degree**i)
-        if len(iterates) == 1:
-            iterates.append(f)
         while len(iterates) <= i:
-            iterates.append(f.compose(iterates[-1]))
+            nxt = f.compose(iterates[-1]) if len(iterates) > 1 else f
+            if f._n and nxt.is_identity():
+                iterates = tuple(iterates)
+                _set_iterates(f, iterates)
+                return iterates[i % len(iterates)]
+            iterates.append(nxt)
     return iterates[i]
+
+
+def period(f: Poly, n: int) -> int | None:
+    """The least p >= 1 with f^(p) = h exactly, as :func:`iterate` finds it
+    while it builds f^(1..n); None when it has found none.  Only an exact
+    linear f can have one (f^(p) has degree deg(f)**p), so no other f is
+    composed."""
+    if not f._n or f.degree != 1:
+        return None
+    iterate(f, n)
+    iterates = f._iterates
+    return len(iterates) if type(iterates) is tuple else None
 
 
 # ---------------------------------------------------------------------------

@@ -132,7 +132,8 @@ class TestRewriteEngine:
             assert pres.middle_reductions == cells, (k, i)
 
     def test_trapezoids_filled_in_any_order_agree(self):
-        f = parse_poly("zeta(3)*h + 1")
+        # 2*zeta(3) is no root of unity, so no iterate of f is h
+        f = parse_poly("2*zeta(3)*h + 1")
         pres = Presentation(f)
         for k, i in ((2, 5), (5, 2), (5, 5)):
             pres._middle(k, i)
@@ -237,6 +238,82 @@ class TestIterateCache:
         with pytest.raises(DegreeOverflowError):
             iterate(f, 4)
         assert len(compose_calls) == 2 and len(f._iterates) == 4
+
+
+# f with f^(p) = h, the period p: x^p and y^p are central
+PERIODIC = {
+    "zeta(3)*h + 1": 3,
+    "i*h": 4,
+    "-h + 1": 2,
+    "zeta(6)*h - 2": 6,
+    "zeta(5)*h + 1/2": 5,
+    "h": 1,
+}
+
+
+class TestPeriodicF:
+    """A periodic f is composed up to f^(p) only, and every y^k x^i is read
+    off the base block k, i < p."""
+
+    @pytest.mark.parametrize("f_text, p", PERIODIC.items())
+    def test_iterate_stops_at_the_period(self, compose_calls, f_text, p):
+        f = parse_poly(f_text)
+        assert [iterate(f, j) for j in range(4 * p)] == [iterate(f, j % p) for j in range(4 * p)]
+        assert iterate(f, 4 * p - 1) is iterate(f, p - 1)
+        # f^(2..p), the last of which is h
+        assert len(compose_calls) == p - 1
+        assert len(f._iterates) == p
+
+    def test_approximate_f_keeps_composing(self):
+        f = parse_poly("zeta(3)*h + 1", "approx")
+        assert iterate(f, 7) == iterate(f, 1)
+        assert len(f._iterates) == 8
+
+    @pytest.mark.parametrize("f_text, p", PERIODIC.items())
+    def test_cells_match_the_free_module(self, f_text, p):
+        f = parse_poly(f_text)
+        pres, oracle = Presentation(f), Presentation(parse_poly(f_text))
+        x, y = oracle.generator("x"), oracle.generator("y")
+        v = FreeModuleElement.one()
+        for i in range(3 * p + 1):
+            # w is y^k x^i acting on 1, one letter at a time
+            w = v
+            for k in range(3 * p + 1):
+                got = free_module_action(GHAElement(oracle, pres._middle(k, i)), FreeModuleElement.one())
+                assert got == w, (f_text, k, i)
+                w = free_module_action(y, w)
+            v = free_module_action(x, v)
+
+    @pytest.mark.parametrize("f_text, p", PERIODIC.items())
+    def test_reductions_stay_within_the_base_block(self, f_text, p):
+        cells = [(k, i) for k in range(3 * p + 1) for i in range(3 * p + 1)]
+        for seed in range(3):
+            random.Random(seed).shuffle(cells)
+            pres = Presentation(parse_poly(f_text))
+            for k, i in cells:
+                pres._middle(k, i)
+                assert pres.middle_reductions <= p * (p + 1) // 2, (seed, k, i)
+
+    @pytest.mark.parametrize("f_text, p", PERIODIC.items())
+    @pytest.mark.parametrize("first", [(0, 1), (1, 0), (2, 3), (3, 3)], ids=str)
+    def test_later_reads_are_memo_reads(self, f_text, p, first):
+        pres = Presentation(parse_poly(f_text))
+        pres._middle(first[0] * p, first[1] * p + 1)
+        assert pres.middle_reductions == p * (p + 1) // 2
+        for k in range(3 * p + 1):
+            for i in range(3 * p + 1):
+                pres._middle(k, i)
+        assert pres.middle_reductions == p * (p + 1) // 2
+
+    def test_product_past_the_period_matches_the_free_module(self):
+        pres = Presentation(parse_poly("zeta(3)*h + 1"))
+        a = parse_element("x^2*(h^2 + 1)*y^4 + y^5", pres)
+        b = parse_element("x^4*(h - 1) + h*y^3", pres)
+        product = a * b
+        # its composites g o f^(3) are g itself
+        assert pres.f_iterate(3) == Poly.variable()
+        one = FreeModuleElement.one()
+        assert free_module_action(product, one) == free_module_action(a, free_module_action(b, one))
 
 
 def rand_term(draw, pres, cap):

@@ -321,6 +321,41 @@ def run_or_exit(capsys, *argv):
         return stop.code, out.out, out.err
 
 
+class TestValuesWithALeadingMinus:
+    """-f, -f1, -f2 and -e take a value that starts with "-", as the
+    linear case f = -h + c needs, given apart or as -f=VALUE."""
+
+    def test_normalize_minus_f(self, capsys):
+        expected = (0, "x*y + (-2)*h + 1\n", "")
+        assert run(capsys, "normalize", "-f", "-h + 1", "-e", "y*x") == expected
+        assert run(capsys, "normalize", "-f=-h + 1", "-e", "y*x") == expected
+        assert run(capsys, "normalize", "-f", "h", "-e", "-y*x") == (0, "x*(-1)*y\n", "")
+
+    def test_simples_minus_f(self, capsys):
+        code, out, _ = run(capsys, "simples", "-f", "-2*h", "-n", "2")
+        assert code == 0 and json.loads(out)["f"] == "-2*h"
+        assert run(capsys, "simples", "-f=-2*h", "-n", "2") == (code, out, "")
+
+    def test_iso_minus_f1_f2(self, capsys):
+        code, out, _ = run(capsys, "iso", "-f1", "-h", "-f2", "-h + 2")
+        assert code == 0 and json.loads(out)["isomorphic"] is True
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["-h"], 0),
+            (["normalize", "-h"], 0),
+            (["normalize", "-f"], 2),
+            (["normalize", "-f", "-h + 1", "-e"], 2),
+            (["normalize", "-f", "-h^^2", "-e", "x"], 2),
+        ],
+    )
+    def test_help_and_exit_codes_stay(self, capsys, argv, code):
+        got, out, err = run_or_exit(capsys, *argv)
+        assert got == code
+        assert ("usage: gha" in out) if code == 0 else (err != "")
+
+
 class TestSharedParser:
     """main builds its parser once per process; calls must stay independent."""
 
@@ -410,6 +445,34 @@ def test_golden_normal_form_cells(capsys):
     for (f, k, i), command, text in zip(jobs, lines[0::2], lines[1::2]):
         assert command == f"normalize -f '{f}' -e 'y^{k}*x^{i}'\n"
         assert run(capsys, "normalize", "-f", f, "-e", f"y^{k}*x^{i}") == (0, text, ""), command
+
+
+# f with f^(p) = h, with the period p: x^p and y^p are central
+PERIODIC_CELLS = {
+    "zeta(3)*h + 1": 3,
+    "i*h": 4,
+    "-h + 1": 2,
+    "zeta(6)*h - 2": 6,
+    "zeta(5)*h + 1/2": 5,
+    "h": 1,
+}
+MIXED_PRODUCT = "(x^2*h + y^3)*(y^7*x^8 - h*y)"
+
+
+def test_golden_normal_form_periodic(capsys):
+    """normalize_periodic.txt holds, for each periodic f, y^k x^i for
+    k, i <= 2p+1 and then one product, each as the command line and the
+    exact stdout of ``gha normalize``."""
+    jobs = [
+        (f, e)
+        for f, p in PERIODIC_CELLS.items()
+        for e in [f"y^{k}*x^{i}" for k in range(2 * p + 2) for i in range(2 * p + 2)] + [MIXED_PRODUCT]
+    ]
+    lines = (GOLDEN / "normalize_periodic.txt").read_text().splitlines(keepends=True)
+    assert len(jobs) == 562 and len(lines) == 2 * len(jobs)
+    for (f, e), command, text in zip(jobs, lines[0::2], lines[1::2]):
+        assert command == f"normalize -f '{f}' -e '{e}'\n"
+        assert run(capsys, "normalize", "-f", f, "-e", e) == (0, text, ""), command
 
 
 def test_golden_normal_form_cells_approx(capsys):

@@ -377,6 +377,14 @@ class TestComposeEvaluate:
         for i in range(6):
             assert iterate(f, i).degree == (2 ** i if i else 1)
 
+    def test_compose_with_h_returns_the_outer(self):
+        for outer in (P(1, 2, 1), Poly([zeta(3), 0, 2]), Poly()):
+            assert outer.compose(H) is outer
+        # an approximate h is only close to h: Horner still runs
+        outer = P(1, 2, 1).approx()
+        composed = outer.compose(H.approx())
+        assert composed is not outer and composed == outer
+
     def test_iterate_base_cases(self):
         f = P(1, 2, 1)
         assert iterate(f, 0) == H

@@ -7,7 +7,7 @@ import pytest
 
 from gha.algebra import Presentation, is_central
 from gha.parser import parse_poly
-from gha.polys import Poly
+from gha.polys import Poly, period
 from gha.scalars import BackendMismatchError, approx, exact, zeta
 from gha.structure import (
     CYCLOTOMIC,
@@ -65,6 +65,31 @@ class TestCenter:
         for name in ("x", "y", "h"):
             assert not is_central(pres.generator(name))
         assert not is_central(pres.generator("x") * pres.generator("y"))
+
+
+class TestPeriodOfTheRewritingCore:
+    """The period at which iterate stops composing is the l of the center
+    theorem: x^l and y^l are central exactly when f^(l) = h."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [f"zeta({l})*h + {b}" for l in range(3, 7) for b in ("0", "1", "-2", "1/2", "zeta(4)")]
+        + ["-h + 1", "-h", "h"],
+    )
+    def test_period_is_the_center_l(self, text):
+        f = parse_poly(text)
+        desc = center(f)
+        assert desc.case == CYCLOTOMIC
+        assert period(f, 3 * desc.l) == desc.l
+
+    @pytest.mark.parametrize("text", ["2*h - 1", "h + 1", "h^2", "3"])
+    def test_no_period_without_cyclotomic_center(self, text):
+        f = parse_poly(text)
+        assert center(f).l is None
+        assert period(f, 30) is None
+
+    def test_no_period_on_the_approx_backend(self):
+        assert period(parse_poly("zeta(3)*h", "approx"), 30) is None
 
 
 class TestAffineConjugate:
