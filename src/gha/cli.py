@@ -1,9 +1,10 @@
 """Command-line front-end.
 
 Exit codes: 0 success, 1 mathematical negative (not isomorphic, element
-not central, relations fail, module outside the three families), 2 input
-error (syntax, bad JSON, descriptor constraint violations), 3 numeric
-failure (root finding gave up, degree guard tripped, overflow).
+not central, relations fail, module outside the three families) or
+stdout closed before the output was written, 2 input error (syntax, bad
+JSON, descriptor constraint violations), 3 numeric failure (root finding
+gave up, degree guard tripped, overflow).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 from .algebra import Presentation, commutator
@@ -309,7 +311,15 @@ def main(argv=None) -> int:
     if old_digits is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away (gha ... | head): as the SIGPIPE note
+        # of the Python docs does, point stdout at devnull so that the flush
+        # at exit cannot raise again, and exit 1 with no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (RootFindingError, DegreeOverflowError, CoefficientOverflowError) as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return NUMERIC_FAILURE

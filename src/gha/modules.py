@@ -43,8 +43,8 @@ from .linalg import (
     poly_at_matrix,
     zeros,
 )
-from .polys import Orbit, Poly, _group_orbits, exact_roots, iterate, least_period
-from .polys import orbit_match, periodic_points, roots
+from .polys import Orbit, Poly, _group_orbits, _split, iterate, least_period, orbit_match
+from .polys import periodic_points
 from .scalars import BackendMismatchError, Scalar, as_scalar, backend_of, zero_like
 
 CYCLIC_X = "cyclic_x"
@@ -314,21 +314,18 @@ def is_simple(m: MatrixModule) -> bool:
 def _h_eigenvalues(m: MatrixModule, f: Poly) -> list[Scalar]:
     if is_diagonal(m.H):
         return [m.H[i][i] for i in range(m.n)]
-    cp = charpoly(m.H)
+    cond = None
     if m.backend == "exact":
         # a built module in another basis has its weights in its entries' field
         entries = (s.conductor for mat in (m.X, m.H, m.Y) for row in mat for s in row)
-        found, rem = exact_roots(cp, conductor=lcm(f.conductor(), *entries))
-        if rem.degree > 0:
-            raise ClassifyError(
-                "cannot split the h-spectrum exactly in the working field; "
-                "retry on the approx backend"
-            )
-        out: list[Scalar] = []
-        for r, mult in found:
-            out.extend([r] * mult)
-        return out
-    return list(roots(cp))
+        cond = lcm(f.conductor(), *entries)
+    found, numeric, _note = _split(charpoly(m.H), cond)
+    if numeric and m.backend == "exact":
+        raise ClassifyError(
+            "cannot split the h-spectrum exactly in the working field; "
+            "retry on the approx backend"
+        )
+    return [r for r, mult in found + numeric for _ in range(mult)]
 
 
 def _multiset_equal(xs: list[Scalar], ys: list[Scalar]) -> bool:
@@ -461,9 +458,9 @@ def _pool_scalars(pool, backend: str) -> list[Scalar]:
     return [as_scalar(p, backend) for p in pool]
 
 
-def _cyclic_x_family(orbit: Orbit, f: Poly, samples: int, continuum: bool) -> ModuleFamily:
-    zpool = _pool_scalars(_ZDOT_POOL, f.backend)[:samples]
-    apool = _pool_scalars(_A_POOL, f.backend)[:samples]
+def _cyclic_x_family(orbit: Orbit, backend: str, samples: int, continuum: bool) -> ModuleFamily:
+    zpool = _pool_scalars(_ZDOT_POOL, backend)[:samples]
+    apool = _pool_scalars(_A_POOL, backend)[:samples]
     inst = [CyclicXDescriptor(orbit, z0, a0) for z0 in zpool for a0 in apool]
     return ModuleFamily(
         CYCLIC_X,
@@ -477,9 +474,9 @@ def _cyclic_x_family(orbit: Orbit, f: Poly, samples: int, continuum: bool) -> Mo
 
 
 def _cyclic_y_families(
-    orbit: Orbit, f: Poly, samples: int, continuum: bool
+    orbit: Orbit, backend: str, samples: int, continuum: bool
 ) -> list[ModuleFamily]:
-    apool = _pool_scalars(_A_POOL, f.backend)[:samples]
+    apool = _pool_scalars(_A_POOL, backend)[:samples]
     out = []
     for i, lam in enumerate(orbit.values):
         zdot = -lam
@@ -499,6 +496,12 @@ def _cyclic_y_families(
     return out
 
 
+_NUMERIC_ORBIT = (
+    "orbit values lie outside the working cyclotomic field; "
+    "this family is numeric (build against f.approx())",
+)
+
+
 def _closure_poly(fn: Poly) -> Poly:
     """q with q(z) = z + fn(-z), for fn = f^(n)."""
     minus = Poly([as_scalar(0, fn.backend), -as_scalar(1, fn.backend)])
@@ -509,6 +512,7 @@ def _nilpotent_families(
     f: Poly, n: int, samples: int, conductor: int | None = None
 ) -> list[ModuleFamily]:
     backend = f.backend
+    cond = lcm(f.conductor(), conductor or 1) if backend == "exact" else None
     q = _closure_poly(iterate(f, n))
     if q == 0:  # within tol on approximate rows
         # closure holds for every zdot: a one-parameter family, minus the
@@ -519,7 +523,8 @@ def _nilpotent_families(
             if qi == 0:
                 # an exclusion fails identically, so no zdot works at all
                 return []
-            for v in _roots_with_note(qi, f, conductor)[0]:
+            found, numeric, _note = _split(qi, cond)
+            for v, _ in found + numeric:
                 if all(v != u for u in excluded):
                     excluded.append(v)
         inst = []
@@ -538,44 +543,23 @@ def _nilpotent_families(
                 instantiations=tuple(inst),
             )
         ]
+    found, numeric, note = _split(q, cond)
+    # a numeric zdot of an exact f is checked, and its module built, over f.approx()
+    tagged = (f"closure polynomial: {note} (build this family against f.approx())",) if note else ()
+    fa = f.approx()
+    candidates = [(z0, f, ()) for z0, _ in found] + [(z0, fa, tagged) for z0, _ in numeric]
     families: list[ModuleFamily] = []
-    notes: list[str] = []
-    candidates, unsplit_note = _roots_with_note(q, f, conductor)
-    if unsplit_note:
-        notes.append(unsplit_note)
-    seen: list[Scalar] = []
-    for z0 in candidates:
-        if any(z0 == u for u in seen):
-            continue
-        seen.append(z0)
+    rejected: list[str] = []
+    for z0, g, notes in candidates:
         d = NilpotentXDescriptor(z0, n)
-        problems = descriptor_problems(d, f)
+        problems = descriptor_problems(d, g)
         if problems:
-            notes.append(f"candidate zdot = {z0} rejected: {problems[0]}")
+            rejected.append(f"candidate zdot = {z0} rejected: {problems[0]}")
             continue
-        families.append(ModuleFamily(NILPOTENT_X, n, zdot=z0, instantiations=(d,)))
-    if notes and families:
-        families[0] = replace(families[0], notes=tuple(notes))
-    elif unsplit_note and not families:
-        # every found root was rejected, but the closure polynomial did not
-        # split completely, so emptiness is not proven; surface that instead
-        # of silently claiming there is nothing
-        families.append(ModuleFamily(NILPOTENT_X, n, notes=tuple(notes)))
+        families.append(ModuleFamily(NILPOTENT_X, n, zdot=z0, instantiations=(d,), notes=notes))
+    if rejected and families:
+        families[0] = replace(families[0], notes=tuple(rejected) + families[0].notes)
     return families
-
-
-def _roots_with_note(q: Poly, f: Poly, conductor: int | None = None) -> tuple[list[Scalar], str]:
-    if q.backend == "exact":
-        found, rem = exact_roots(q, conductor=lcm(f.conductor(), conductor or 1))
-        note = ""
-        if rem.degree > 0:
-            note = (
-                f"degree-{rem.degree} factor of the closure polynomial has no roots "
-                "in the working cyclotomic field; those candidates are only reachable "
-                "on the approx backend"
-            )
-        return [r for r, _m in found], note
-    return list(roots(q)), ""
 
 
 def enumerate_simples(
@@ -595,10 +579,11 @@ def enumerate_simples(
     When f^(n) is the identity it is also the number of representative
     orbits sampled from the continuum.
 
-    ``conductor`` widens the cyclotomic field searched for exact orbits.
-    When an exact f has orbits that still cannot be expressed in that
-    field, those orbit families are emitted on the approx backend with a
-    note saying so; their instantiations must be built against f.approx().
+    ``conductor`` widens the cyclotomic field searched for exact orbits
+    and zdots.  A family of an exact f whose own orbit or zdot cannot be
+    expressed in that field is emitted on the approx backend with a note
+    that says it is numeric; its instantiations must be built against
+    f.approx().  Every other family stays exact.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -610,24 +595,13 @@ def enumerate_simples(
     if n < 1:
         raise ValueError("dimension must be >= 1")
     orbit_set = periodic_points(f, n, samples=samples, conductor=conductor)
-    f_orb = f
-    orbit_notes: tuple[str, ...] = ()
-    if (
-        f.backend == "exact"
-        and orbit_set.orbits
-        and backend_of(orbit_set.orbits[0].values[0]) == "approx"
-    ):
-        f_orb = f.approx()
-        orbit_notes = (
-            "orbit values lie outside the working cyclotomic field; "
-            "this family is numeric (build against f.approx())",
-        )
     families: list[ModuleFamily] = []
     for orb in orbit_set.orbits:
-        fams = [_cyclic_x_family(orb, f_orb, samples, orbit_set.continuum)]
-        fams.extend(_cyclic_y_families(orb, f_orb, samples, orbit_set.continuum))
-        if orbit_notes:
-            fams = [replace(fam, notes=fam.notes + orbit_notes) for fam in fams]
+        backend = backend_of(orb.values[0])  # approx for a numeric orbit of an exact f
+        fams = [_cyclic_x_family(orb, backend, samples, orbit_set.continuum)]
+        fams.extend(_cyclic_y_families(orb, backend, samples, orbit_set.continuum))
+        if backend != f.backend:
+            fams = [replace(fam, notes=fam.notes + _NUMERIC_ORBIT) for fam in fams]
         families.extend(fams)
     families.extend(_nilpotent_families(f, n, samples, conductor))
     if orbit_set.residual_roots:

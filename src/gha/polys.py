@@ -25,10 +25,12 @@ Root finding comes in two flavours:
 * :func:`roots` finds all complex roots with multiplicity, by simultaneous
   Aberth-Ehrlich iteration followed by Newton polishing.
 * :func:`exact_roots` finds the roots lying in Q(zeta_N), by recognising
-  numeric roots as field elements and verifying by exact division.
+  numeric roots of each squarefree part as field elements and verifying by
+  exact division.
 
-:func:`periodic_points` builds on both to enumerate the exact-period-n
-orbits of the self-map h -> f(h).
+``_split`` keeps every root exact_roots finds and runs :func:`roots` on the
+unsplit rest only; :func:`periodic_points` builds on it to enumerate the
+exact-period-n orbits of the self-map h -> f(h).
 """
 
 from __future__ import annotations
@@ -619,7 +621,8 @@ def _mul_rows(x, pa: int, y, pb: int, n: int) -> list[int]:
                 for j, v in enumerate(sy, i):
                     digits[j] += u * v
     else:
-        bound = min(la, lb) * min(pa, pb) * _max_abs(x) * _max_abs(y)
+        ax, ay = _max_abs(x), _max_abs(y)  # the slots hold these too: one may be all zero
+        bound = max(min(la, lb) * min(pa, pb) * ax * ay, ax, ay)
         width = (bound.bit_length() + 8) // 8  # bytes per slot, sign bit included
         vx = _pack(x, pa, stride, width)
         vy = vx if y is x else _pack(y, pb, stride, width)
@@ -1082,6 +1085,24 @@ def _recognize(z: complex, n: int) -> list[CyclotomicNumber]:
     return cands
 
 
+def _squarefree(p: Poly) -> list[tuple[Poly, int]]:
+    """The squarefree parts of an exact p: pairs (P_i, i) with
+    p = lead(p) * prod P_i^i, each P_i monic, squarefree, of degree >= 1 and
+    coprime to the others (D. Y. Y. Yun, "On square-free decomposition
+    algorithms", SYMSAC 1976)."""
+    dp = p.derivative()
+    a = poly_gcd(p, dp)
+    b, c = p // a, dp // a
+    parts, i = [], 1
+    while b.degree >= 1:
+        d = c - b.derivative()
+        a = poly_gcd(b, d)
+        if a.degree >= 1:
+            parts.append((a, i))
+        b, c, i = b // a, d // a, i + 1
+    return parts
+
+
 def exact_roots(p: Poly, conductor: int | None = None):
     """Roots of p lying in Q(zeta_N) with multiplicities, plus the unsplit rest.
 
@@ -1089,35 +1110,50 @@ def exact_roots(p: Poly, conductor: int | None = None):
     (root, multiplicity) pairs and remainder is the exact quotient of p by
     the recognised linear factors.  remainder.degree == 0 means p split
     completely over the field.
+    Every root is recognised on the squarefree part where it is simple, and
+    the part's index is its multiplicity.
     """
     if p.backend != "exact":
         raise BackendMismatchError("exact_roots needs an exact-backend polynomial")
     if p.is_zero():
         raise ValueError("zero polynomial")
     n = math.lcm(conductor or 1, p.conductor())
-    rem = p
     found: list[tuple[CyclotomicNumber, int]] = []
-    candidates: list[CyclotomicNumber] = []
-    for z in roots(p) if p.degree >= 2 else ():
-        for c in _recognize(z.value, n):
-            if not any(c == d for d in candidates):
-                candidates.append(c)
-    for cand in candidates:
-        # the remainder on division by h - cand is rem(cand): one division
-        # tests and divides
-        linear, mult = Poly([-cand, 1]), 0
-        while rem.degree >= 1:
-            quo, at = divmod(rem, linear)
-            if not at.is_zero():
-                break
-            rem, mult = quo, mult + 1
-        if mult:
-            found.append((cand, mult))
-    # a leftover linear factor always splits
-    if rem.degree == 1:
-        found.append((-rem.coefficient(0) / rem.coefficient(1), 1))
-        rem = Poly([rem.leading])
+    rem = Poly([p.leading])
+    for part, mult in _squarefree(p):
+        for z in roots(part) if part.degree >= 2 else ():
+            for cand in _recognize(z.value, n):
+                quo, at = divmod(part, Poly([-cand, 1]))
+                if at.is_zero():
+                    found.append((cand, mult))
+                    part = quo
+                    break
+        if part.degree == 1:
+            found.append((-part.coefficient(0), mult))
+        elif part.degree > 1:
+            rem = rem * part**mult
     return found, rem
+
+
+def _split(p: Poly, conductor: int | None = None):
+    """Every root of p with its multiplicity, as ``(found, numeric, note)``:
+    found as :func:`exact_roots` has it, numeric the roots of its unsplit
+    remainder only, and note why those are numeric ("" when there are
+    none).  This is the one place where a root of an exact polynomial goes
+    numeric.  On an approximate p every root is numeric (equal within tol
+    counted as one) and note is "".
+    """
+    if p.backend != "exact":
+        zs = roots(p) if p.degree > 0 else []
+        firsts = [z for i, z in enumerate(zs) if all(z != w for w in zs[:i])]
+        return [], [(z, sum(z == w for w in zs)) for z in firsts], ""
+    found, rem = exact_roots(p, conductor)
+    if rem.degree < 1:
+        return found, [], ""
+    numeric = [(z, m) for part, m in _squarefree(rem) for z in roots(part)]
+    n = math.lcm(conductor or 1, p.conductor())
+    field = "Q" if n == 1 else f"Q(zeta({n}))"
+    return found, numeric, f"a degree-{rem.degree} factor has no roots in {field}; its roots are numeric"
 
 
 # ---------------------------------------------------------------------------
@@ -1225,19 +1261,17 @@ def orbit_match(a: Scalar, b: Scalar) -> bool:
 _CLUSTER_SCALE = 1e-5
 
 
-def _cluster(values: list[complex]) -> list[complex]:
-    """Merge near-coincident numeric roots, replacing clusters by centroids."""
-    if not values:
-        return []
-    scale = 1 + max(abs(v) for v in values)
-    return [sum(g) / len(g) for g in _groups(values, _CLUSTER_SCALE * scale)]
+def _place(s: Scalar) -> tuple[float, float]:
+    """The (re, im) order orbits and orbit points are listed in."""
+    z = s.embed()
+    return z.real, z.imag
 
 
 def _group_orbits(f: Poly, pool: list[Scalar], n: int, match) -> tuple[list[Orbit], list[Scalar]]:
     """Chain the values of pool into period-n orbits under f, each image
     f(v) taken to be the first pool value that match(value, f(v)) accepts;
     orbits come in canonical rotation, unmatched values become residuals."""
-    pool = sorted(pool, key=lambda s: (s.embed().real, s.embed().imag))
+    pool = sorted(pool, key=_place)
     orbits: list[Orbit] = []
     residuals: list[Scalar] = []
     while pool:
@@ -1262,8 +1296,8 @@ def _group_orbits(f: Poly, pool: list[Scalar], n: int, match) -> tuple[list[Orbi
             orbits.append(Orbit(tuple(seq)).canonical())
         else:
             residuals.append(start)
-            pool = sorted(pool + seq[1:], key=lambda s: (s.embed().real, s.embed().imag))
-    orbits.sort(key=lambda o: (o.values[0].embed().real, o.values[0].embed().imag))
+            pool = sorted(pool + seq[1:], key=_place)
+    orbits.sort(key=lambda o: _place(o.values[0]))
     return orbits, residuals
 
 
@@ -1292,11 +1326,13 @@ def periodic_points(
 
     Exact backend: lower-period factors of f^(n) - h are divided out by gcd
     with f^(d) - h (d a proper divisor of n), so every root of the quotient
-    has exact period n.  Its roots are searched inside Q(zeta_N)
-    (N = conductor, defaulting to the lcm of f's coefficient conductors);
-    if the quotient splits there the whole computation stays exact,
-    otherwise it falls back to numeric roots of f^(n) - h, clustered, with
-    those near a root of some f^(d) - h dropped.
+    has exact period n.  The quotient goes through :func:`_split` over
+    Q(zeta_N) (N = conductor, defaulting to the lcm of f's coefficient
+    conductors): every root found in that field stays exact, and only the
+    roots of the unsplit rest are numeric, grouped under f.approx().  So an
+    exact f can have exact and numeric orbits side by side.  Approximate
+    backend: the roots of f^(n) - h, clustered, with those near a root of
+    some f^(d) - h dropped.
 
     Either way the roots are chained into orbits by :func:`orbit_match`,
     the rule ``classify`` also uses on an h-spectrum.  Orbits are returned
@@ -1328,9 +1364,7 @@ def periodic_points(
 
     if f.backend == "exact":
         cond = math.lcm(conductor or 1, f.conductor())
-        # points of period d < n are roots of f^(d) - h; divide those factors
-        # out first so an unsplittable lower-period factor (fixed points with
-        # irrational coordinates, say) cannot force the period-n search numeric
+        # points of period d < n are roots of f^(d) - h; divide those factors out
         core = g
         for d in divisors(n)[:-1]:
             gd = iterate(f, d) - h
@@ -1340,28 +1374,26 @@ def periodic_points(
                 common = poly_gcd(core, gd)
         if core.degree < 1:
             return OrbitSet(())
-        found, rem = exact_roots(core, cond)
-        if rem.degree == 0:
-            # core is coprime to every f^(d) - h, so each root has exact
-            # period n, and closure of the root set under f makes exact
-            # grouping total
-            orbits, residuals = _group_orbits(f, [r for r, _ in found], n, orbit_match)
-            assert not residuals, "exact orbit grouping must consume every root"
-            return OrbitSet(tuple(orbits))
-
-    # numeric path
-    fa = f.approx()
-    h = iterate(fa, 0)
-    ga = iterate(fa, n) - h
-    numeric = [r.value for r in roots(ga)]
-    centers = _cluster(numeric)
-    scale = 1 + max((abs(v) for v in centers), default=0.0)
-    radius = _CLUSTER_SCALE * scale
-    for d in divisors(n)[:-1]:
-        gd = iterate(fa, d) - h
-        if gd == 0:
-            return OrbitSet(())
-        fixed = [r.value for r in roots(gd)]
-        centers = [c for c in centers if all(abs(c - w) > radius for w in fixed)]
-    orbits, residuals = _group_orbits(fa, [approx(c) for c in centers], n, orbit_match)
+        # core is coprime to every f^(d) - h, so each root has exact period
+        # n; f maps the roots in the field onto each other, so exact grouping
+        # is total, and the numeric roots of the rest close up under f.approx()
+        found, numeric, _note = _split(core, cond)
+        orbits, residuals = _group_orbits(f, [r for r, _ in found], n, orbit_match)
+        assert not residuals, "exact orbit grouping must consume every root"
+        pool, fa = [z for z, _ in numeric], f.approx()
+    else:
+        # numeric roots of f^(n) - h, clusters replaced by their centroids,
+        # with those near a root of some f^(d) - h dropped
+        zs = [r.value for r in roots(g)]
+        radius = _CLUSTER_SCALE * (1 + max(abs(z) for z in zs))
+        centers = [sum(c) / len(c) for c in _groups(zs, radius)]
+        for d in divisors(n)[:-1]:
+            gd = iterate(f, d) - h
+            if gd == 0:
+                return OrbitSet(())
+            fixed = [r.value for r in roots(gd)]
+            centers = [c for c in centers if all(abs(c - w) > radius for w in fixed)]
+        orbits, pool, fa = [], [approx(c) for c in centers], f
+    more, residuals = _group_orbits(fa, pool, n, orbit_match)
+    orbits = sorted(orbits + more, key=lambda o: _place(o.values[0]))
     return OrbitSet(tuple(orbits), tuple(residuals))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .algebra import GHAElement, Presentation
-from .polys import Poly, exact_roots, roots
+from .polys import Poly, _split
 from .scalars import (
     BackendMismatchError,
     Scalar,
@@ -119,26 +119,6 @@ def compositional_inverse_linear(f: Poly) -> Poly:
     return Poly([-b / a, one / a])
 
 
-def _deg_ge2_candidates(f1: Poly, f2: Poly, conductor: int | None) -> tuple[list[Scalar], bool]:
-    """Candidate scales a with a^(d-1) = lead(f1)/lead(f2).
-
-    Returns (candidates, exact_flag).  Exact candidates are the roots of
-    t^(d-1) - ratio recognisable in the working cyclotomic field; the
-    numeric path returns all d-1 of them.
-    """
-    d = f1.degree
-    ratio = f1.leading / f2.leading
-    backend = f1.backend
-    one = as_scalar(1, backend)
-    zero = as_scalar(0, backend)
-    pol = Poly([-ratio] + [zero] * (d - 2) + [one])
-    if backend == "exact":
-        cond = lcm(f1.conductor(), f2.conductor(), conductor or 1)
-        found, _rem = exact_roots(pol, conductor=cond)
-        return [r for r, _m in found], True
-    return [r for r in roots(pol)], False
-
-
 def _solve_shift(f1: Poly, f2: Poly, a: Scalar) -> Scalar | None:
     """The unique c making the degree-(d-1) coefficients agree.
 
@@ -157,23 +137,26 @@ def _solve_shift(f1: Poly, f2: Poly, a: Scalar) -> Scalar | None:
 
 
 def _case5(f1: Poly, f2: Poly, conductor: int | None) -> IsoVerdict:
-    candidates, is_exact = _deg_ge2_candidates(f1, f2, conductor)
-    for a in candidates:
-        c = _solve_shift(f1, f2, a)
-        if c is None:
-            continue
-        if affine_conjugate(f1, a, c) == f2:
-            return IsoVerdict(
-                True, case=5, witness=IsoWitness(a, c), numeric_witness=not is_exact
-            )
-    if is_exact:
-        # the scale may exist only outside the working cyclotomic field;
-        # retry in floating point and say so in the verdict
-        g1, g2 = f1.approx(), f2.approx()
-        numeric = _case5(g1, g2, None)
-        if numeric.isomorphic:
-            numeric.detail = "witness found numerically; no exact witness in the working field"
-            return numeric
+    """Degree >= 2: a witness scale a is a root of t^(d-1) - lead(f1)/lead(f2).
+
+    Each root found in the working cyclotomic field is tried on (f1, f2);
+    each numeric one, on their approx() images, and a match there is a
+    numeric witness.
+    """
+    d = f1.degree
+    one, zero = as_scalar(1, f1.backend), as_scalar(0, f1.backend)
+    pol = Poly([-(f1.leading / f2.leading)] + [zero] * (d - 2) + [one])
+    if f1.backend == "exact":
+        conductor = lcm(f1.conductor(), f2.conductor(), conductor or 1)
+    found, numeric, _note = _split(pol, conductor)
+    g1, g2 = f1.approx(), f2.approx()
+    for a, h1, h2 in [(a, f1, f2) for a, _ in found] + [(a, g1, g2) for a, _ in numeric]:
+        c = _solve_shift(h1, h2, a)
+        if c is not None and affine_conjugate(h1, a, c) == h2:
+            verdict = IsoVerdict(True, 5, IsoWitness(a, c), numeric_witness=h1.backend == "approx")
+            if h1 is not f1:  # a numeric scale of an exact pair
+                verdict.detail = "witness found numerically; no exact witness in the working field"
+            return verdict
     return IsoVerdict(False, detail="no affine conjugation matches")
 
 

@@ -188,9 +188,10 @@ class TestIterateCache:
         [
             # f^(3) = h: f^(2) and f^(3) once, then z + f^(i)(-z) for i = 1, 2, 3
             ("zeta(3)*h", 5, 3),
-            # f^(2) and f^(3) once; the 3-cycles do not split over Q, so the
-            # same two on f.approx(); then the closure z + f^(3)(-z)
-            ("h^2 - 1", 5, 3),
+            # f^(2) and f^(3) once, then the closure z + f^(3)(-z); the
+            # 3-cycles do not split over Q, and grouping them only evaluates
+            # f.approx(), which composes nothing
+            ("h^2 - 1", 3, 1),
         ],
     )
     def test_enumerate_simples_builds_each_iterate_once(self, compose_calls, f_text, first, again):

@@ -572,6 +572,21 @@ def test_output_does_not_depend_on_how_f_is_spelled(capsys, head, tail):
     assert two == lcm and two[0] == 0
 
 
+def test_closed_stdout_exits_1_without_a_traceback():
+    """gha ... | head: the reader closes the pipe before gha writes."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gha", "normalize", "-f", "h^2", "-e", "y^3*x^3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert err == ""
+
+
 def test_console_script_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "gha", "normalize", "-f", "h^2", "-e", "y*x"],

@@ -316,7 +316,11 @@ class TestClassifyExpandingCycle:
                 back = module_from_json(module_to_json(m), m.backend)
                 assert modules_isomorphic(classify(back, f_used), d), d
                 checked += 1
-        assert checked == (15 if backend == "exact" else 25)
+        # exact: 15 orbit instantiations and 12 nilpotent ones, whose zdots
+        # are the roots of the closure polynomial's degree-12 factor with no
+        # rational root; the approx backend finds the same 15 orbit ones and
+        # 10 of those 12 zdots closely enough to pass the closure test
+        assert checked == (27 if backend == "exact" else 25)
 
 
 class TestClassifyConjugated:
@@ -393,11 +397,37 @@ class TestEnumerate:
             m = build(d, H2.approx())
             assert m.backend == "approx"
             assert verify_relations(m, H2.approx()).ok
-        # the nilpotent closure has no rational roots that survive, and the
-        # cyclotomic pair is invisible without the conductor hint
+        # the closure z + z^4 = z(z + 1)(z^2 - z + 1): its rational roots 0
+        # and -1 fail an exclusion, and the pair -zeta(3), -zeta(3)^2 is
+        # outside Q without the conductor hint, so those two zdots are
+        # numeric families, built and checked against f.approx()
         nil = [f for f in fams if f.variant == NILPOTENT_X]
-        assert all(not f.instantiations for f in nil)
-        assert any("working cyclotomic field" in note for f in nil for note in f.notes)
+        assert len(nil) == 2
+        for fam in nil:
+            assert any("numeric" in note for note in fam.notes)
+            (d,) = fam.instantiations
+            z = d.zdot.value
+            assert abs(z * z - z + 1) < 1e-12
+            m = build(d, H2.approx())
+            assert verify_relations(m, H2.approx()).ok
+            assert is_simple(m)
+
+    def test_repeated_roots_stay_exact(self):
+        """f(h) - h = (h + 2)^5 and the closure z + f(-z) = (2 - z)^5: the
+        fixed point -2 and zdot = 2 come off the squarefree parts exactly."""
+        fams = enumerate_simples(parse_poly("(h + 2)^5 + h"), 1)
+        assert [(f.variant, str(f.orbit), str(f.zdot)) for f in fams] == [
+            (CYCLIC_X, "(-2)", "None"),
+            (CYCLIC_Y, "(-2)", "2"),
+            (NILPOTENT_X, "None", "2"),
+        ]
+        assert not any(f.notes for f in fams if f.variant != CYCLIC_Y)
+
+    @pytest.mark.parametrize("backend", ["exact", "approx"])
+    def test_translation_has_no_simple_modules(self, backend):
+        """f = h + 1 has no periodic point, and its closure z + f(-z) = 1 is
+        a nonzero constant, with no root on either backend."""
+        assert enumerate_simples(parse_poly("h + 1", backend), 1) == []
 
     def test_example_with_no_two_dimensional_modules(self):
         assert enumerate_simples(parse_poly("h^2 + 2*h - 3/4"), 2) == []

@@ -13,6 +13,7 @@ from gha.algebra import GHAElement, Presentation
 from gha.cli import main
 from gha.config import CONFIG
 from gha.modules import CyclicXDescriptor, build, is_simple
+from gha.parser import parse_poly
 from gha.polys import (
     ContinuumOfOrbitsError,
     DegreeOverflowError,
@@ -695,6 +696,56 @@ class TestDivmod:
         assert r.is_zero()
         assert q == H + P(2)
 
+    @pytest.mark.parametrize(
+        "p, d, q, r",
+        [
+            # phi(80)^2 = 1024 numerator pairs: the Kronecker path at d = 1
+            ("h^2 + 1000*zeta(80)*h", "h", "h + 1000*zeta(80)", "0"),
+            # 4^2 * 13 = 208 > 192 in Q(zeta_12), and 195 > 192 over Q
+            ("1000*zeta(12)*h^14 + 1", "h^13", "1000*zeta(12)*h", "1"),
+            ("1000*h^200 + 1", "h^195", "1000*h^5", "1"),
+        ],
+    )
+    def test_monomial_divisor_on_the_kronecker_path(self, p, d, q, r):
+        """The lower rows of a monic c*h^d are all zero; the product slots
+        must still fit the other operand's numerators."""
+        assert divmod(parse_poly(p), parse_poly(d)) == (parse_poly(q), parse_poly(r))
+
+    @pytest.mark.parametrize("n", [17, 80])
+    def test_large_fields_monomial_divisors(self, n):
+        """Seeded draws over Q(zeta_17) and Q(zeta_80), phi = 16 and 32,
+        divided by c*h and by c*h^d: phi^2 * d > 192 puts every division on
+        the Kronecker path.  c = a + b*zeta^k keeps the one scalar inverse
+        of a division cheap; the dividends are dense."""
+        rng = random.Random(n)
+        phi = euler_phi(n)
+
+        def element():
+            return CyclotomicNumber(n, [Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(phi)])
+
+        for d in (1, 2, 3):
+            c = exact(rng.randint(-9, 9)) + exact(rng.randint(1, 9)) * zeta(n, rng.randrange(1, n))
+            divisor = Poly([exact(0)] * d + [c])
+            p = Poly([element() for _ in range(d + 3)])
+            q, r = divmod(p, divisor)
+            assert q * divisor + r == p
+            assert r.degree < d
+            assert q == Poly(p.coeffs[d:]) * Poly([c.inverse()])
+
+
+def test_mul_rows_with_a_zero_operand_on_the_kronecker_path(monkeypatch):
+    """An all-zero operand makes the product bound 0; the slots are sized
+    from the operands too, so the other one still packs."""
+    rng = random.Random(13)
+    phi = euler_phi(80)
+    x = [rng.randint(-(10**6), 10**6) for _ in range(3 * phi)]
+    zeros = [0] * (2 * phi)
+    assert len(x) * len(zeros) > polys._SCHOOLBOOK_MAX
+    for a, b in ((x, zeros), (zeros, x)):
+        assert polys._mul_rows(a, phi, b, phi, 80) == [0] * (4 * phi)
+    monkeypatch.setattr(polys, "_SCHOOLBOOK_MAX", 10**9)
+    assert polys._mul_rows(x, phi, zeros, phi, 80) == [0] * (4 * phi)
+
 
 class TestPolyGcd:
     def test_common_factor(self):
@@ -882,6 +933,24 @@ class TestOrbits:
         assert out.orbits == () and not out.residual_roots
 
 
+    def test_exact_roots_survive_an_unsplit_factor(self):
+        """f(h) - h = h(h - 1)(h^2 - 2): 0 and 1 stay exact, and only the
+        roots of h^2 - 2, which has none in Q, are numeric."""
+        out = periodic_points(H + H * (H - P(1)) * (H * H - P(2)), 1)
+        assert not out.residual_roots
+        pts = [o.values[0] for o in out.orbits]
+        assert [v for v in pts if isinstance(v, CyclotomicNumber)] == [exact(0), exact(1)]
+        numeric = [v.value for v in pts if not isinstance(v, CyclotomicNumber)]
+        assert [z.real for z in numeric] == pytest.approx([-math.sqrt(2), math.sqrt(2)], abs=1e-12)
+        assert all(abs(z.imag) < 1e-12 for z in numeric)
+
+    def test_repeated_fixed_point_is_one_exact_orbit(self):
+        """f(h) - h = (h + 2)^5: one fixed point of multiplicity 5, found on
+        the squarefree part h + 2 with no numeric search."""
+        out = periodic_points((H + P(2)) ** 5 + H, 1)
+        assert out.orbits == (Orbit((exact(-2),)),) and not out.residual_roots
+
+
 class TestApproxBridge:
     def test_poly_approx(self):
         f = Poly([exact(Fraction(1, 2)), zeta(4)])
@@ -1041,12 +1110,22 @@ class TestFormPaths:
 
     def test_exact_roots_divide_once_per_attempt(self, monkeypatch):
         """The remainder on division by h - c is p(c): one division both
-        tests a candidate and divides it out."""
-        calls = []
-        real = Poly.__divmod__
+        tests a candidate and divides it out, and the multiplicity comes
+        from the squarefree part, not from dividing again."""
+        calls, parts = [], []
+        real, real_squarefree = Poly.__divmod__, polys._squarefree
         monkeypatch.setattr(Poly, "__divmod__", lambda a, b: calls.append(1) or real(a, b))
+
+        def squarefree(p):
+            parts.extend(real_squarefree(p))
+            calls.clear()  # count the divisions after the decomposition only
+            return parts
+
+        monkeypatch.setattr(polys, "_squarefree", squarefree)
         found, rem = exact_roots((H - P(1)) ** 2 * (H + P(2)) * (H * H + P(1)))
         assert sorted((str(r), m) for r, m in found) == [("-2", 1), ("1", 2)]
         assert rem == H * H + P(1)
-        # 1 twice and once more to fail, -2 once and once more to fail
-        assert len(calls) == 5
+        assert parts == [((H + P(2)) * (H * H + P(1)), 1), (H - P(1), 2)]
+        # after the decomposition: -2 once, on the part (h + 2)(h^2 + 1); the
+        # part h - 1 of index 2 is linear and splits with no division
+        assert len(calls) == 1
