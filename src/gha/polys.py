@@ -18,7 +18,8 @@ composition with a constant) and division.  Each result is made canonical
 once, at the end.  An approximate :class:`Poly` is the same form with
 conductor 0 and one ``complex`` per coefficient, run through the same
 code.  ``Poly.coeffs``, scalars built on each access, is a view for
-printing, JSON and matrices; no operation here reads it.
+printing, JSON and matrices; no operation here reads it.  The row
+routines live in :mod:`gha.scalars`, whose scalars are the same form.
 
 Root finding comes in two flavours:
 
@@ -40,8 +41,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain, repeat, zip_longest
+from itertools import zip_longest
 
 from .config import CONFIG
 from .scalars import (
@@ -50,9 +50,16 @@ from .scalars import (
     BackendMismatchError,
     CyclotomicNumber,
     Scalar,
+    _add_rows,
+    _canonical,
+    _cyclotomic,
+    _embed_row,
     _lift_rows,
+    _mul_rows,
     _power,
-    _reduce_mod_cyclotomic,
+    _rational_parts,
+    _reduced,
+    _width,
     approx,
     as_scalar,
     backend_of,
@@ -173,14 +180,10 @@ class Poly:
         return tuple(self._scalar(k) for k in range(self.degree + 1))
 
     def _scalar(self, k: int) -> Scalar:
-        if self._n == 1:
-            return CyclotomicNumber(1, (Fraction(self._num[k], self._den),))
         if not self._n:
             return approx(self._num[k])
-        phi = euler_phi(self._n)
-        return CyclotomicNumber(
-            self._n, [Fraction(x, self._den) for x in self._num[k * phi : (k + 1) * phi]]
-        )
+        phi = _width(self._n)
+        return _cyclotomic(self._n, self._den, self._num[k * phi : (k + 1) * phi])
 
     @property
     def degree(self) -> int:
@@ -375,15 +378,11 @@ class Poly:
         return self if self.backend == "approx" else _approx_form(self.embed_coeffs())
 
     def embed_coeffs(self) -> list[complex]:
-        """Each coefficient in C, summed from its row as
-        ``CyclotomicNumber.embed`` sums the coordinates."""
+        """Each coefficient in C, as ``CyclotomicNumber.embed`` has it."""
         if not self._n:
             return list(self._num)
-        phi, den, num, units = _width(self._n), self._den, self._num, _units(self._n)
-        return [
-            sum((x / den) * u for x, u in zip(num[k : k + phi], units) if x) + 0j
-            for k in range(0, len(num), phi)
-        ]
+        phi, num = _width(self._n), self._num
+        return [_embed_row(num[k : k + phi], self._den, self._n) for k in range(0, len(num), phi)]
 
     def conductor(self) -> int:
         """N of the integer form, the lcm of the conductors of the inputs or
@@ -456,13 +455,6 @@ def _raw(n: int, den: int, num: tuple) -> Poly:
     return p
 
 
-@lru_cache(maxsize=None)
-def _width(n: int) -> int:
-    """Numerators per coefficient of a form over conductor n: phi(n), and
-    1 for an approximate row (n = 0)."""
-    return euler_phi(n) if n else 1
-
-
 # the zero polynomial, shared; a zero operand passes every backend check, so
 # it serves both backends
 _ZERO = _raw(1, 1, ())
@@ -473,32 +465,8 @@ def _exact(n: int, den: int, num) -> Poly:
     row (n = 0, den = 1) goes to :func:`_approx_form`."""
     if not n:
         return _approx_form(num)
-    phi = euler_phi(n)
-    form = _reduced(den, num, phi)
-    if form is None:
-        return _ZERO
-    den, num = form
-    if n > 1 and not any(any(num[j::phi]) for j in range(1, phi)):
-        n, num = 1, num[::phi]
-    return _raw(n, den, tuple(num))
-
-
-def _reduced(den: int, num, phi: int):
-    """(den, num) with the trailing zero rows of phi numerators cut and
-    the gcd of den and num divided out; None when every numerator is 0."""
-    end = len(num)
-    while end and not any(num[end - phi : end]):
-        end -= phi
-    if not end:
-        return None
-    if end < len(num):
-        num = num[:end]
-    if den != 1:
-        g = math.gcd(den, *num)
-        if g != 1:
-            den //= g
-            num = [x // g for x in num]
-    return den, num
+    form = _canonical(n, den, num)
+    return _raw(*form) if form else _ZERO
 
 
 def _approx_form(num) -> Poly:
@@ -515,23 +483,17 @@ def _approx_form(num) -> Poly:
 
 
 def _integer_form(coeffs) -> Poly:
-    """The exact Poly of these ints, Fractions and CyclotomicNumbers, each
-    lifted to the lcm N of their conductors.  A rational coefficient gives
-    its numerator and denominator straight, with no scalar built."""
+    """The exact Poly of these ints, Fractions and CyclotomicNumbers: their
+    rows of numerators lifted to the lcm N of their conductors, over one
+    common denominator.  An int or a Fraction gives its row straight."""
     n = math.lcm(*[c.conductor for c in coeffs if isinstance(c, CyclotomicNumber)])
     pad = [0] * (euler_phi(n) - 1)
-    fracs: list = []
-    for c in coeffs:
-        if not isinstance(c, CyclotomicNumber):
-            fracs.append(c)
-        elif c.conductor == 1:
-            fracs.append(c.coords[0])
-        else:
-            fracs += c._lift_coords(n)
-            continue
-        fracs += pad
-    den = math.lcm(*[q.denominator for q in fracs])
-    return _exact(n, den, [q.numerator * (den // q.denominator) for q in fracs])
+    rows = [
+        (c._den, c._row(n)) if isinstance(c, CyclotomicNumber) else (c.denominator, [c.numerator, *pad])
+        for c in coeffs
+    ]
+    den = math.lcm(*[d for d, _ in rows])
+    return _exact(n, den, [x * (den // d) for d, row in rows for x in row])
 
 
 def _shared_conductor(a: Poly, b: Poly) -> int:
@@ -546,8 +508,6 @@ def _shared_conductor(a: Poly, b: Poly) -> int:
 
 def _num_in(p: Poly, n: int):
     """p's numerators over conductor n, a multiple of p's."""
-    if p._n == n:
-        return p._num
     return _lift_rows(p._num, p._n, n)
 
 
@@ -556,28 +516,7 @@ def _over(p: Poly, n: int) -> Poly:
     The lift keeps the form canonical: it keeps the gcd of the numerators."""
     if p._n == 1 or p._n == n:
         return p
-    return _raw(n, p._den, tuple(_lift_rows(p._num, p._n, n)))
-
-
-def _add_rows(x, dx: int, y, dy: int, op=operator.add) -> tuple[int, list]:
-    """(d, z) with z / d = op(x / dx, y / dy) for numerator lists, op + or
-    -, the shorter list padded with zeros and d = lcm(dx, dy)."""
-    d = dx if dx == dy else math.lcm(dx, dy)
-    if d != dx:
-        x = [v * (d // dx) for v in x]
-    if d != dy:
-        y = [v * (d // dy) for v in y]
-    out = list(map(op, x, y))
-    out += x[len(y) :]
-    if len(y) > len(x):
-        out += map(op, repeat(0), y[len(x) :])
-    return d, out
-
-
-# Operand size, len(a._num) * len(b._num), up to which _mul_forms
-# multiplies by schoolbook: below it the Kronecker packing and unpacking cost
-# more than the products they replace.
-_SCHOOLBOOK_MAX = 192
+    return _raw(n, p._den, tuple(_num_in(p, n)))
 
 
 def _mul_forms(a: Poly, b: Poly, n: int) -> Poly:
@@ -591,45 +530,6 @@ def _mul_forms(a: Poly, b: Poly, n: int) -> Poly:
         a, b = _over(a, n), _over(b, n)
     digits = _mul_rows(a._num, _width(a._n), b._num, _width(b._n), n)
     return _exact(n, a._den * b._den, digits)
-
-
-def _mul_rows(x, pa: int, y, pb: int, n: int) -> list[int]:
-    """The numerator rows of x*y, by schoolbook or Kronecker substitution.
-
-    x and y are nonempty lists of rows of pa and pb integer numerators,
-    rational (pa = 1) or over Q(zeta_n) itself, never another conductor
-    (:func:`_over` lifts those), or for n = 0 approximate rows of complex
-    coefficients, always multiplied by schoolbook.  Coefficient k of x, a
-    polynomial of degree < pa in zeta, goes to the slots k*stride ..
-    k*stride + pa - 1, with stride = pa + pb - 1 so the zeta-degrees of a
-    product cannot spill into the next h-degree.  Short operands convolve
-    those slot lists directly.  Long ones pack them into one integer each, h and zeta_n
-    becoming powers of 2 (Kronecker substitution): a slot holds any product
-    coefficient with a sign bit to spare, so the product of the two
-    integers carries every coefficient of x*y in Z[h, zeta].  Either way
-    each row is then reduced mod Phi_n, to phi(n) numerators.
-    """
-    stride = pa + pb - 1
-    la, lb = len(x) // pa, len(y) // pb
-    count = (la + lb - 1) * stride
-    if len(x) * len(y) <= _SCHOOLBOOK_MAX or not n:
-        sx = _spread(x, pa, stride)
-        sy = sx if y is x else _spread(y, pb, stride)
-        digits = [0 if n else 0j] * count
-        for i, u in enumerate(sx):
-            if u:
-                for j, v in enumerate(sy, i):
-                    digits[j] += u * v
-    else:
-        ax, ay = _max_abs(x), _max_abs(y)  # the slots hold these too: one may be all zero
-        bound = max(min(la, lb) * min(pa, pb) * ax * ay, ax, ay)
-        width = (bound.bit_length() + 8) // 8  # bytes per slot, sign bit included
-        vx = _pack(x, pa, stride, width)
-        vy = vx if y is x else _pack(y, pb, stride, width)
-        digits = _unpack(vx * vy, width, count)
-    if stride > _width(n):
-        digits = _reduce_mod_cyclotomic(digits, n, stride)
-    return digits
 
 
 def _compose_forms(outer: Poly, inner: Poly, n: int) -> Poly:
@@ -656,12 +556,6 @@ def _compose_forms(outer: Poly, inner: Poly, n: int) -> Poly:
         for j in range(po):
             acc[j] += num[k + j] * scale
     return _exact(n, outer._den * scale, acc)
-
-
-@lru_cache(maxsize=None)
-def _units(n: int) -> tuple[complex, ...]:
-    """exp(2*pi*i*j/n) for j < phi(n), as ``CyclotomicNumber.embed`` has them."""
-    return tuple(cmath.exp(2j * math.pi * j / n) for j in range(euler_phi(n)))
 
 
 def _scale(p: Poly, num: int, den: int) -> Poly:
@@ -714,51 +608,6 @@ def _add_product_entry(out: dict, key, p, shift, n: int) -> None:
         del out[key]
 
 
-def _max_abs(num) -> int:
-    return max(max(num), -min(num))
-
-
-def _spread(num, phi: int, stride: int):
-    """num with each row of phi numerators padded by zeros to stride slots,
-    the last row excepted."""
-    if stride == phi:
-        return num
-    gap = [0] * (stride - phi)
-    out = []
-    for k in range(0, len(num), phi):
-        out += num[k : k + phi]
-        out += gap
-    del out[len(out) - len(gap) :]
-    return out
-
-
-def _pack(num, phi: int, stride: int, width: int) -> int:
-    """sum of num[k*phi + j] * 2^(8*width*(k*stride + j)), signed entries."""
-    digits = _spread(num, phi, stride)
-    zero = bytes(width)
-    out = int.from_bytes(
-        b"".join([d.to_bytes(width, "little") if d > 0 else zero for d in digits]), "little"
-    )
-    if min(digits) < 0:
-        out -= int.from_bytes(
-            b"".join([(-d).to_bytes(width, "little") if d < 0 else zero for d in digits]),
-            "little",
-        )
-    return out
-
-
-def _unpack(value: int, width: int, count: int) -> list[int]:
-    """The count signed slots of value, each below 2^(8*width - 1) in size."""
-    raw = value.to_bytes(width * count, "little", signed=True)
-    slots = [
-        int.from_bytes(raw[o : o + width], "little", signed=True)
-        for o in range(0, width * count, width)
-    ]
-    # each slot reads as two's complement; one that reads negative lent one
-    # to the slot above it
-    return [d + (below < 0) for d, below in zip(slots, chain((0,), slots))]
-
-
 def _scalar_parts(c: Scalar) -> tuple[bool | None, str, bool]:
     """What the text of a nonzero coefficient c is made from.
 
@@ -766,20 +615,12 @@ def _scalar_parts(c: Scalar) -> tuple[bool | None, str, bool]:
     sign, that is when it is rational or a real approximate value;
     otherwise (None, the text of c, whether c == 1)."""
     if isinstance(c, CyclotomicNumber) and c.is_rational():
-        q = c.coords[0]
-        return q < 0, str(abs(q)), abs(q) == 1
+        return _rational_parts(c._num[0], c._den)
     if isinstance(c, ApproxComplex) and c.value.imag == 0:
         v = c.value.real
         mag = approx(-v) if v < 0 else c
         return v < 0, str(mag), mag == 1
     return None, str(c), c == one_like(c)
-
-
-def _rational_parts(num: int, den: int) -> tuple[bool, str, bool]:
-    """:func:`_scalar_parts` of the nonzero rational num/den (den > 0)."""
-    g = math.gcd(num, den)
-    top, bottom = abs(num) // g, den // g
-    return num < 0, (str(top) if bottom == 1 else f"{top}/{bottom}"), top == bottom
 
 
 def _h_power(k: int) -> str:

@@ -2,15 +2,20 @@
 
 Two backends coexist but never mix inside one computation:
 
-* ``CyclotomicNumber`` is an element of Q(zeta_N), stored as rational
-  coordinates in the power basis 1, zeta, ..., zeta^(phi(N)-1) modulo the
-  N-th cyclotomic polynomial.  Arithmetic is exact; elements of different
-  conductors are promoted to the lcm before combining.
+* ``CyclotomicNumber`` is an element of Q(zeta_N) held as the degree-0
+  case of the integer form ``(N, den, num)`` of :class:`gha.polys.Poly`:
+  phi(N) integer numerators in the power basis 1, zeta, ...,
+  zeta^(phi(N)-1) modulo the N-th cyclotomic polynomial, over one
+  denominator.  Arithmetic is exact; elements of different conductors are
+  lifted to the lcm before combining.
 * ``ApproxComplex`` is a finite complex double with tolerance-based equality
   (tolerance taken from :data:`gha.config.CONFIG`).
 
 Plain ``int``/``Fraction`` literals are backend-neutral and lift into either
 side.  Promotion exact -> approx is explicit via ``.approx()`` and one-way.
+
+The routines on rows of integer numerators (reduction mod Phi_N, lift,
+sum, product, canonical form) live here and serve ``polys`` too.
 """
 
 from __future__ import annotations
@@ -20,11 +25,10 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, repeat
 from typing import Union
 
 from .config import CONFIG
-
-Rational = Fraction
 
 _NEUTRAL = (int, Fraction)
 
@@ -135,9 +139,12 @@ def _reduce_mod_cyclotomic(c: list, n: int, stride: int = 0) -> list:
     return out
 
 
-def _lift_rows(num, m: int, n: int) -> list:
+def _lift_rows(num, m: int, n: int):
     """num, rows of phi(m) coordinates over Q(zeta_m), as rows of phi(n)
-    over Q(zeta_n), m dividing n: zeta_m = zeta_n^(n/m), reduced mod Phi_n."""
+    over Q(zeta_n), m dividing n: zeta_m = zeta_n^(n/m), reduced mod Phi_n;
+    num itself when m = n."""
+    if m == n:
+        return num
     phi = euler_phi(n)
     if m == 1:
         out = [0] * (len(num) * phi)
@@ -149,63 +156,201 @@ def _lift_rows(num, m: int, n: int) -> list:
     return _reduce_mod_cyclotomic(raw, n, euler_phi(m) * step)
 
 
-def _poly_xgcd(a: list[Fraction], b: list[Fraction]):
-    # extended Euclid over Q[x]; returns (g, s, t) with s*a + t*b = g
-    def deg(p):
-        for i in range(len(p) - 1, -1, -1):
-            if p[i]:
-                return i
-        return -1
+@lru_cache(maxsize=None)
+def _width(n: int) -> int:
+    """Numerators per coefficient of a form over conductor n: phi(n), and
+    1 for an approximate row (n = 0)."""
+    return euler_phi(n) if n else 1
 
-    def sub_scaled(p, q, c, shift):
-        out = list(p) + [Fraction(0)] * max(0, len(q) + shift - len(p))
-        for i, x in enumerate(q):
-            if x:
-                out[i + shift] -= c * x
-        return out
 
-    r0, r1 = list(a), list(b)
-    s0, s1 = [Fraction(1)], [Fraction(0)]
-    t0, t1 = [Fraction(0)], [Fraction(1)]
-    while deg(r1) >= 0:
-        d0, d1 = deg(r0), deg(r1)
-        if d0 < d1:
-            r0, r1, s0, s1, t0, t1 = r1, r0, s1, s0, t1, t0
-            continue
-        c = r0[d0] / r1[d1]
-        shift = d0 - d1
-        r0 = sub_scaled(r0, r1, c, shift)
-        s0 = sub_scaled(s0, s1, c, shift)
-        t0 = sub_scaled(t0, t1, c, shift)
-    return r0, s0, t0
+def _canonical(n: int, den: int, num):
+    """The exact form (n, den, num) made canonical, with num a tuple: no
+    trailing zero row of phi(n) numerators, gcd(den, num) = 1, and n = 1
+    when every zeta part is 0; None when every numerator is 0."""
+    phi = euler_phi(n)
+    form = _reduced(den, num, phi)
+    if form is None:
+        return None
+    den, num = form
+    if n > 1 and not any(any(num[j::phi]) for j in range(1, phi)):
+        n, num = 1, num[::phi]
+    return n, den, tuple(num)
+
+
+def _reduced(den: int, num, phi: int):
+    """(den, num) with the trailing zero rows of phi numerators cut and
+    the gcd of den and num divided out; None when every numerator is 0."""
+    end = len(num)
+    while end and not any(num[end - phi : end]):
+        end -= phi
+    if not end:
+        return None
+    if end < len(num):
+        num = num[:end]
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            den //= g
+            num = [x // g for x in num]
+    return den, num
+
+
+def _add_rows(x, dx: int, y, dy: int, op=operator.add) -> tuple[int, list]:
+    """(d, z) with z / d = op(x / dx, y / dy) for numerator lists, op + or
+    -, the shorter list padded with zeros and d = lcm(dx, dy)."""
+    d = dx if dx == dy else math.lcm(dx, dy)
+    if d != dx:
+        x = [v * (d // dx) for v in x]
+    if d != dy:
+        y = [v * (d // dy) for v in y]
+    out = list(map(op, x, y))
+    out += x[len(y) :]
+    if len(y) > len(x):
+        out += map(op, repeat(0), y[len(x) :])
+    return d, out
+
+
+# Operand size, len(x) * len(y), up to which _mul_rows multiplies by
+# schoolbook: below it the Kronecker packing and unpacking cost more than
+# the products they replace.
+_SCHOOLBOOK_MAX = 192
+
+
+def _mul_rows(x, pa: int, y, pb: int, n: int) -> list[int]:
+    """The numerator rows of x*y, by schoolbook or Kronecker substitution.
+
+    x and y are nonempty lists of rows of pa and pb integer numerators,
+    rational (pa = 1) or over Q(zeta_n) itself, never another conductor
+    (the caller lifts those), or for n = 0 approximate rows of complex
+    coefficients, always multiplied by schoolbook.  Coefficient k of x, a
+    polynomial of degree < pa in zeta, goes to the slots k*stride ..
+    k*stride + pa - 1, with stride = pa + pb - 1 so the zeta-degrees of a
+    product cannot spill into the next h-degree.  Short operands convolve
+    those slot lists directly.  Long ones pack them into one integer each, h and zeta_n
+    becoming powers of 2 (Kronecker substitution): a slot holds any product
+    coefficient with a sign bit to spare, so the product of the two
+    integers carries every coefficient of x*y in Z[h, zeta].  Either way
+    each row is then reduced mod Phi_n, to phi(n) numerators.
+    """
+    stride = pa + pb - 1
+    la, lb = len(x) // pa, len(y) // pb
+    count = (la + lb - 1) * stride
+    if len(x) * len(y) <= _SCHOOLBOOK_MAX or not n:
+        sx = _spread(x, pa, stride)
+        sy = sx if y is x else _spread(y, pb, stride)
+        digits = [0 if n else 0j] * count
+        for i, u in enumerate(sx):
+            if u:
+                for j, v in enumerate(sy, i):
+                    digits[j] += u * v
+    else:
+        ax, ay = _max_abs(x), _max_abs(y)  # the slots hold these too: one may be all zero
+        bound = max(min(la, lb) * min(pa, pb) * ax * ay, ax, ay)
+        width = (bound.bit_length() + 8) // 8  # bytes per slot, sign bit included
+        vx = _pack(x, pa, stride, width)
+        vy = vx if y is x else _pack(y, pb, stride, width)
+        digits = _unpack(vx * vy, width, count)
+    if stride > _width(n):
+        digits = _reduce_mod_cyclotomic(digits, n, stride)
+    return digits
+
+
+def _max_abs(num) -> int:
+    return max(max(num), -min(num))
+
+
+def _spread(num, phi: int, stride: int):
+    """num with each row of phi numerators padded by zeros to stride slots,
+    the last row excepted."""
+    if stride == phi:
+        return num
+    gap = [0] * (stride - phi)
+    out = []
+    for k in range(0, len(num), phi):
+        out += num[k : k + phi]
+        out += gap
+    del out[len(out) - len(gap) :]
+    return out
+
+
+def _pack(num, phi: int, stride: int, width: int) -> int:
+    """sum of num[k*phi + j] * 2^(8*width*(k*stride + j)), signed entries."""
+    digits = _spread(num, phi, stride)
+    zero = bytes(width)
+    out = int.from_bytes(
+        b"".join([d.to_bytes(width, "little") if d > 0 else zero for d in digits]), "little"
+    )
+    if min(digits) < 0:
+        out -= int.from_bytes(
+            b"".join([(-d).to_bytes(width, "little") if d < 0 else zero for d in digits]),
+            "little",
+        )
+    return out
+
+
+def _unpack(value: int, width: int, count: int) -> list[int]:
+    """The count signed slots of value, each below 2^(8*width - 1) in size."""
+    raw = value.to_bytes(width * count, "little", signed=True)
+    slots = [
+        int.from_bytes(raw[o : o + width], "little", signed=True)
+        for o in range(0, width * count, width)
+    ]
+    # each slot reads as two's complement; one that reads negative lent one
+    # to the slot above it
+    return [d + (below < 0) for d, below in zip(slots, chain((0,), slots))]
+
+
+@lru_cache(maxsize=None)
+def _units(n: int) -> tuple[complex, ...]:
+    """exp(2*pi*i*j/n) for j < phi(n), the embedding of the power basis."""
+    return tuple(cmath.exp(2j * math.pi * j / n) for j in range(euler_phi(n)))
+
+
+def _embed_row(row, den: int, n: int) -> complex:
+    """The value in C of the row of numerators over den, under zeta_n ->
+    exp(2*pi*i/n)."""
+    return sum((x / den) * u for x, u in zip(row, _units(n)) if x) + 0j
+
+
+def _rational_parts(num: int, den: int) -> tuple[bool, str, bool]:
+    """(whether q < 0, the text of |q|, whether |q| == 1) for the nonzero
+    rational q = num/den (den > 0)."""
+    g = math.gcd(num, den)
+    top, bottom = abs(num) // g, den // g
+    return num < 0, (str(top) if bottom == 1 else f"{top}/{bottom}"), top == bottom
 
 
 class CyclotomicNumber:
     """An exact element of the cyclotomic field Q(zeta_N).
 
-    ``coords[j]`` is the rational coefficient of zeta_N^j in the power basis
-    of length phi(N).  Rational values normalise to conductor 1.  Instances
-    are immutable; equality promotes both sides to a common conductor.
+    Held in the form ``(N, den, num)`` of a degree-0 :class:`gha.polys.Poly`:
+    the conductor N, a denominator ``den > 0`` and the phi(N) integer
+    numerators ``num`` of the power basis 1, zeta_N, ...,
+    zeta_N^(phi(N)-1).  The form is canonical: gcd(den, num) = 1, and
+    N = 1 exactly when the value is rational, so 0 is (1, 1, (0,)).
+    ``coords``, the rationals num[j] / den, is a view built on each access;
+    no operation reads it.  Instances are immutable; equality lifts both
+    sides to a common conductor.
 
     >>> z = CyclotomicNumber.zeta(3)
     >>> z**3 == 1
     True
     >>> z + z**2 == -1
     True
+    >>> CyclotomicNumber(3, [1, "1/2"]).inverse()
+    CyclotomicNumber(2/3 - 2/3*zeta(3))
     """
 
-    __slots__ = ("conductor", "coords")
+    __slots__ = ("conductor", "_den", "_num")
     __hash__ = None  # tolerance-free but cross-conductor equal forms differ structurally
 
-    def __init__(self, conductor: int, coords) -> None:
-        coords = tuple(Fraction(c) for c in coords)
+    def __new__(cls, conductor: int, coords) -> "CyclotomicNumber":
+        coords = [Fraction(c) for c in coords]
         phi = euler_phi(conductor)
         if len(coords) != phi:
             raise ValueError(f"expected {phi} coordinates for conductor {conductor}")
-        if conductor != 1 and not any(coords[1:]):
-            conductor, coords = 1, (coords[0],)
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coords", coords)
+        den = math.lcm(*[q.denominator for q in coords])
+        return _cyclotomic(conductor, den, [q.numerator * (den // q.denominator) for q in coords])
 
     def __setattr__(self, *a):  # pragma: no cover - guards accidental mutation
         raise AttributeError("CyclotomicNumber is immutable")
@@ -217,38 +362,32 @@ class CyclotomicNumber:
 
     @classmethod
     def from_rational(cls, q) -> "CyclotomicNumber":
-        return cls(1, (Fraction(q),))
+        q = q if isinstance(q, _NEUTRAL) else Fraction(q)
+        return _cyclotomic(1, q.denominator, [q.numerator])
 
     @classmethod
     def zeta(cls, n: int, k: int = 1) -> "CyclotomicNumber":
         """zeta_n^k as an element of Q(zeta_n)."""
         k %= n
-        coords = _reduce_mod_cyclotomic(
-            [Fraction(0)] * k + [Fraction(1)], n
-        )
-        return cls(n, coords)
+        return _cyclotomic(n, 1, _reduce_mod_cyclotomic([0] * k + [1], n))
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The rational coordinates in the power basis of Q(zeta_N)."""
+        den = self._den
+        return tuple(Fraction(x, den) for x in self._num)
 
     # -- conductor bookkeeping ------------------------------------------
 
-    def _lift_coords(self, m: int) -> tuple[Fraction, ...]:
-        """Coordinates of self in the power basis of Q(zeta_m); conductor | m."""
-        n = self.conductor
-        if m == n:
-            return self.coords
-        if m % n:
-            raise ValueError("can only lift to a multiple of the conductor")
-        return tuple(_lift_rows(self.coords, n, m))
-
-    @staticmethod
-    def _common(a: "CyclotomicNumber", b: "CyclotomicNumber"):
-        m = math.lcm(a.conductor, b.conductor)
-        return a._lift_coords(m), b._lift_coords(m), m
+    def _row(self, m: int):
+        """The numerators of self over Q(zeta_m), m a multiple of N."""
+        return _lift_rows(self._num, self.conductor, m)
 
     def _coerce(self, other):
-        if isinstance(other, _NEUTRAL):
-            return CyclotomicNumber.from_rational(other)
         if isinstance(other, CyclotomicNumber):
             return other
+        if isinstance(other, _NEUTRAL):
+            return CyclotomicNumber.from_rational(other)
         if isinstance(other, ApproxComplex):
             raise BackendMismatchError(
                 "cannot mix exact and approximate scalars; call .approx() explicitly"
@@ -261,13 +400,13 @@ class CyclotomicNumber:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        ca, cb, m = self._common(self, other)
-        return CyclotomicNumber(m, tuple(x + y for x, y in zip(ca, cb)))
+        m = math.lcm(self.conductor, other.conductor)
+        return _cyclotomic(m, *_add_rows(self._row(m), self._den, other._row(m), other._den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.conductor, tuple(-c for c in self.coords))
+        return _cyclotomic(self.conductor, self._den, [-x for x in self._num])
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -285,28 +424,37 @@ class CyclotomicNumber:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        ca, cb, m = self._common(self, other)
-        raw = [Fraction(0)] * (len(ca) + len(cb) - 1)
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    if y:
-                        raw[i + j] += x * y
-        return CyclotomicNumber(m, _reduce_mod_cyclotomic(raw, m))
+        a, b = (other, self) if other.conductor == 1 else (self, other)
+        if a.conductor == 1:  # a rational factor scales the other's numerators
+            c = a._num[0]
+            return _cyclotomic(b.conductor, a._den * b._den, [x * c for x in b._num])
+        m = math.lcm(a.conductor, b.conductor)
+        phi = euler_phi(m)
+        return _cyclotomic(m, a._den * b._den, _mul_rows(a._row(m), phi, b._row(m), phi, m))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
+        """1/self: with self = A / d, the product P of the Galois conjugates
+        zeta -> zeta^k (gcd(k, N) = 1, k != 1) of A makes A*P the rational
+        norm of A, so 1/self = d*P / (A*P)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
-        if self.conductor == 1:
-            return CyclotomicNumber.from_rational(1 / self.coords[0])
-        cp = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
-        g, s, _ = _poly_xgcd(list(self.coords), cp)
-        # g is a nonzero constant because the cyclotomic polynomial is irreducible
-        gc = next(c for c in g if c)
-        inv = [c / gc for c in s]
-        return CyclotomicNumber(self.conductor, _reduce_mod_cyclotomic(inv, self.conductor))
+        n, den, num = self.conductor, self._den, self._num
+        if n == 1:
+            return _cyclotomic(1, abs(num[0]), [den if num[0] > 0 else -den])
+        phi, conj = len(num), None
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                raw = [0] * n
+                for j, x in enumerate(num):
+                    raw[j * k % n] = x
+                row = _reduce_mod_cyclotomic(raw, n)
+                conj = row if conj is None else _mul_rows(conj, phi, row, phi, n)
+        norm = _mul_rows(num, phi, conj, phi, n)[0]
+        if norm < 0:
+            norm, den = -norm, -den
+        return _cyclotomic(n, norm, [x * den for x in conj])
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -330,32 +478,26 @@ class CyclotomicNumber:
     def __eq__(self, other):
         if isinstance(other, _NEUTRAL):
             other = CyclotomicNumber.from_rational(other)
-        if isinstance(other, CyclotomicNumber):
-            ca, cb, _ = self._common(self, other)
-            return ca == cb
-        return NotImplemented
+        if not isinstance(other, CyclotomicNumber):
+            return NotImplemented
+        # canonical forms: equal values have equal forms over a common
+        # conductor, and lifting keeps the denominator
+        if self._den != other._den:
+            return False
+        m = math.lcm(self.conductor, other.conductor)
+        return tuple(self._row(m)) == tuple(other._row(m))
 
     # -- queries ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not any(self._num)
 
     def is_rational(self) -> bool:
         return self.conductor == 1
 
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return self.coords[0]
-
     def embed(self) -> complex:
         """Numeric value under zeta_N -> exp(2*pi*i/N)."""
-        n = self.conductor
-        return sum(
-            float(c) * cmath.exp(2j * math.pi * j / n)
-            for j, c in enumerate(self.coords)
-            if c
-        ) + 0j
+        return _embed_row(self._num, self._den, self.conductor)
 
     def approx(self) -> "ApproxComplex":
         return ApproxComplex(self.embed())
@@ -366,25 +508,37 @@ class CyclotomicNumber:
     # -- canonical text form ----------------------------------------------
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
         pieces = []
-        for j, c in enumerate(self.coords):
-            if not c:
+        for j, x in enumerate(self._num):
+            if not x:
                 continue
-            if j == 0:
-                body = str(abs(c))
-            else:
+            negative, text, unit = _rational_parts(x, self._den)
+            if j:
                 zeta = f"zeta({self.conductor})" + (f"^{j}" if j > 1 else "")
-                body = zeta if abs(c) == 1 else f"{abs(c)}*{zeta}"
-            if not pieces:
-                pieces.append(("-" if c < 0 else "") + body)
-            else:
-                pieces.append(("- " if c < 0 else "+ ") + body)
-        return " ".join(pieces)
+                text = zeta if unit else f"{text}*{zeta}"
+            sign = ("- " if negative else "+ ") if pieces else ("-" if negative else "")
+            pieces.append(sign + text)
+        return " ".join(pieces) or "0"
 
     def __repr__(self) -> str:
         return f"CyclotomicNumber({self})"
+
+
+# the slot setters, which pass by the immutability guard
+_set_conductor = CyclotomicNumber.conductor.__set__
+_set_den = CyclotomicNumber._den.__set__
+_set_num = CyclotomicNumber._num.__set__
+
+
+def _cyclotomic(n: int, den: int, num) -> CyclotomicNumber:
+    """The CyclotomicNumber of the form (n, den, num) of phi(n) numerators,
+    made canonical."""
+    n, den, num = _canonical(n, den, num) or (1, 1, (0,))
+    c = object.__new__(CyclotomicNumber)
+    _set_conductor(c, n)
+    _set_den(c, den)
+    _set_num(c, num)
+    return c
 
 
 def _format_float(x: float) -> str:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gha import polys
+from gha import polys, scalars
 from gha.algebra import GHAElement, Presentation
 from gha.cli import main
 from gha.config import CONFIG
@@ -31,6 +31,7 @@ from gha.polys import (
 from gha.scalars import (
     BackendMismatchError,
     CyclotomicNumber,
+    _lift_rows,
     approx,
     euler_phi,
     exact,
@@ -133,7 +134,7 @@ def _layout(cs):
 def _lift_to(cs, n):
     """cs with every coefficient over Q(zeta_n), n a multiple of each
     conductor: the field an integer-form result over n prints in."""
-    return [CyclotomicNumber(n, c._lift_coords(n)) for c in cs]
+    return [CyclotomicNumber(n, _lift_rows(c.coords, c.conductor, n)) for c in cs]
 
 
 def _paired(cases_of, n):
@@ -242,8 +243,8 @@ class TestIntegerFormAgainstSchoolbook:
         coefficients up to 2^200 in size; _pack runs only on the Kronecker
         path, and each pair is also multiplied with each path forced."""
         packs = []
-        pack = polys._pack
-        monkeypatch.setattr(polys, "_pack", lambda *args: packs.append(1) or pack(*args))
+        pack = scalars._pack
+        monkeypatch.setattr(scalars, "_pack", lambda *args: packs.append(1) or pack(*args))
         rng = random.Random(3000 + n)
         top = CyclotomicNumber(n, [2**200] * euler_phi(n))
         pairs = []
@@ -252,12 +253,12 @@ class TestIntegerFormAgainstSchoolbook:
                 a = [_element(rng, n, bits) for _ in range(length - 1)] + [top]
                 b = [_element(rng, n, bits) for _ in range(rng.randint(2, length + 1))] + [-top]
                 pairs.append((a, b))
-        default, reached = polys._SCHOOLBOOK_MAX, set()
+        default, reached = scalars._SCHOOLBOOK_MAX, set()
         for a, b in pairs:
             pa, pb = Poly(a), Poly(b)
             for x, y, want in ((pa, pb, _ref_mul(a, b)), (pa, pa, _ref_mul(a, a))):
                 for limit in (default, 0, 10**9):
-                    monkeypatch.setattr(polys, "_SCHOOLBOOK_MAX", limit)
+                    monkeypatch.setattr(scalars, "_SCHOOLBOOK_MAX", limit)
                     before = len(packs)
                     got = x * y
                     kronecker = len(packs) > before
@@ -458,8 +459,8 @@ class TestRowCompose:
     @pytest.mark.parametrize("n", [1, 3, 5] + MIXED)
     def test_against_scalar_horner(self, n, monkeypatch):
         packs = []
-        pack = polys._pack
-        monkeypatch.setattr(polys, "_pack", lambda *args: packs.append(1) or pack(*args))
+        pack = scalars._pack
+        monkeypatch.setattr(scalars, "_pack", lambda *args: packs.append(1) or pack(*args))
         calls = _count_exact(monkeypatch)
         for outer, inner in _paired(_compose_cases, n):
             outer, inner = _trim(outer), _trim(inner)
@@ -488,7 +489,7 @@ class TestRowCompose:
 
     @pytest.mark.parametrize("limit", [0, 10**9])
     def test_both_kernels(self, limit, monkeypatch):
-        monkeypatch.setattr(polys, "_SCHOOLBOOK_MAX", limit)
+        monkeypatch.setattr(scalars, "_SCHOOLBOOK_MAX", limit)
         for n in (1, 3):
             for outer, inner in _compose_cases(n)[:14]:
                 outer, inner = _trim(outer), _trim(inner)
@@ -715,8 +716,8 @@ class TestDivmod:
     def test_large_fields_monomial_divisors(self, n):
         """Seeded draws over Q(zeta_17) and Q(zeta_80), phi = 16 and 32,
         divided by c*h and by c*h^d: phi^2 * d > 192 puts every division on
-        the Kronecker path.  c = a + b*zeta^k keeps the one scalar inverse
-        of a division cheap; the dividends are dense."""
+        the Kronecker path.  The dividends and the leading coefficient c,
+        whose one inverse a division takes, are dense."""
         rng = random.Random(n)
         phi = euler_phi(n)
 
@@ -724,7 +725,7 @@ class TestDivmod:
             return CyclotomicNumber(n, [Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(phi)])
 
         for d in (1, 2, 3):
-            c = exact(rng.randint(-9, 9)) + exact(rng.randint(1, 9)) * zeta(n, rng.randrange(1, n))
+            c = element()
             divisor = Poly([exact(0)] * d + [c])
             p = Poly([element() for _ in range(d + 3)])
             q, r = divmod(p, divisor)
@@ -740,11 +741,11 @@ def test_mul_rows_with_a_zero_operand_on_the_kronecker_path(monkeypatch):
     phi = euler_phi(80)
     x = [rng.randint(-(10**6), 10**6) for _ in range(3 * phi)]
     zeros = [0] * (2 * phi)
-    assert len(x) * len(zeros) > polys._SCHOOLBOOK_MAX
+    assert len(x) * len(zeros) > scalars._SCHOOLBOOK_MAX
     for a, b in ((x, zeros), (zeros, x)):
-        assert polys._mul_rows(a, phi, b, phi, 80) == [0] * (4 * phi)
-    monkeypatch.setattr(polys, "_SCHOOLBOOK_MAX", 10**9)
-    assert polys._mul_rows(x, phi, zeros, phi, 80) == [0] * (4 * phi)
+        assert scalars._mul_rows(a, phi, b, phi, 80) == [0] * (4 * phi)
+    monkeypatch.setattr(scalars, "_SCHOOLBOOK_MAX", 10**9)
+    assert scalars._mul_rows(x, phi, zeros, phi, 80) == [0] * (4 * phi)
 
 
 class TestPolyGcd:
@@ -1047,14 +1048,17 @@ class TestFormPaths:
 
     @staticmethod
     def _count_scalars(monkeypatch):
+        """A list that gains one entry per CyclotomicNumber built: every one
+        is made by scalars._cyclotomic, which polys imports."""
         made = []
-        init = CyclotomicNumber.__init__
+        real = scalars._cyclotomic
 
-        def counting(self, *args):
+        def counting(*args):
             made.append(1)
-            init(self, *args)
+            return real(*args)
 
-        monkeypatch.setattr(CyclotomicNumber, "__init__", counting)
+        monkeypatch.setattr(scalars, "_cyclotomic", counting)
+        monkeypatch.setattr(polys, "_cyclotomic", counting)
         return made
 
     def test_scalars_built_do_not_grow_with_the_degree(self, monkeypatch):

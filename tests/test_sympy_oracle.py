@@ -7,10 +7,12 @@ with remainder and reduced to a monic gcd by ``gha.polys`` and by sympy
 over ``QQ.algebraic_field(exp(2*pi*I/N))``, whose primitive element is
 zeta_N itself.  The operands draw their coefficients from the subfields
 Q(zeta_d), d | N, so the lift of a polynomial to a larger conductor is
-checked too.  Seeded square matrices up to 5x5 over Q, Q(zeta_3),
-Q(zeta_4) and Q(zeta_12), singular ones among them, get their
-characteristic polynomial from ``linalg.charpoly`` and their rank from an
-``EchelonBasis`` of their rows, checked against sympy's ``DomainMatrix``.
+checked too.  Over the large fields Q(zeta_17) and Q(zeta_80) scalar
+products and inverses are checked, and over Q(zeta_17) a gcd.  Seeded
+square matrices up to 5x5 over Q, Q(zeta_3), Q(zeta_4) and Q(zeta_12),
+singular ones among them, get their characteristic polynomial from
+``linalg.charpoly`` and their rank from an ``EchelonBasis`` of their
+rows, checked against sympy's ``DomainMatrix``.
 The roots that ``exact_roots`` finds in Q(zeta_N) are checked against
 ``sympy.factor_list(..., extension=zeta_N)``, on fixed cases (the open root
 defects are strict xfails) and on seeded squarefree products of linear
@@ -34,12 +36,14 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 from gha.linalg import EchelonBasis, charpoly, mat_mul  # noqa: E402
 from gha.parser import parse_poly  # noqa: E402
 from gha.polys import Poly, exact_roots, iterate, periodic_points, poly_gcd  # noqa: E402
-from gha.scalars import CyclotomicNumber, euler_phi, exact, zeta  # noqa: E402
+from gha.scalars import CyclotomicNumber, _lift_rows, euler_phi, exact, zeta  # noqa: E402
 
 H = sympy.Symbol("h")
 
 # N -> the conductors d | N the coefficients are drawn over
 SUBFIELDS = {1: (1,), 3: (1, 3), 4: (1, 4), 5: (1, 5), 8: (1, 4, 8), 12: (1, 3, 4, 12)}
+# the large fields, phi = 16 and 32, where products take the Kronecker path
+LARGE_SUBFIELDS = {17: (1, 17), 80: (1, 5, 16, 80)}
 
 
 def field(n: int):
@@ -50,7 +54,7 @@ def field(n: int):
 
 def to_field(c: CyclotomicNumber, n: int, k):
     """c as an element of k, the field of zeta_n."""
-    coords = [sympy.QQ(q.numerator, q.denominator) for q in c._lift_coords(n)]
+    coords = [sympy.QQ(q.numerator, q.denominator) for q in _lift_rows(c.coords, c.conductor, n)]
     return coords[0] if n == 1 else k(coords[::-1])
 
 
@@ -69,7 +73,7 @@ def scalar(rng: random.Random, d: int) -> CyclotomicNumber:
 
 def poly(rng: random.Random, n: int, max_degree: int) -> Poly:
     """A polynomial over one subfield of Q(zeta_n), sometimes two."""
-    ds = [rng.choice(SUBFIELDS[n]) for _ in range(2)]
+    ds = [rng.choice((SUBFIELDS | LARGE_SUBFIELDS)[n]) for _ in range(2)]
     return Poly([scalar(rng, rng.choice(ds)) for _ in range(rng.randint(1, max_degree + 1))])
 
 
@@ -97,6 +101,36 @@ def test_poly_arithmetic_matches_sympy(n):
         # a common factor c makes the gcd nontrivial
         g = poly_gcd(a * c, b * c)
         assert to_sympy(g, n, k) == sympy.gcd(sa * sc, sb * sc)
+
+
+@pytest.mark.parametrize("n, draws", [(17, 6), (80, 3)])
+def test_large_field_scalars_match_sympy(n, draws):
+    """Products, inverses and quotients of scalars of Q(zeta_17) and
+    Q(zeta_80), one factor sometimes from a subfield: the Kronecker
+    product and the inverse by the Galois norm, which the small fields
+    reach rarely or not at all."""
+    rng = random.Random(4000 + n)
+    k = field(n)
+    for _ in range(draws):
+        a = scalar(rng, n)
+        b = scalar(rng, rng.choice(LARGE_SUBFIELDS[n]))
+        sa, sb = to_field(a, n, k), to_field(b, n, k)
+        assert to_field(a * b, n, k) == sa * sb
+        if not a.is_zero():
+            inverse = a.inverse()
+            assert to_field(inverse, n, k) == k.one / sa
+            assert to_field(b / a, n, k) == sb * to_field(inverse, n, k)
+
+
+def test_poly_gcd_matches_sympy_over_q_zeta_17():
+    rng = random.Random(4117)
+    k = field(17)
+    for _ in range(3):
+        # c, a quadratic over Q(zeta_17), makes the gcd nontrivial
+        a, b = poly(rng, 17, 3), poly(rng, 17, 3)
+        c = Poly([scalar(rng, 17), scalar(rng, 17), exact(1)])
+        sa, sb, sc = (to_sympy(p, 17, k) for p in (a, b, c))
+        assert to_sympy(poly_gcd(a * c, b * c), 17, k) == sympy.gcd(sa * sc, sb * sc)
 
 
 def matrix(rng: random.Random, n: int, rows: int, cols: int) -> list:
