@@ -19,15 +19,15 @@ product.
 
 from __future__ import annotations
 
+from operator import sub
+
 from .polys import (
     _ZERO,
     Poly,
-    _add_product_entry,
     _exact,
     _h_power,
-    _shift_entry,
+    _num_in,
     _terms_text,
-    _unit_entry,
     iterate,
     period,
 )
@@ -36,7 +36,11 @@ from .scalars import (
     ApproxComplex,
     CyclotomicNumber,
     Scalar,
+    _add_rows,
+    _mul_rows,
     _power,
+    _reduced,
+    _width,
     as_scalar,
     exact,
     zero_like,
@@ -189,18 +193,24 @@ class Presentation:
         read through :func:`gha.polys.iterate`, which reads f^(j) of a
         periodic f as f^(j mod p).
 
-        A cell maps (a, b) to the entry of p over the conductor n of f (the
-        cell entries of ``polys``): numerator rows, or the complex row of an
-        approximate p (n = 0), so that a step builds no Poly.  The shifts
-        are kept for one fill.
+        A cell maps (a, b) to the entry of p over the conductor n of f:
+        (den, the numerators of p over n), reduced as by ``_reduced`` but
+        never moved to conductor 1, or (1, the complex row of p) for an
+        approximate f (n = 0).  So a step multiplies numerator rows and
+        builds no Poly: the entry's row is the outer one of the product
+        (which fixes the order of the approximate sums), a constant with no
+        zeta part, such as the 1 of every leading term, scales the shift
+        instead, and the entry already there is added after the product.
+        The shifts are kept for one fill.
         """
         cells = self._cells
         if (k, i) in cells:
             return cells[(k, i)]
         f, n = self.f, self.f._n
+        phi = _width(n)
         if k:
             iterate(f, i + k - 1)
-        unit = _unit_entry(n)
+        unit = (1, [1] + [0] * (phi - 1)) if n else (1, [1 + 0j])
         shifts: dict = {}
         for kk in range(k + 1):
             for ii in range(i - k + kk, i + 1):
@@ -211,12 +221,29 @@ class Presentation:
                     cells[(0, ii)] = {(ii, 0): unit}
                     continue
                 out = {(a, b + 1): p for (a, b), p in cells[(kk - 1, ii)].items()}
-                for (a, b), p in cells[(kk - 1, ii - 1)].items():
+                for key, (den, num) in cells[(kk - 1, ii - 1)].items():
+                    b = key[1]
                     if (ii, b) not in shifts:
-                        shifts[(ii, b)] = _shift_entry(iterate(f, ii + b), iterate(f, b), n)
+                        hi, lo = iterate(f, ii + b), iterate(f, b)
+                        rows = _add_rows(_num_in(hi, n), hi._den, _num_in(lo, n), lo._den, sub)
+                        shifts[(ii, b)] = _reduced(*rows, phi)
                     shift = shifts[(ii, b)]
-                    if shift is not None:
-                        _add_product_entry(out, (a, b), p, shift, n)
+                    if shift is None:
+                        continue
+                    if len(num) == phi and not any(num[1:]):
+                        c = num[0]
+                        num = [v * c for v in shift[1]]
+                    else:
+                        num = _mul_rows(num, phi, shift[1], phi, n)
+                    den *= shift[0]
+                    cur = out.get(key)
+                    if cur is not None:
+                        den, num = _add_rows(num, den, cur[1], cur[0])
+                    entry = _reduced(den, num, phi)
+                    if entry is None:
+                        out.pop(key, None)
+                    else:
+                        out[key] = entry
                 cells[(kk, ii)] = out
         return cells[(k, i)]
 

@@ -32,7 +32,7 @@ from typing import NoReturn
 
 from .algebra import GHAElement, Presentation
 from .polys import Poly
-from .scalars import _NEUTRAL, ApproxComplex, Scalar, approx, as_scalar, zeta
+from .scalars import ApproxComplex, Scalar, approx, as_scalar, zeta
 
 
 class ParseError(ValueError):
@@ -177,9 +177,9 @@ def _evaluate(text: str, backend: str, symbol):
     """Value of the text; ``symbol(name)`` is the value of a name besides
     i, or None where the name is not legal.
 
-    On the exact backend a value made of literals alone stays an int or a
-    Fraction until it meets a scalar, a polynomial or an element, or the
-    text ends; the caller lifts what is left.
+    On the exact backend a literal stays an int or a Fraction throughout:
+    scalars, polynomials and elements take plain numbers as operands, and
+    the caller lifts a value made of literals alone.
     """
     plain = backend == "exact"
     stack: list = []
@@ -219,10 +219,8 @@ def _evaluate(text: str, backend: str, symbol):
             right = stack.pop()
             left = stack[-1]
             if op == "/":
-                stack[-1] = _divide(text, pos, backend, left, right)
+                stack[-1] = _divide(text, pos, left, right)
                 continue
-            if isinstance(left, _NEUTRAL) is not isinstance(right, _NEUTRAL):
-                left, right = _lift(left, backend), _lift(right, backend)
             if op == "+":
                 stack[-1] = left + right
             elif op == "-":
@@ -232,7 +230,7 @@ def _evaluate(text: str, backend: str, symbol):
     return stack[0]
 
 
-def _divide(text: str, pos: int, backend: str, left, right):
+def _divide(text: str, pos: int, left, right):
     """left / right for the '/' at pos, where right must be a scalar value."""
     if isinstance(right, GHAElement):
         right = right.terms.get((0, 0), 0) if set(right.terms) <= {(0, 0)} else None
@@ -244,14 +242,7 @@ def _divide(text: str, pos: int, backend: str, left, right):
         inverse = 1 / (Fraction(right) if isinstance(right, int) else right)
     except ZeroDivisionError:
         _fail(text, "division by zero", pos)
-    if isinstance(left, _NEUTRAL) is not isinstance(inverse, _NEUTRAL):
-        left, inverse = _lift(left, backend), _lift(inverse, backend)
     return left * inverse
-
-
-def _lift(value, backend: str):
-    """An int or a Fraction as a scalar of the backend; other values as they are."""
-    return as_scalar(value, backend) if isinstance(value, _NEUTRAL) else value
 
 
 def parse_scalar(text: str, backend: str = "exact") -> Scalar:

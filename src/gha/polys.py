@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -58,7 +57,6 @@ from .scalars import (
     _mul_rows,
     _power,
     _rational_parts,
-    _reduced,
     _width,
     approx,
     as_scalar,
@@ -563,49 +561,6 @@ def _scale(p: Poly, num: int, den: int) -> Poly:
     if num == den:
         return p
     return _exact(p._n, p._den * den, [x * num for x in p._num])
-
-
-# -- cell entries ---------------------------------------------------------------
-#
-# Presentation._fill holds each term x^a p y^b of the normal form of y^k x^i
-# as an entry over the conductor n of f: (den, numerators of p over n),
-# reduced as by _reduced but never moved to conductor 1, so that a
-# reduction step is one product of numerator rows and builds no Poly.  For
-# an approximate f (n = 0) the entry is (1, the complex row of p).
-
-
-def _unit_entry(n: int):
-    """The entry of the constant 1."""
-    return (1, [1] + [0] * (euler_phi(n) - 1)) if n else (1, [1 + 0j])
-
-
-def _shift_entry(hi: Poly, lo: Poly, n: int):
-    """The entry of hi - lo, read off the two forms; None when it is 0."""
-    den, num = _add_rows(_num_in(hi, n), hi._den, _num_in(lo, n), lo._den, operator.sub)
-    return _reduced(den, num, _width(n))
-
-
-def _add_product_entry(out: dict, key, p, shift, n: int) -> None:
-    """out[key] += p * shift for entries p and shift; a sum of 0 leaves
-    out.  On rows that is one product of numerator rows, p's the outer one
-    (which fixes the order of the approximate sums), or a scaling when p is
-    a constant with no zeta part; the entry already there is added to it."""
-    phi = _width(n)
-    if len(p[1]) == phi and not any(p[1][1:]):
-        # such as the 1 of every leading term
-        c = p[1][0]
-        num = [v * c for v in shift[1]]
-    else:
-        num = _mul_rows(p[1], phi, shift[1], phi, n)
-    den = p[0] * shift[0]
-    cur = out.get(key)
-    if cur is not None:
-        den, num = _add_rows(num, den, cur[1], cur[0])
-    entry = _reduced(den, num, phi)
-    if entry is not None:
-        out[key] = entry
-    elif cur is not None:
-        del out[key]
 
 
 def _scalar_parts(c: Scalar) -> tuple[bool | None, str, bool]:

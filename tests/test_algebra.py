@@ -410,6 +410,39 @@ class TestOracle:
         self.test_middles_match_letter_by_letter_action(f, 3, "approx")
 
 
+class TestCentralProduct:
+    """z = xy - h is central and y g(h) = g(f(h)) y, so
+
+        y^k x^k = prod_{j=1..k} (z + f^(j)(h)),   y^k x^i = (y^k x^k) x^(i-k).
+
+    The product side, in a presentation of its own, reads only the cells
+    y^a x^b with min(a, b) <= 1; the left side reads the whole trapezoid of
+    y^k x^i, at sizes the letter-by-letter oracle cannot reach."""
+
+    @pytest.mark.parametrize(
+        "f, k",
+        [
+            ("2*h + 1", 30),
+            ("h^2 - 2", 4),
+            # period 3: the left side is read off the base block
+            ("zeta(3)*h + 1", 8),
+            ("h^3 - h", 3),
+            ("2*zeta(5)*h + 1/3", 20),
+            ("h^2/2 + zeta(4)", 4),
+        ],
+    )
+    def test_middle_is_a_product_of_central_shifts(self, f, k):
+        left, right = Presentation(parse_poly(f)), Presentation(parse_poly(f))
+        x, y = left.generator("x"), left.generator("y")
+        z = right.generator("z")
+        product = right.one()
+        for j in range(1, k + 1):
+            product = product * (z + right.from_poly(right.f_iterate(j)))
+        assert right.middle_reductions <= 2 * k - 1
+        assert y**k * x**k == product
+        assert y**k * x ** (k + 1) == product * right.generator("x")
+
+
 def tau(a: GHAElement) -> GHAElement:
     """The anti-automorphism x <-> y, h -> h on a normal form:
     x^i g(h) y^k -> x^k g(h) y^i."""

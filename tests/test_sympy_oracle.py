@@ -8,20 +8,20 @@ over ``QQ.algebraic_field(exp(2*pi*I/N))``, whose primitive element is
 zeta_N itself.  The operands draw their coefficients from the subfields
 Q(zeta_d), d | N, so the lift of a polynomial to a larger conductor is
 checked too.  Over the large fields Q(zeta_17) and Q(zeta_80) scalar
-products and inverses are checked, and over Q(zeta_17) a gcd.  Seeded
+products and inverses are checked, and over both a gcd.  Seeded
 square matrices up to 5x5 over Q, Q(zeta_3), Q(zeta_4) and Q(zeta_12),
 singular ones among them, get their characteristic polynomial from
 ``linalg.charpoly`` and their rank from an ``EchelonBasis`` of their
 rows, checked against sympy's ``DomainMatrix``.
 The roots that ``exact_roots`` finds in Q(zeta_N) are checked against
 ``sympy.factor_list(..., extension=zeta_N)``, on fixed cases (the open root
-defects are strict xfails) and on seeded squarefree products of linear
-factors of the shapes the recogniser proposes times a quadratic with no
-root in the field.  The exact-period-n points that ``periodic_points``
-finds on the census panel, n <= 3, are counted against the degree of the
-dynatomic factor prod_{d | n} (f^(d)(h) - h)^mu(n/d), computed in sympy,
-with its roots of lower exact period removed.  Skipped when sympy is not
-installed.
+defects are strict xfails) and on seeded products of linear factors of
+the shapes the recogniser proposes, to powers up to 3, times a power of a
+quadratic with no root in the field, over the small fields and Q(zeta_7).
+The exact-period-n points that ``periodic_points`` finds on the census
+panel, n <= 3, are counted against the degree of the dynatomic factor
+prod_{d | n} (f^(d)(h) - h)^mu(n/d), computed in sympy, with its roots of
+lower exact period removed.  Skipped when sympy is not installed.
 """
 
 import random
@@ -133,6 +133,19 @@ def test_poly_gcd_matches_sympy_over_q_zeta_17():
         assert to_sympy(poly_gcd(a * c, b * c), 17, k) == sympy.gcd(sa * sc, sb * sc)
 
 
+def test_poly_gcd_matches_sympy_over_q_zeta_80():
+    """gcd((h - r)*c, (h - s)*c) = c for c = h + t with t dense in
+    Q(zeta_80) and r, s from its subfields: one draw, since sympy takes
+    about 0.3 s per gcd over a field of degree 32."""
+    rng = random.Random(4180)
+    k = field(80)
+    a, b, c = (Poly([scalar(rng, d), exact(1)]) for d in (5, 16, 80))
+    sa, sb, sc = (to_sympy(p, 80, k) for p in (a, b, c))
+    g = poly_gcd(a * c, b * c)
+    assert g == c
+    assert to_sympy(g, 80, k) == sympy.gcd(sa * sc, sb * sc)
+
+
 def matrix(rng: random.Random, n: int, rows: int, cols: int) -> list:
     """A rows x cols matrix over one subfield of Q(zeta_n), about a third
     of its entries 0."""
@@ -238,7 +251,9 @@ def root_shape(rng: random.Random, n: int) -> CyclotomicNumber:
     return exact(q()) + exact(q()) * zeta(n)
 
 
-@pytest.mark.parametrize("n", sorted(SUBFIELDS))
+# and Q(zeta_7), phi = 6, where the recogniser proposes only rationals and
+# rational multiples of roots of unity
+@pytest.mark.parametrize("n", sorted(SUBFIELDS) + [7])
 def test_random_exact_roots_match_sympy(n):
     """(h^2 - 7)^e times 2 to 4 distinct linear factors, each to the power
     1, 2 or 3: sqrt(7) lies in none of these fields, so exactly the linear
