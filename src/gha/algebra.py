@@ -471,7 +471,7 @@ class GHAElement:
 
     def __str__(self) -> str:
         # a term whose polynomial prints as 0 (approximate coefficients all
-        # within CONFIG.tol of 0) is left out of the text, not of the terms
+        # zero by scalars._close) is left out of the text, not of the terms
         pieces = []
         for (i, k) in sorted(self.terms, reverse=True):
             pieces.extend(_term_strings(i, self.terms[(i, k)], k))

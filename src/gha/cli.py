@@ -232,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="T",
-        help="equality tolerance for the approx backend",
+        help="approx backend: values are equal when |a - b| <= T*max(1, |a|, |b|)",
     )
     top.add_argument(
         "--json",

@@ -1,7 +1,9 @@
 """The two numeric values a caller may set, shared through ``CONFIG``, and
 the version every JSON document carries.
 
-``tol`` is read by the approximate code paths only (the exact backend never
+``tol`` is read by ``gha.scalars._close``, the one closeness rule of the
+approximate backend, and as a scale by the root finder's stopping target
+and the phase tests of ``root_of_unity_order`` (the exact backend never
 consults it); ``max_compose_degree`` guards both backends.  The fixed
 constants of the numeric routines (root-finder iteration cap, cluster
 radius, rank threshold, ...) live as private constants next to their
@@ -22,8 +24,9 @@ SCHEMA_VERSION = 1
 class NumericConfig:
     """Settable numeric limits.
 
-    tol: equality tolerance for approximate scalars and relation residuals
-        (``--tol`` on the command line).
+    tol: approximate values (scalars, polynomials, matrices, relation
+        residuals) are equal when their difference is at most
+        tol * max(1, size of the operands) (``--tol`` on the command line).
     max_compose_degree: largest polynomial degree that iterating or
         composing f may reach; past it a DegreeOverflowError is raised
         before the oversized polynomial is built.

@@ -10,7 +10,7 @@ closure arguments and invariant-subspace checks.
 from __future__ import annotations
 
 from .polys import Poly
-from .scalars import Scalar, _power, as_scalar, backend_of, one_like, zero_like
+from .scalars import Scalar, _close, _power, as_scalar, backend_of, one_like, zero_like
 
 Matrix = list
 
@@ -75,28 +75,29 @@ def mat_vec(a: Matrix, v: list) -> list:
     return out
 
 
+def _equals_diagonal(a: Matrix, diag: list[Scalar]) -> bool:
+    """Whether a is the diagonal matrix with entries diag: exactly on the
+    exact backend, norm-wise on the approximate one (the largest entry of
+    the difference against the largest entry of a)."""
+    cells = [(r == c, x, diag[r]) for r, row in enumerate(a) for c, x in enumerate(row)]
+    if mat_backend(a) == "exact":
+        return all(x == d if on else x.is_zero() for on, x, d in cells)
+    gap = max(abs(x.value - d.value) if on else abs(x.value) for on, x, d in cells)
+    return _close(gap, max(abs(x.value) for _, x, _ in cells))
+
+
 def is_zero_matrix(a: Matrix) -> bool:
-    return all(x == zero_like(x) for row in a for x in row)
+    return _equals_diagonal(a, [zero_like(a[0][0])] * len(a))
 
 
 def is_scalar_matrix(a: Matrix) -> Scalar | None:
     """The scalar s with a == s*I, or None."""
-    n = len(a)
     s = a[0][0]
-    zero = zero_like(s)
-    for r in range(n):
-        for c in range(n):
-            if r == c:
-                if a[r][c] != s:
-                    return None
-            elif a[r][c] != zero:
-                return None
-    return s
+    return s if _equals_diagonal(a, [s] * len(a)) else None
 
 
 def is_diagonal(a: Matrix) -> bool:
-    zero = zero_like(a[0][0])
-    return all(a[r][c] == zero for r in range(len(a)) for c in range(len(a)) if r != c)
+    return _equals_diagonal(a, [a[r][r] for r in range(len(a))])
 
 
 def trace(a: Matrix) -> Scalar:

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from math import lcm
 
-from .config import CONFIG
 from .linalg import (
     EchelonBasis,
     Matrix,
@@ -43,9 +42,9 @@ from .linalg import (
     poly_at_matrix,
     zeros,
 )
-from .polys import Orbit, Poly, _group_orbits, _split, iterate, least_period, orbit_match
+from .polys import Orbit, Poly, _group_orbits, _split, iterate, least_period
 from .polys import periodic_points
-from .scalars import BackendMismatchError, Scalar, as_scalar, backend_of, zero_like
+from .scalars import BackendMismatchError, Scalar, _close, as_scalar, backend_of
 
 CYCLIC_X = "cyclic_x"
 CYCLIC_Y = "cyclic_y"
@@ -130,11 +129,10 @@ def _period_problems(orbit: Orbit) -> list[str]:
 def _exclusion_problems(zdot: Scalar, weights: list[Scalar]) -> list[str]:
     """The nilpotent_x exclusions zdot + f^(i)(-zdot) != 0 for 0 < i < n,
     read off the weights f^(0..n-1)(-zdot)."""
-    zero = zero_like(zdot)
     return [
         f"exclusion fails: zdot + f^({i})(-zdot) = 0 (module not simple)"
         for i in range(1, len(weights))
-        if zdot + weights[i] == zero
+        if zdot == -weights[i]
     ]
 
 
@@ -145,28 +143,29 @@ def descriptor_problems(d: ModuleDescriptor, f: Poly, *, strict: bool = True) ->
     relations to hold are checked; simplicity-only constraints (the
     cyclic_y index condition and the nilpotent exclusions) are skipped,
     which is how deliberately non-simple controls are constructed.
+    A sum that must vanish is tested as one term == minus the other, so
+    that on the approx backend the size of the terms counts.
     """
-    zero = as_scalar(0, f.backend)
     problems: list[str] = []
     if isinstance(d, (CyclicXDescriptor, CyclicYDescriptor)):
-        if d.a == zero:
+        if d.a.is_zero():
             problems.append("parameter a must be nonzero")
         if not d.orbit.values:
             problems.append("orbit must not be empty")
             return problems
         problems.extend(_orbit_problems(d.orbit, f))
         if strict and isinstance(d, CyclicYDescriptor):
-            if all(v + d.zdot != zero for v in d.orbit.values):
+            if all(v != -d.zdot for v in d.orbit.values):
                 problems.append("cyclic_y needs orbit[i] + zdot = 0 for some i")
         return problems
     if d.n < 1:
         problems.append("dimension must be >= 1")
         return problems
     pres = _weights(f, d.zdot, d.n)
-    closure = d.zdot + f.evaluate(pres[-1])
-    if closure != zero:
+    last = f.evaluate(pres[-1])
+    if d.zdot != -last:
         problems.append(
-            f"closure fails: zdot + f^({d.n})(-zdot) = {closure}, expected 0"
+            f"closure fails: zdot + f^({d.n})(-zdot) = {d.zdot + last}, expected 0"
         )
     if strict:
         problems.extend(_exclusion_problems(d.zdot, pres))
@@ -252,10 +251,10 @@ def verify_relations(m: MatrixModule, f: Poly) -> RelationReport:
     """Check the three defining relations on the matrices of m.
 
     Exact backend: entries must vanish identically.  Approx backend: the
-    largest embedded residual of each relation must stay within CONFIG.tol
-    times max(1, the largest entry of the matrices the relation compares),
-    so a module with large entries is held to the same relative precision
-    as one with small entries.
+    largest embedded residual of each relation must be zero by
+    :func:`gha.scalars._close` against the largest entry of the matrices
+    the relation compares, so a module with large entries is held to the
+    same relative precision as one with small entries.
     """
     fH = poly_at_matrix(f, m.H)
     HX, XfH = mat_mul(m.H, m.X), mat_mul(m.X, fH)
@@ -273,10 +272,10 @@ def verify_relations(m: MatrixModule, f: Poly) -> RelationReport:
         r = _largest(diff)
         residuals[name] = r
         if m.backend == "exact":
-            if not is_zero_matrix(diff):
-                failed.append(name)
-        # the scale is at least 1, so it is read only past CONFIG.tol
-        elif r > CONFIG.tol and r > CONFIG.tol * max(1.0, *map(_largest, compared)):
+            ok = is_zero_matrix(diff)
+        else:
+            ok = _close(r, max(map(_largest, compared)))
+        if not ok:
             failed.append(name)
     return RelationReport(not failed, residuals, tuple(failed))
 
@@ -350,8 +349,8 @@ def classify(m: MatrixModule, f: Poly) -> ModuleDescriptor:
 
     The trichotomy: x^n != 0 puts m in cyclic_x; otherwise an invertible y
     puts it in cyclic_y; otherwise it is nilpotent_x.  The orbit is the
-    h-spectrum itself, chained into one f-orbit by the matcher
-    periodic_points uses (each f(lambda) is matched to a remaining
+    h-spectrum itself, chained into one f-orbit by scalar equality as
+    periodic_points chains roots (each f(lambda) is matched to a remaining
     eigenvalue, never iterated further), and the result always satisfies
     modules_isomorphic(classify(build(d)), d).  A module whose descriptor
     breaks its family's simplicity conditions (an orbit of period less
@@ -392,7 +391,7 @@ def classify(m: MatrixModule, f: Poly) -> ModuleDescriptor:
 def _orbit_from_spectrum(m: MatrixModule, f: Poly) -> Orbit:
     """The eigenvalues of H as one f-orbit of exact period n, in canonical
     rotation."""
-    orbits, residuals = _group_orbits(f, _h_eigenvalues(m, f), m.n, orbit_match)
+    orbits, residuals = _group_orbits(f, _h_eigenvalues(m, f), m.n)
     if len(orbits) != 1 or residuals:
         raise ClassifyError("h-spectrum is not a single f-orbit")
     _raise_if_not_simple(_period_problems(orbits[0]))

@@ -40,7 +40,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import chain, zip_longest
 
 from .config import CONFIG
 from .scalars import (
@@ -51,6 +51,7 @@ from .scalars import (
     Scalar,
     _add_rows,
     _canonical,
+    _close,
     _cyclotomic,
     _embed_row,
     _lift_rows,
@@ -330,13 +331,13 @@ class Poly:
             # canonical integer forms: equal values have equal forms over n
             a, b = _over(self, n), _over(other, n)
             return a._n == b._n and a._den == b._den and a._num == b._num
-        # an approximate operand: equal within CONFIG.tol coefficient by
-        # coefficient, where an exact operand can only be equal as zero
+        # an approximate operand: equal norm-wise, the largest coefficient
+        # gap against the largest coefficient; an exact one only as zero
         a, b = self._num, other._num
         if (self._n and a) or (other._n and b):
             return False
-        tol = CONFIG.tol
-        return all(abs(u - v) <= tol for u, v in zip_longest(a, b, fillvalue=0))
+        gap = max((abs(u - v) for u, v in zip_longest(a, b, fillvalue=0)), default=0.0)
+        return _close(gap, max(map(abs, chain(a, b)), default=0.0))
 
     __hash__ = None
 
@@ -398,8 +399,8 @@ class Poly:
         A rational integer form reads them off its numerators and
         denominator and builds no scalar.  The cyclotomic one tells a zero
         coefficient by its numerators, so it builds a scalar only for the
-        nonzero ones; an approximate coefficient within CONFIG.tol of 0
-        counts as zero and builds none."""
+        nonzero ones; an approximate coefficient that is zero by
+        :func:`gha.scalars._close` builds none."""
         if self._n == 1:
             den = self._den
             return [(k, *_rational_parts(x, den)) for k, x in enumerate(self._num) if x]
@@ -410,8 +411,9 @@ class Poly:
                 for k in range(len(num) // phi)
                 if any(num[k * phi : (k + 1) * phi])
             ]
-        tol = CONFIG.tol
-        return [(k, *_scalar_parts(approx(v))) for k, v in enumerate(self._num) if abs(v) > tol]
+        return [
+            (k, *_scalar_parts(approx(v))) for k, v in enumerate(self._num) if not _close(abs(v), abs(v))
+        ]
 
     def __str__(self) -> str:
         return _terms_text(self._terms())
@@ -808,7 +810,8 @@ def roots(p: Poly) -> list[ApproxComplex]:
     """All complex roots of p with multiplicity (approximate values).
 
     An m-fold root is reported as m equal copies; its residual, not the
-    spacing of the raw iteration, is what meets the tolerance.
+    spacing of the raw iteration, is what meets the tolerance.  When p has
+    real coefficients, a root within tol of its own conjugate is real.
     """
     if p.is_zero() or p.degree < 1:
         raise ValueError("root finding needs a nonconstant polynomial")
@@ -821,6 +824,8 @@ def roots(p: Poly) -> list[ApproxComplex]:
         out.append(-cs[0] / cs[1])
     elif len(cs) > 2:
         out.extend(_refine_multiples(cs, _aberth(cs)))
+    if not any(c.imag for c in cs):
+        out = [complex(z.real) if _close(2 * abs(z.imag), abs(z)) else z for z in out]
     out.sort(key=lambda z: (round(z.real, 12), round(z.imag, 12)))
     return [approx(z) for z in out]
 
@@ -1040,18 +1045,6 @@ def orbit_through(f: Poly, seed: Scalar, n: int) -> Orbit | None:
     return Orbit(tuple(vals))
 
 
-_MATCH_FACTOR = 10.0  # orbit_match's approx window, in units of CONFIG.tol
-
-
-def orbit_match(a: Scalar, b: Scalar) -> bool:
-    """Whether a is the orbit point b: exact scalars must be equal, an
-    approximate a must lie within _MATCH_FACTOR*tol*max(1, |b|) of b."""
-    if isinstance(a, CyclotomicNumber):
-        return a == b
-    bv = b.embed()
-    return abs(a.value - bv) <= _MATCH_FACTOR * CONFIG.tol * max(1.0, abs(bv))
-
-
 # relative radius within which numeric roots count as one (a multiple root
 # comes back as a loose cluster, not as exact repeats)
 _CLUSTER_SCALE = 1e-5
@@ -1063,32 +1056,23 @@ def _place(s: Scalar) -> tuple[float, float]:
     return z.real, z.imag
 
 
-def _group_orbits(f: Poly, pool: list[Scalar], n: int, match) -> tuple[list[Orbit], list[Scalar]]:
+def _group_orbits(f: Poly, pool: list[Scalar], n: int) -> tuple[list[Orbit], list[Scalar]]:
     """Chain the values of pool into period-n orbits under f, each image
-    f(v) taken to be the first pool value that match(value, f(v)) accepts;
-    orbits come in canonical rotation, unmatched values become residuals."""
+    f(v) taken to be the first pool value equal to it; orbits come in
+    canonical rotation, unmatched values become residuals."""
     pool = sorted(pool, key=_place)
     orbits: list[Orbit] = []
     residuals: list[Scalar] = []
     while pool:
         start = pool.pop(0)
         seq = [start]
-        ok = True
         for _ in range(n - 1):
             nxt = f.evaluate(seq[-1])
-            hit = None
-            for idx, v in enumerate(pool):
-                if match(v, nxt):
-                    hit = idx
-                    break
+            hit = next((idx for idx, v in enumerate(pool) if v == nxt), None)
             if hit is None:
-                ok = False
                 break
             seq.append(pool.pop(hit))
-        if ok:
-            closing = f.evaluate(seq[-1])
-            ok = match(seq[0], closing)
-        if ok:
+        if len(seq) == n and seq[0] == f.evaluate(seq[-1]):
             orbits.append(Orbit(tuple(seq)).canonical())
         else:
             residuals.append(start)
@@ -1130,8 +1114,8 @@ def periodic_points(
     backend: the roots of f^(n) - h, clustered, with those near a root of
     some f^(d) - h dropped.
 
-    Either way the roots are chained into orbits by :func:`orbit_match`,
-    the rule ``classify`` also uses on an h-spectrum.  Orbits are returned
+    Either way the roots are chained into orbits by scalar equality, as
+    ``classify`` chains an h-spectrum.  Orbits are returned
     in canonical rotation; numeric roots that cannot be grouped into an
     orbit are reported in residual_roots rather than silently dropped.
 
@@ -1174,7 +1158,7 @@ def periodic_points(
         # n; f maps the roots in the field onto each other, so exact grouping
         # is total, and the numeric roots of the rest close up under f.approx()
         found, numeric, _note = _split(core, cond)
-        orbits, residuals = _group_orbits(f, [r for r, _ in found], n, orbit_match)
+        orbits, residuals = _group_orbits(f, [r for r, _ in found], n)
         assert not residuals, "exact orbit grouping must consume every root"
         pool, fa = [z for z, _ in numeric], f.approx()
     else:
@@ -1190,6 +1174,6 @@ def periodic_points(
             fixed = [r.value for r in roots(gd)]
             centers = [c for c in centers if all(abs(c - w) > radius for w in fixed)]
         orbits, pool, fa = [], [approx(c) for c in centers], f
-    more, residuals = _group_orbits(fa, pool, n, orbit_match)
+    more, residuals = _group_orbits(fa, pool, n)
     orbits = sorted(orbits + more, key=lambda o: _place(o.values[0]))
     return OrbitSet(tuple(orbits), tuple(residuals))

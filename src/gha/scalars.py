@@ -8,8 +8,9 @@ Two backends coexist but never mix inside one computation:
   zeta^(phi(N)-1) modulo the N-th cyclotomic polynomial, over one
   denominator.  Arithmetic is exact; elements of different conductors are
   lifted to the lcm before combining.
-* ``ApproxComplex`` is a finite complex double with tolerance-based equality
-  (tolerance taken from :data:`gha.config.CONFIG`).
+* ``ApproxComplex`` is a finite complex double with tolerance-based equality.
+  Every approximate equality decision of the package, on scalars, ``Poly``
+  rows, matrices and relation residuals, goes through :func:`_close`.
 
 Plain ``int``/``Fraction`` literals are backend-neutral and lift into either
 side.  Promotion exact -> approx is explicit via ``.approx()`` and one-way.
@@ -541,12 +542,19 @@ def _cyclotomic(n: int, den: int, num) -> CyclotomicNumber:
     return c
 
 
+def _close(gap: float, size: float) -> bool:
+    """Whether a difference of magnitude gap counts as zero, for operands
+    of magnitude up to size: gap <= CONFIG.tol * max(1, size).  The test is
+    absolute for operands up to 1 and relative past that."""
+    return gap <= CONFIG.tol * max(1.0, size)
+
+
 def _format_float(x: float) -> str:
     return repr(x)
 
 
 class ApproxComplex:
-    """A finite complex double compared up to the configured tolerance."""
+    """A finite complex double; a == b when |a - b| <= tol * max(1, |a|, |b|)."""
 
     __slots__ = ("value",)
     __hash__ = None  # equality is tolerance-based
@@ -628,10 +636,12 @@ class ApproxComplex:
             return False
         if other is None:
             return NotImplemented
-        return abs(self.value - other.value) <= CONFIG.tol
+        a, b = self.value, other.value
+        return _close(abs(a - b), max(abs(a), abs(b)))
 
     def is_zero(self) -> bool:
-        return abs(self.value) <= CONFIG.tol
+        v = abs(self.value)
+        return _close(v, v)
 
     def embed(self) -> complex:
         return self.value

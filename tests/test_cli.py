@@ -312,6 +312,24 @@ class TestBackends:
         assert code == 2 and "approx backend" in err
 
 
+class TestRealRoots:
+    """A numeric root of a polynomial with real coefficients that lies within
+    tol of its own conjugate prints as a real number."""
+
+    def test_rejected_zdot_of_an_exact_f(self, capsys):
+        code, out, _ = run(capsys, "simples", "-f", "h^2 - 1", "-n", "2")
+        notes = [note for fam in json.loads(out)["families"] for note in fam["notes"]]
+        assert code == 0
+        assert "candidate zdot = -1.618033988749895 rejected" in " ".join(notes)
+        assert not any("*i" in note for note in notes)
+
+    def test_nilpotent_zdot_on_the_approx_backend(self, capsys):
+        code, out, _ = run(capsys, "--backend", "approx", "simples", "-f", "h^2 - 1", "-n", "2")
+        fams = json.loads(out)["families"]
+        zdots = [fam["zdot"] for fam in fams if fam["variant"] == "nilpotent_x"]
+        assert code == 0 and zdots == ["0.0", "0.9999999999999999"]
+
+
 def run_or_exit(capsys, *argv):
     """Like run, but argparse's SystemExit (--help, usage errors) gives its code."""
     try:

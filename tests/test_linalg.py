@@ -39,6 +39,16 @@ def test_scalar_and_diagonal_detection():
     assert not is_diagonal(M([[1, 1], [0, 5]]))
 
 
+def test_approx_detection_is_norm_wise():
+    # rounding of the size of the largest entry is allowed, off the diagonal too
+    big = M([[1000, 1e-7], [0, 1000 + 1e-7]], "approx")
+    assert is_scalar_matrix(big) == approx(1000)
+    assert is_diagonal(big) and not is_zero_matrix(big)
+    assert is_scalar_matrix(M([[1000, 1e-5], [0, 1000]], "approx")) is None
+    assert not is_diagonal(M([[1, 1e-8], [0, 1]], "approx"))
+    assert is_zero_matrix(M([[1e-10, 0], [0, 0]], "approx"))
+
+
 def test_charpoly_shift_matrix():
     # nilpotent shift: charpoly is h^n
     s = M([[0, 0, 0], [1, 0, 0], [0, 1, 0]])

@@ -1,6 +1,7 @@
 """Building, verifying, classifying, and enumerating the finite-dimensional
 simple modules."""
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -297,6 +298,43 @@ class TestVerifyApprox:
         m.X[1][0] = m.X[1][0] + as_scalar(1e-6, "approx")
         rep = verify_relations(m, self.F)
         assert not rep.ok and rep.failed == ("y*x - x*y = f(h) - h",), str(rep)
+
+
+def complex_inverse(p: list[list[complex]]) -> list[list[complex]]:
+    """The inverse of a square complex matrix, by Gauss-Jordan with
+    partial pivoting."""
+    n = len(p)
+    rows = [list(row) + [complex(r == c) for c in range(n)] for r, row in enumerate(p)]
+    for c in range(n):
+        piv = max(range(c, n), key=lambda r: abs(rows[r][c]))
+        rows[c], rows[piv] = rows[piv], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(n):
+            if r != c:
+                rows[r] = [v - rows[r][c] * w for v, w in zip(rows[r], rows[c])]
+    return [row[n:] for row in rows]
+
+
+class TestClassifyLargeEntries:
+    """A cyclic_x module of h^2 - 2 with x^3 = a*I, |a| about 465, written in
+    a seeded random basis: x^3 and x*y - h are scalar matrices only up to
+    rounding of the size of their entries, which classify must allow for."""
+
+    F = parse_poly("h^2 - 2", "approx")
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("zdot", [0, 1.5])
+    def test_random_basis_round_trips(self, zdot, seed):
+        d = first_instantiations(self.F, 3, CYCLIC_X)[0]
+        d = replace(d, zdot=as_scalar(zdot, "approx"), a=as_scalar(-334 - 323j, "approx"))
+        rng = random.Random(seed)
+        P = [[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)] for _ in range(3)]
+        P_inv = complex_inverse(P)
+        P, P_inv = ([[as_scalar(v, "approx") for v in row] for row in m] for m in (P, P_inv))
+        m = build(d, self.F)
+        conj = MatrixModule(3, *(mat_mul(mat_mul(P_inv, a), P) for a in (m.X, m.H, m.Y)))
+        assert verify_relations(conj, self.F).ok
+        assert modules_isomorphic(classify(conj, self.F), d)
 
 
 class TestClassifyExpandingCycle:

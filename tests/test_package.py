@@ -1,8 +1,10 @@
 """The package boundary: what ``import gha`` and the rewriting subcommands
 load, and the exports that resolve on first use."""
 
+import ast
 import importlib
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -100,3 +102,28 @@ def test_unknown_attribute_is_an_attribute_error():
     assert not hasattr(gha, "no_such_name")
     with pytest.raises(AttributeError, match="no_such_name"):
         gha.no_such_name
+
+
+def tol_readers() -> set[tuple[str, str | None]]:
+    """(file, enclosing function or None) of every ``CONFIG.tol`` in src/gha."""
+    found = set()
+    for path in sorted(pathlib.Path(gha.__file__).parent.glob("*.py")):
+        stack = [(ast.parse(path.read_text()), None)]
+        while stack:
+            node, where = stack.pop()
+            if isinstance(node, ast.FunctionDef):
+                where = node.name
+            if isinstance(node, ast.Attribute) and node.attr == "tol":
+                if isinstance(node.value, ast.Name) and node.value.id == "CONFIG":
+                    found.add((path.name, where))
+            stack.extend((child, where) for child in ast.iter_child_nodes(node))
+    return found
+
+
+def test_tol_is_read_by_the_closeness_rule_only():
+    # scalars.py holds the one closeness rule (and the phase tests of
+    # root_of_unity_order), cli.py sets --tol; the root finder's stopping
+    # target is the one other reader
+    readers = tol_readers()
+    assert {name for name, _ in readers} == {"scalars.py", "cli.py", "polys.py"}
+    assert {where for name, where in readers if name == "polys.py"} == {"_aberth"}

@@ -81,6 +81,14 @@ class TestArithmetic:
         assert Poly.constant(Fraction(1, 2), "approx") == Poly([approx(0.5)])
         assert Poly.variable("approx").backend == "approx"
 
+    def test_approx_equality_is_norm_wise(self):
+        # the largest coefficient gap against the largest coefficient
+        p = Poly([approx(1), approx(1e6)])
+        assert p == Poly([approx(1 + 1e-5), approx(1e6)])
+        assert p != Poly([approx(1 + 1e-2), approx(1e6)])
+        assert Poly([approx(1), approx(1)]) != Poly([approx(1 + 1e-8), approx(1)])
+        assert Poly([approx(1e-10)]) == 0
+
     def test_leading_and_coefficient(self):
         f = P(1, 0, 3)
         assert f.leading == exact(3)
@@ -808,6 +816,16 @@ class TestNumericRoots:
         p = H * H + P(1)
         rs = sorted(r.value.imag for r in roots(p.approx()))
         assert abs(rs[0] + 1) < 1e-8 and abs(rs[1] - 1) < 1e-8
+
+    @pytest.mark.parametrize("backend", ["exact", "approx"])
+    def test_real_roots_of_a_real_polynomial_are_real(self, backend):
+        # (h^2 - h - 1)(h^2 + 1): the golden-ratio roots lose their
+        # imaginary rounding, the pair +-i keeps its imaginary parts
+        p = parse_poly("(h^2 - h - 1)*(h^2 + 1)", backend)
+        rs = sorted((r.value for r in roots(p)), key=lambda z: z.imag)
+        assert [z.imag for z in rs[1:3]] == [0.0, 0.0]
+        assert sorted(z.real for z in rs[1:3]) == pytest.approx([(1 - 5**0.5) / 2, (1 + 5**0.5) / 2])
+        assert rs[0].imag == pytest.approx(-1) and rs[3].imag == pytest.approx(1)
 
 
 class TestExactRoots:

@@ -195,6 +195,13 @@ class TestApprox:
         assert approx(1.0) == approx(1.0 + 1e-12)
         assert approx(1.0) != approx(1.0 + 1e-6)
 
+    def test_equality_is_relative_past_one(self):
+        # |a - b| <= tol * max(1, |a|, |b|): absolute up to 1, relative above
+        assert approx(1e6) == approx(1e6 + 1e-4)
+        assert approx(1e6) != approx(1e6 + 1e-2)
+        assert approx(1e-10).is_zero() and approx(1e-10) == 0
+        assert not approx(1e-8).is_zero() and approx(1e-8) != 0
+
     def test_arithmetic(self):
         a = approx(1 + 2j)
         b = approx(0.5 - 1j)
