@@ -9,9 +9,12 @@ element is stored as a finite map (i, k) -> polynomial in h and products are
 rewritten back to that normal form.  The distinguished central element is
 z = x*y - h.
 
-The only nontrivial rewriting is pushing a power of y past a power of x;
-``Presentation`` memoises those middle reductions, which is what makes
-repeated products cheap.  ``FreeModuleElement`` and
+The only nontrivial rewriting is pushing a power of y past a power of x.
+For an exact f of degree <= 1, H(f) is a generalized Weyl algebra and
+y^k x^i has a closed q-binomial form, read off directly; every other f
+fills a trapezoid of smaller middles.  ``Presentation`` memoises the
+middles a product reads, which is what makes repeated products cheap.
+``FreeModuleElement`` and
 :func:`free_module_action` implement the faithful action on the free
 commutative polynomial ring C[X, H, Y] used as an independent oracle for the
 product.
@@ -29,7 +32,6 @@ from .polys import (
     _num_in,
     _terms_text,
     iterate,
-    period,
 )
 from .scalars import (
     _NEUTRAL,
@@ -37,6 +39,7 @@ from .scalars import (
     CyclotomicNumber,
     Scalar,
     _add_rows,
+    _cyclotomic,
     _mul_rows,
     _power,
     _reduced,
@@ -54,17 +57,20 @@ class PresentationMismatchError(ValueError):
 class Presentation:
     """H(f) for a fixed defining polynomial f.
 
-    Carries per-presentation caches: the cells of y^k x^i on numerator
-    rows, the normal forms of the cells a product has read, and the
-    recursive y-action on free-module monomials.  The iterates f^(i) are
-    kept with f itself, by :func:`gha.polys.iterate`.
-    ``middle_reductions`` counts distinct y^k x^i reductions actually
-    computed.  y^k x^i with k > i is read off y^i x^k, so a fresh
+    Carries per-presentation caches: the normal forms of the middles
+    y^k x^i a product has read; for an exact f of degree <= 1 the
+    q-integers of its closed form and the powers of f - h; for every other
+    f the trapezoid cells on numerator rows; and the recursive y-action on
+    free-module monomials.  The iterates f^(i) are kept with f itself, by
+    :func:`gha.polys.iterate`.
+
+    ``middle_reductions`` counts the trapezoid cells ``_fill`` computes,
+    and nothing else.  y^k x^i with k > i is read off y^i x^k, so a fresh
     presentation reduces y^k x^i in (m+1)(m+2)/2 steps, m = min(k, i).
-    When f^(p) = h, x^p and y^p are central and every y^k x^i is read off
-    the base block k, i < p, so no sequence of reads makes more than
-    p(p+1)/2 reductions.  min((m+1)(m+2)/2, p(p+1)/2) is the termination
-    certificate for the rewriting recursion.
+    An exact f of degree <= 1 takes none: its closed form is a sum of at
+    most m + 1 terms, each one step of a product recurrence, and of at
+    most min(k mod p, i mod p) + 1 when f^(p) = h.  Those two bounds are
+    the termination certificate for the rewriting.
     """
 
     def __init__(self, f: Poly) -> None:
@@ -77,6 +83,16 @@ class Presentation:
         self._middles: dict[tuple[int, int], dict[tuple[int, int], Poly]] = {}
         self._y_actions: dict[tuple[int, int, int], dict[tuple[int, int, int], Scalar]] = {}
         self.middle_reductions = 0
+        # the closed form of an exact f = alpha*h + c: alpha as (den, row),
+        # None for 0; the q-integers [0], [1], ..., [0] = 0 as None; their
+        # inverses; the period p of alpha once [p] = 0; the powers of f - h
+        if f._n and f.degree <= 1:
+            phi = _width(f._n)
+            self._alpha = _reduced(f._den, list(f._num[phi:]), phi) if f.degree == 1 else None
+            self._q_integers: list = [None, (1, [1] + [0] * (phi - 1))]
+            self._q_inverses: dict = {}
+            self._q_period: int | None = None
+            self._l_powers = [self._one, f - Poly.variable()]
 
     def __eq__(self, other):
         if not isinstance(other, Presentation):
@@ -142,35 +158,108 @@ class Presentation:
     def _middle(self, k: int, i: int) -> dict[tuple[int, int], Poly]:
         """Normal form of y^k x^i as a map (a, b) -> polynomial.
 
-        ``_fill`` fills the cells on numerator rows.  A cell becomes a map
-        to canonical polynomials only here, when a product reads it, and
-        that view is kept, so a warm read is one lookup.  The
-        anti-automorphism x <-> y, h -> h sends x^a p(h) y^b to x^b p(h) y^a,
-        so for k > i the normal form is read off that of y^i x^k.
-
-        When :func:`gha.polys.period` finds f^(p) = h among the iterates the
-        cell needs, x^p and y^p are central, so for i >= p
-
-            y^k x^i = x^(i - i mod p) (y^(k mod p) x^(i mod p)) y^(k - k mod p),
-
-        the base cell with its keys shifted.  The first such read fills the
-        whole base block, the trapezoid of y^(p-1) x^(p-1), and every later
-        cell is read off it with no reduction.
+        An exact f of degree <= 1 reads it off the closed form of
+        ``_closed_form``; every other f has ``_fill`` fill the cells on
+        numerator rows.  A cell becomes a map to canonical polynomials only
+        here, when a product reads it, and that view is kept, so a warm
+        read is one lookup.  The anti-automorphism x <-> y, h -> h sends
+        x^a p(h) y^b to x^b p(h) y^a, so for k > i the normal form is read
+        off that of y^i x^k.
         """
         hit = self._middles.get((k, i))
         if hit is None:
             if k > i:
                 hit = {(b, a): p for (a, b), p in self._middle(i, k).items()}
+            elif self.f._n and self.f.degree <= 1:
+                hit = self._closed_form(k, i)
             else:
-                p = period(self.f, max(i, i + k - 1))
-                if p and i >= p:
-                    self._fill(p - 1, p - 1)
-                    da, db = i - i % p, k - k % p
-                    base = self._middle(k % p, i % p)
-                    hit = {(a + da, b + db): q for (a, b), q in base.items()}
-                else:
-                    hit = {ab: _exact(self.f._n, *e) for ab, e in self._fill(k, i).items()}
+                hit = {ab: _exact(self.f._n, *e) for ab, e in self._fill(k, i).items()}
             self._middles[(k, i)] = hit
+        return hit
+
+    def _closed_form(self, k: int, i: int) -> dict[tuple[int, int], Poly]:
+        """y^k x^i for an exact f = alpha*h + c, with no reduction step.
+
+        l = f(h) - h satisfies l(f(h)) = alpha*l(h), so l(h) x = alpha x l(h),
+        and with the q-integers [n] = 1 + alpha + ... + alpha^(n-1)
+
+            y^k x^i = sum_{j <= min(k, i)} g_j x^(i-j) l(h)^j y^(k-j),
+            g_j = prod_{t < j} [k-t][i-t] / [t+1],
+
+        the Gaussian-binomial form of a generalized Weyl algebra (Bavula,
+        1993): alpha = 1 is the Weyl algebra, with g_j = j! C(k,j) C(i,j).
+        The g_j are built on rows over the conductor of f, one step each;
+        a step whose numerator factor [k-t] or [i-t] is 0 ends the sum.
+        For a primitive p-th root of unity alpha that happens at
+        t = min(k mod p, i mod p), before any [t+1] = 0 divides.  The terms
+        are l^j's rows scaled by g_j, each made canonical over the
+        conductor of f, as ``_fill``'s cells are.
+        """
+        n = self.f._n
+        phi = _width(n)
+        out = {(i, k): self._one}
+        if self._l_powers[1].is_zero():  # f = h: x and y commute
+            return out
+        gamma = (1, [1] + [0] * (phi - 1))
+        for j in range(1, k + 1):
+            a, b = self._q_integer(k - j + 1), self._q_integer(i - j + 1)
+            if a is None or b is None:
+                break
+            den, g = gamma
+            for d, row in (a, b, self._q_inverse(j)):
+                den, g = den * d, _mul_scalar_rows(g, row, n)
+            gamma = _reduced(den, g, phi)
+            while len(self._l_powers) <= j:
+                self._l_powers.append(self._l_powers[-1] * self._l_powers[1])
+            lj = self._l_powers[j]
+            num = _num_in(lj, n)
+            den, g = lj._den * gamma[0], gamma[1]
+            if any(g[1:]):
+                num = _mul_rows(num, phi, g, phi, n)
+            else:
+                num = [v * g[0] for v in num]
+            out[(i - j, k - j)] = _exact(n, den, num)
+        return out
+
+    def _q_integer(self, t: int):
+        """[t] = 1 + alpha + ... + alpha^(t-1) for f = alpha*h + c, as
+        (den, row) over the conductor of f; None for [t] = 0.
+
+        The table is built once per presentation by [t+1] = 1 + alpha*[t].
+        A first [p] = 0 with p >= 1 means alpha^p = 1, so the table stops
+        there and [t] is read as [t mod p]."""
+        qs = self._q_integers
+        if self._q_period:
+            return qs[t % self._q_period]
+        n = self.f._n
+        phi = _width(n)
+        alpha = self._alpha
+        while len(qs) <= t:
+            if alpha is None:  # a constant f: [t] = 1 for t >= 1
+                nxt = qs[1]
+            else:
+                den = alpha[0] * qs[-1][0]
+                row = _mul_scalar_rows(alpha[1], qs[-1][1], n)
+                row[0] += den
+                nxt = _reduced(den, row, phi)
+            if nxt is None:
+                self._q_period = len(qs)
+                return qs[t % self._q_period]
+            qs.append(nxt)
+        return qs[t]
+
+    def _q_inverse(self, t: int):
+        """1/[t] as (den, row), for a [t] != 0."""
+        hit = self._q_inverses.get(t)
+        if hit is None:
+            den, row = self._q_integer(t)
+            n = self.f._n
+            if not any(row[1:]):
+                hit = (abs(row[0]), [den if row[0] > 0 else -den] + row[1:])
+            else:
+                inv = _cyclotomic(n, den, row).inverse()
+                hit = (inv._den, list(inv._row(n)))
+            self._q_inverses[t] = hit
         return hit
 
     def _fill(self, k: int, i: int) -> dict:
@@ -190,8 +279,7 @@ class Presentation:
         The leading term x^(i-1) y^(k-1) of y^(k-1) x^(i-1) needs the shift
         by f^(i+k-1), the highest iterate of the fill; it is built first, so
         the degree guard refuses before any reduction.  Every iterate is
-        read through :func:`gha.polys.iterate`, which reads f^(j) of a
-        periodic f as f^(j mod p).
+        read through :func:`gha.polys.iterate`.
 
         A cell maps (a, b) to the entry of p over the conductor n of f:
         (den, the numerators of p over n), reduced as by ``_reduced`` but
@@ -321,6 +409,16 @@ class Presentation:
                 _accumulate_scalar(out, mon, c)
         self._y_actions[key] = out
         return out
+
+
+def _mul_scalar_rows(x, y, n: int) -> list:
+    """The numerators of the product of two scalars given by their rows
+    over conductor n; a rational factor scales the other row."""
+    if not any(y[1:]):
+        return [v * y[0] for v in x]
+    if not any(x[1:]):
+        return [v * x[0] for v in y]
+    return _mul_rows(x, len(x), y, len(y), n)
 
 
 def _is_zero_scalar(s: Scalar) -> bool:

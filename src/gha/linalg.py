@@ -9,6 +9,8 @@ closure arguments and invariant-subspace checks.
 
 from __future__ import annotations
 
+import operator
+
 from .polys import Poly
 from .scalars import Scalar, _close, _power, as_scalar, backend_of, one_like, zero_like
 
@@ -75,25 +77,41 @@ def mat_vec(a: Matrix, v: list) -> list:
     return out
 
 
-def _equals_diagonal(a: Matrix, diag: list[Scalar]) -> bool:
+def _equals_diagonal(a: Matrix, diag: list[Scalar], size: float | None = None) -> bool:
     """Whether a is the diagonal matrix with entries diag: exactly on the
     exact backend, norm-wise on the approximate one (the largest entry of
-    the difference against the largest entry of a)."""
+    the difference against size, by default the largest entry of a)."""
     cells = [(r == c, x, diag[r]) for r, row in enumerate(a) for c, x in enumerate(row)]
     if mat_backend(a) == "exact":
         return all(x == d if on else x.is_zero() for on, x, d in cells)
     gap = max(abs(x.value - d.value) if on else abs(x.value) for on, x, d in cells)
-    return _close(gap, max(abs(x.value) for _, x, _ in cells))
+    return _close(gap, max(abs(x.value) for _, x, _ in cells) if size is None else size)
 
 
-def is_zero_matrix(a: Matrix) -> bool:
-    return _equals_diagonal(a, [zero_like(a[0][0])] * len(a))
+def is_zero_matrix(a: Matrix, size: float | None = None) -> bool:
+    return _equals_diagonal(a, [zero_like(a[0][0])] * len(a), size)
 
 
-def is_scalar_matrix(a: Matrix) -> Scalar | None:
-    """The scalar s with a == s*I, or None."""
-    s = a[0][0]
-    return s if _equals_diagonal(a, [s] * len(a)) else None
+def is_scalar_matrix(a: Matrix, size: float | None = None) -> Scalar | None:
+    """The scalar s with a == s*I, or None.  An approximate s is the mean
+    of the diagonal, the scalar matrix nearest to a in the Frobenius norm,
+    and a is judged against size as ``_equals_diagonal`` says."""
+    s = a[0][0] if mat_backend(a) == "exact" else trace(a) / len(a)
+    return s if _equals_diagonal(a, [s] * len(a), size) else None
+
+
+def power_size(a: Matrix, k: int) -> float | None:
+    """The largest entry of |a|^k, |a| the matrix of the moduli of a's
+    entries: the size the rounding of ``mat_pow(a, k)`` grows with, which
+    can be far above the entries of a^k itself.  None on the exact
+    backend, where equality is exact."""
+    if mat_backend(a) == "exact":
+        return None
+    out = [[abs(x.value) for x in row] for row in a]
+    cols = list(zip(*out))
+    for _ in range(k - 1):
+        out = [[sum(map(operator.mul, row, col)) for col in cols] for row in out]
+    return max(map(max, out)) if k else 1.0
 
 
 def is_diagonal(a: Matrix) -> bool:

@@ -40,6 +40,7 @@ from .linalg import (
     mat_pow,
     mat_sub,
     poly_at_matrix,
+    power_size,
     zeros,
 )
 from .polys import Orbit, Poly, _group_orbits, _split, iterate, least_period
@@ -365,15 +366,18 @@ def classify(m: MatrixModule, f: Poly) -> ModuleDescriptor:
             "x*y - h does not act as a scalar: not a simple module of these families"
         )
     zero = as_scalar(0, m.backend)
+    # x^n and y^n are judged against |X|^n and |Y|^n, the size their
+    # rounding grows with, not against their own entries
     xn = mat_pow(m.X, n)
-    if not is_zero_matrix(xn):
-        a = is_scalar_matrix(xn)
+    size = power_size(m.X, n)
+    if not is_zero_matrix(xn, size):
+        a = is_scalar_matrix(xn, size)
         if a is None or a == zero:
             raise ClassifyError("x^n is neither zero nor an invertible scalar")
         orbit = _orbit_from_spectrum(m, f)
         return CyclicXDescriptor(orbit, zdot, a)
     if _invertible(m.Y, m.backend):
-        yn = is_scalar_matrix(mat_pow(m.Y, n))
+        yn = is_scalar_matrix(mat_pow(m.Y, n), power_size(m.Y, n))
         if yn is None or yn == zero:
             raise ClassifyError("y^n is not an invertible scalar")
         a = as_scalar(1, m.backend) / yn

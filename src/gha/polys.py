@@ -658,18 +658,6 @@ def iterate(f: Poly, i: int) -> Poly:
     return iterates[i]
 
 
-def period(f: Poly, n: int) -> int | None:
-    """The least p >= 1 with f^(p) = h exactly, as :func:`iterate` finds it
-    while it builds f^(1..n); None when it has found none.  Only an exact
-    linear f can have one (f^(p) has degree deg(f)**p), so no other f is
-    composed."""
-    if not f._n or f.degree != 1:
-        return None
-    iterate(f, n)
-    iterates = f._iterates
-    return len(iterates) if type(iterates) is tuple else None
-
-
 # ---------------------------------------------------------------------------
 # numeric root finding
 # ---------------------------------------------------------------------------

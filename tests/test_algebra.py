@@ -2,6 +2,7 @@
 free-module oracle."""
 
 import copy
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -110,18 +111,36 @@ class TestRewriteEngine:
             assert pres.middle_reductions == before, (f, k, i)
 
     def test_middle_needs_no_composition_beyond_iterates(self, compose_calls):
-        # y^k x^i only composes to extend the f-iterates, up to f^(k+i-1)
+        # y^k x^i only composes to extend the f-iterates, up to f^(k+i-1);
+        # the closed form of a linear f reads no iterate at all
+        Presentation(parse_poly("h^2 + 1"))._middle(3, 3)
+        assert len(compose_calls) <= 3 + 3
+        compose_calls.clear()
         Presentation(parse_poly("2*h - 1"))._middle(12, 12)
-        assert len(compose_calls) <= 12 + 12
+        assert compose_calls == []
 
     def test_product_composes_only_to_extend_iterates(self, compose_calls):
         # constant coefficients are not composed with f^(a), and f^(1) is f
-        # itself, so the product y^12 * x^12 composes exactly the 22 times
-        # that build f^(2..23)
-        pres = Presentation(parse_poly("2*h - 1"))
+        # itself, so the product y^3 * x^3 composes exactly the 4 times
+        # that build f^(2..5)
+        pres = Presentation(parse_poly("h^2 + 1"))
         y, x = pres.generator("y"), pres.generator("x")
-        _ = (y ** 12) * (x ** 12)
-        assert len(compose_calls) == 22
+        _ = (y ** 3) * (x ** 3)
+        assert len(compose_calls) == 4
+
+    @pytest.mark.parametrize("first, cells", [((0, 1), 1), ((1, 0), 1), ((2, 3), 6), ((3, 3), 10)], ids=str)
+    def test_later_reads_inside_the_trapezoid_are_memo_reads(self, first, cells):
+        # y^k x^i, k <= i, fills (m+1)(m+2)/2 cells, m = k; every cell of its
+        # trapezoid, either way round, is read back with no reduction
+        pres = Presentation(parse_poly("h^2 + 1"))
+        pres._middle(*first)
+        assert pres.middle_reductions == cells
+        k, i = sorted(first)
+        for kk in range(k + 1):
+            for ii in range(i - k + kk, i + 1):
+                pres._middle(kk, ii)
+                pres._middle(ii, kk)
+        assert pres.middle_reductions == cells
 
     def test_middle_fills_only_the_trapezoid(self):
         # y^k x^i, k <= i, reads the cells (kk, ii) with i-k+kk <= ii <= i,
@@ -132,16 +151,15 @@ class TestRewriteEngine:
             assert pres.middle_reductions == cells, (k, i)
 
     def test_trapezoids_filled_in_any_order_agree(self):
-        # 2*zeta(3) is no root of unity, so no iterate of f is h
-        f = parse_poly("2*zeta(3)*h + 1")
+        f = parse_poly("zeta(3)*h^2 + 1")
         pres = Presentation(f)
-        for k, i in ((2, 5), (5, 2), (5, 5)):
+        for k, i in ((2, 3), (3, 2), (3, 3)):
             pres._middle(k, i)
-        # 6, then none for (5, 2), then the 15 cells of the (5, 5)
+        # 6, then none for (3, 2), then the 4 cells of the (3, 3)
         # trapezoid not filled before
-        assert pres.middle_reductions == 21
+        assert pres.middle_reductions == 10
         fresh = Presentation(f)
-        fresh._middle(5, 5)
+        fresh._middle(3, 3)
         # every filled cell, read through the memo of normal forms
         for cell in fresh._cells:
             assert pres._middle(*cell) == fresh._middle(*cell), cell
@@ -155,7 +173,7 @@ class TestRewriteEngine:
             assert free_module_action(GHAElement(oracle, pres._middle(k, i)), one) == v, (k, i)
 
     def test_product_composes_each_composite_once(self, compose_calls):
-        pres = Presentation(parse_poly("2*h - 1"))
+        pres = Presentation(parse_poly("h^2 + 1"))
         pres._middle(3, 3)
         a = parse_element("x*(h^2+1)*y^3 + (h-2)*y^2 + x^2*h*y^3", pres)
         b = parse_element("x^3*(h+1)*y + x^2*(2*h^2-1) + x^3*h*y^2", pres)
@@ -253,8 +271,9 @@ PERIODIC = {
 
 
 class TestPeriodicF:
-    """A periodic f is composed up to f^(p) only, and every y^k x^i is read
-    off the base block k, i < p."""
+    """A periodic f is composed up to f^(p) only, and since x^p and y^p are
+    central, y^k x^i is the base cell y^(k mod p) x^(i mod p) shifted by
+    x^(i - i mod p) on the left and y^(k - k mod p) on the right."""
 
     @pytest.mark.parametrize("f_text, p", PERIODIC.items())
     def test_iterate_stops_at_the_period(self, compose_calls, f_text, p):
@@ -287,24 +306,30 @@ class TestPeriodicF:
 
     @pytest.mark.parametrize("f_text, p", PERIODIC.items())
     def test_reductions_stay_within_the_base_block(self, f_text, p):
+        # read in any order, every cell is its base cell shifted, whose sum
+        # stops where a numerator [k-t] or [i-t] is 0, at
+        # t = min(k mod p, i mod p); the closed form makes no reduction
         cells = [(k, i) for k in range(3 * p + 1) for i in range(3 * p + 1)]
         for seed in range(3):
             random.Random(seed).shuffle(cells)
-            pres = Presentation(parse_poly(f_text))
+            pres, base = Presentation(parse_poly(f_text)), Presentation(parse_poly(f_text))
             for k, i in cells:
-                pres._middle(k, i)
-                assert pres.middle_reductions <= p * (p + 1) // 2, (seed, k, i)
+                da, db = i - i % p, k - k % p
+                shifted = {(a + da, b + db): q for (a, b), q in base._middle(k % p, i % p).items()}
+                assert pres._middle(k, i) == shifted, (seed, k, i)
+                assert len(shifted) == min(k % p, i % p) + 1, (seed, k, i)
+            assert pres.middle_reductions == base.middle_reductions == 0
 
     @pytest.mark.parametrize("f_text, p", PERIODIC.items())
     @pytest.mark.parametrize("first", [(0, 1), (1, 0), (2, 3), (3, 3)], ids=str)
     def test_later_reads_are_memo_reads(self, f_text, p, first):
+        # a cell read again is the map the first read kept
         pres = Presentation(parse_poly(f_text))
-        pres._middle(first[0] * p, first[1] * p + 1)
-        assert pres.middle_reductions == p * (p + 1) // 2
-        for k in range(3 * p + 1):
-            for i in range(3 * p + 1):
-                pres._middle(k, i)
-        assert pres.middle_reductions == p * (p + 1) // 2
+        cells = [(first[0] * p, first[1] * p + 1)]
+        cells += [(k, i) for k in range(3 * p + 1) for i in range(3 * p + 1)]
+        kept = {cell: pres._middle(*cell) for cell in cells}
+        assert all(pres._middle(*cell) is kept[cell] for cell in cells)
+        assert pres.middle_reductions == 0
 
     def test_product_past_the_period_matches_the_free_module(self):
         pres = Presentation(parse_poly("zeta(3)*h + 1"))
@@ -410,6 +435,66 @@ class TestOracle:
         self.test_middles_match_letter_by_letter_action(f, 3, "approx")
 
 
+# one f of every class of exact f of degree <= 1: alpha rational or
+# cyclotomic and no root of unity, alpha a root of unity != 1 (periodic f),
+# translations, f = h and constants
+LINEAR = [
+    "2*h + 1",
+    "h/2 + 1/3",
+    "2*zeta(5)*h + 1/3",
+    "-h + 1",
+    "i*h",
+    "zeta(3)*h + 1",
+    "zeta(6)*h - 2",
+    "zeta(5)*h + 1/2",
+    "h + 1",
+    "h - 1/2",
+    "h",
+    "3",
+    "0",
+]
+
+
+class TestClosedForm:
+    """An exact f = alpha*h + c reads y^k x^i off the closed form
+
+        y^k x^i = sum_j g_j x^(i-j) (f(h) - h)^j y^(k-j),
+        g_j = prod_{t < j} [k-t][i-t] / [t+1],   [n] = 1 + ... + alpha^(n-1),
+
+    and fills no trapezoid."""
+
+    @pytest.mark.parametrize("f", LINEAR)
+    def test_middles_match_letter_by_letter_action(self, f):
+        pres = Presentation(parse_poly(f))
+        x, y = pres.generator("x"), pres.generator("y")
+        one = FreeModuleElement.one()
+        xs = one
+        for i in range(9):
+            # v is y^k x^i acting on 1, one letter at a time
+            v = xs
+            for k in range(9):
+                got = free_module_action(GHAElement(pres, pres._middle(k, i)), one)
+                assert got == v, (f, k, i)
+                v = free_module_action(y, v)
+            xs = free_module_action(x, xs)
+        assert pres.middle_reductions == 0
+
+    @pytest.mark.parametrize("f, c", [("h + 1", 1), ("h - 1/2", Fraction(-1, 2))])
+    def test_weyl_case(self, f, c):
+        # alpha = 1: [n] = n, so g_j = j! C(k, j) C(i, j), and f - h = c
+        pres = Presentation(parse_poly(f))
+        for k in range(7):
+            for i in range(7):
+                want = {
+                    (i - j, k - j): Poly.constant(
+                        math.factorial(j) * math.comb(k, j) * math.comb(i, j) * c**j
+                    )
+                    for j in range(min(k, i) + 1)
+                }
+                assert pres._middle(k, i) == want, (k, i)
+        assert pres.middle_reductions == 0
+
+
 class TestCentralProduct:
     """z = xy - h is central and y g(h) = g(f(h)) y, so
 
@@ -417,12 +502,13 @@ class TestCentralProduct:
 
     The product side, in a presentation of its own, reads only the cells
     y^a x^b with min(a, b) <= 1; the left side reads the whole trapezoid of
-    y^k x^i, at sizes the letter-by-letter oracle cannot reach."""
+    y^k x^i, or the closed form of a linear f, at sizes the letter-by-letter
+    oracle cannot reach."""
 
     @pytest.mark.parametrize(
         "f, k",
         [
-            ("2*h + 1", 30),
+            ("2*h + 1", 60),
             ("h^2 - 2", 4),
             # period 3: the left side is read off the base block
             ("zeta(3)*h + 1", 8),

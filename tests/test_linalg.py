@@ -10,6 +10,7 @@ from gha.linalg import (
     mat_pow,
     mat_sub,
     poly_at_matrix,
+    power_size,
     trace,
     zeros,
 )
@@ -47,6 +48,26 @@ def test_approx_detection_is_norm_wise():
     assert is_scalar_matrix(M([[1000, 1e-5], [0, 1000]], "approx")) is None
     assert not is_diagonal(M([[1, 1e-8], [0, 1]], "approx"))
     assert is_zero_matrix(M([[1e-10, 0], [0, 0]], "approx"))
+
+
+def test_detection_against_a_given_size():
+    # a gap of 1e-5 is rounding against a size of 1e5, and the scalar read
+    # is the mean of the diagonal
+    a = M([[1000, 1e-5], [0, 1000 + 2e-6]], "approx")
+    assert is_scalar_matrix(a) is None
+    assert abs(is_scalar_matrix(a, 1e5).value - (1000 + 1e-6)) < 1e-12
+    assert is_zero_matrix(M([[1e-5, 0], [0, 0]], "approx"), 1e5)
+    assert not is_zero_matrix(M([[1e-3, 0], [0, 0]], "approx"), 1e5)
+
+
+def test_power_size_is_the_largest_entry_of_the_power_of_the_moduli():
+    # |a| = [[sqrt(5), 0], [3, 1/2]], |a|^2 = [[5, 0], [3 sqrt(5) + 3/2, 1/4]],
+    # while a^2 = [[-3 - 4i, 0], [-3 + 6i - 3/2 i, -1/4]]
+    a = [[approx(1 - 2j), approx(0)], [approx(-3), approx(0.5j)]]
+    assert power_size(a, 0) == 1.0
+    assert power_size(a, 1) == 3.0
+    assert abs(power_size(a, 2) - (3 * 5**0.5 + 1.5)) < 1e-12
+    assert power_size(M([[2, 1], [0, 2]]), 3) is None
 
 
 def test_charpoly_shift_matrix():

@@ -316,17 +316,27 @@ def complex_inverse(p: list[list[complex]]) -> list[list[complex]]:
 
 
 class TestClassifyLargeEntries:
-    """A cyclic_x module of h^2 - 2 with x^3 = a*I, |a| about 465, written in
-    a seeded random basis: x^3 and x*y - h are scalar matrices only up to
-    rounding of the size of their entries, which classify must allow for."""
+    """A cyclic_x module of h^2 - 2 with x^3 = a*I, |a| about 465 or 1000,
+    written in a seeded random basis: x^3 and x*y - h are scalar matrices
+    only up to rounding, which grows with the size of the factors' entries
+    (|X|^3 for x^3), and classify must allow for it."""
 
     F = parse_poly("h^2 - 2", "approx")
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("zdot", [0, 1.5])
     def test_random_basis_round_trips(self, zdot, seed):
+        self.check(zdot, -334 - 323j, seed)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_large_a_round_trips(self, seed):
+        # X^3 = a*I up to a gap of 1.5e-9 to 1.9e-9 of |a| for seeds 1-3,
+        # over tol against |X^3| but not against |X|^3, about 1e10
+        self.check(0, 1000 + 7j, seed)
+
+    def check(self, zdot, a, seed):
         d = first_instantiations(self.F, 3, CYCLIC_X)[0]
-        d = replace(d, zdot=as_scalar(zdot, "approx"), a=as_scalar(-334 - 323j, "approx"))
+        d = replace(d, zdot=as_scalar(zdot, "approx"), a=as_scalar(a, "approx"))
         rng = random.Random(seed)
         P = [[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)] for _ in range(3)]
         P_inv = complex_inverse(P)

@@ -7,7 +7,7 @@ import pytest
 
 from gha.algebra import Presentation, is_central
 from gha.parser import parse_poly
-from gha.polys import Poly, period
+from gha.polys import Poly, iterate
 from gha.scalars import BackendMismatchError, approx, exact, zeta
 from gha.structure import (
     CYCLOTOMIC,
@@ -67,9 +67,21 @@ class TestCenter:
         assert not is_central(pres.generator("x") * pres.generator("y"))
 
 
+def iterate_period(f: Poly, n: int) -> int | None:
+    """The p with f^(p) = h at which iterate stops composing, once it has
+    built f^(1..n); None when it has found none.  Only a linear f can have
+    one (f^(p) has degree deg(f)**p), so no other f is composed."""
+    if f.degree != 1:
+        return None
+    iterate(f, n)
+    return len(f._iterates) if type(f._iterates) is tuple else None
+
+
 class TestPeriodOfTheRewritingCore:
-    """The period at which iterate stops composing is the l of the center
-    theorem: x^l and y^l are central exactly when f^(l) = h."""
+    """The period at which iterate stops composing, which every product's
+    composites g(f^(a)) read, is the l of the center theorem: x^l and y^l
+    are central exactly when f^(l) = h.  For l > 1 it is also where the
+    q-integers of the closed form of y^k x^i first vanish, [l] = 0."""
 
     @pytest.mark.parametrize(
         "text",
@@ -80,16 +92,19 @@ class TestPeriodOfTheRewritingCore:
         f = parse_poly(text)
         desc = center(f)
         assert desc.case == CYCLOTOMIC
-        assert period(f, 3 * desc.l) == desc.l
+        assert iterate_period(f, 3 * desc.l) == desc.l
+        pres = Presentation(f)
+        pres._middle(3 * desc.l, 3 * desc.l)
+        assert pres._q_period == (desc.l if desc.l > 1 else None)
 
     @pytest.mark.parametrize("text", ["2*h - 1", "h + 1", "h^2", "3"])
     def test_no_period_without_cyclotomic_center(self, text):
         f = parse_poly(text)
         assert center(f).l is None
-        assert period(f, 30) is None
+        assert iterate_period(f, 30) is None
 
     def test_no_period_on_the_approx_backend(self):
-        assert period(parse_poly("zeta(3)*h", "approx"), 30) is None
+        assert iterate_period(parse_poly("zeta(3)*h", "approx"), 30) is None
 
 
 class TestAffineConjugate:

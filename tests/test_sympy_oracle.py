@@ -21,11 +21,15 @@ quadratic with no root in the field, over the small fields and Q(zeta_7).
 The exact-period-n points that ``periodic_points`` finds on the census
 panel, n <= 3, are counted against the degree of the dynatomic factor
 prod_{d | n} (f^(d)(h) - h)^mu(n/d), computed in sympy, with its roots of
-lower exact period removed.  Skipped when sympy is not installed.
+lower exact period removed.  The center of H(f) is checked by brute
+force: the common kernel of ad_x, ad_y and ad_h on a box of monomials
+x^a h^j y^b, solved in sympy, must lie in the span of the products of
+``center(f).generators``.  Skipped when sympy is not installed.
 """
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -33,10 +37,12 @@ sympy = pytest.importorskip("sympy")
 
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
+from gha.algebra import Presentation  # noqa: E402
 from gha.linalg import EchelonBasis, charpoly, mat_mul  # noqa: E402
 from gha.parser import parse_poly  # noqa: E402
 from gha.polys import Poly, exact_roots, iterate, periodic_points, poly_gcd  # noqa: E402
 from gha.scalars import CyclotomicNumber, _lift_rows, euler_phi, exact, zeta  # noqa: E402
+from gha.structure import affine_conjugate, center  # noqa: E402
 
 H = sympy.Symbol("h")
 
@@ -328,3 +334,114 @@ def test_periodic_points_match_the_dynatomic_degree(text, n):
     out = periodic_points(f, n, conductor=panel_hint(text, n))
     assert not out.residual_roots
     assert sum(o.period for o in out.orbits) == exact_period_count(f, n)
+
+
+def coordinates(e, n: int, k) -> dict:
+    """The element e of H(f) as {(a, j, b): coefficient of x^a h^j y^b} in k,
+    the field of zeta_n."""
+    return {
+        (a, j, b): to_field(c, n, k)
+        for (a, b), g in e.terms.items()
+        for j, c in enumerate(g.coeffs)
+        if not c.is_zero()
+    }
+
+
+def center_kernel(f: Poly, K: int, D: int):
+    """The common kernel of ad_x, ad_y and ad_h on span{x^a h^j y^b : a, b <= K,
+    j <= D}, as the rows of a sympy DomainMatrix over the field of f, and
+    the box's monomials (a, j, b) that index its columns."""
+    n = f.conductor()
+    k = field(n)
+    pres = Presentation(f)
+    gens = [pres.generator(g) for g in "xyh"]
+    box = [(a, j, b) for a in range(K + 1) for j in range(D + 1) for b in range(K + 1)]
+    cols = []
+    for a, j, b in box:
+        e = pres.monomial(a, Poly([0] * j + [1]), b)
+        cols.append(
+            {(t, *m): v for t, g in enumerate(gens) for m, v in coordinates(g * e - e * g, n, k).items()}
+        )
+    keys = sorted({key for col in cols for key in col})
+    ad = DomainMatrix([[col.get(key, k.zero) for col in cols] for key in keys], (len(keys), len(box)), k)
+    return ad.nullspace(), box
+
+
+def generator_products(f: Poly, K: int, D: int) -> list:
+    """The products of center(f).generators whose x- and y-degrees are at
+    most K, and whose (h - c)^l factor has h-degree at most D + K: a
+    product of higher h-degree can still take part in an element of the
+    box, as z^2 - (h - 1/2)^2 does for f = -h + 1."""
+    desc = center(f)
+    if desc.l is None:  # z alone
+        exps = [(e,) for e in range(K + 1)]
+    else:  # x^l, y^l, (h - c)^l, z
+        l = desc.l
+        exps = [
+            t
+            for t in product(range(K // l + 1), range(K // l + 1), range((D + K) // l + 1), range(K + 1))
+            if l * t[0] + t[3] <= K and l * t[1] + t[3] <= K
+        ]
+    out = []
+    for t in exps:
+        e = desc.generators[-1].presentation.one()
+        for g, m in zip(desc.generators, t):
+            e = e * g**m
+        out.append(e)
+    return out
+
+
+# f, K, D and, where an earlier probe (ROADMAP item 12) counted it, the
+# dimension of the kernel on the box a, b <= K, j <= D
+CENTER_CASES = [
+    ("h^2 + 1", 2, 2, 3),
+    ("2*h", 2, 2, 3),
+    ("h + 1", 2, 2, 3),
+    ("3", 2, 2, 3),
+    ("h", 2, 2, 27),
+    ("-h + 1", 2, 2, 9),
+    ("zeta(3)*h + 1", 2, 2, None),
+    ("zeta(6)*h", 2, 2, None),
+    # larger boxes for linear f: x^2, y^2 and (h - 1/2)^2 of -h + 1 and
+    # x^3, y^3 of zeta(3)*h + 1 lie in them
+    ("2*h", 4, 2, None),
+    ("h + 1", 4, 2, None),
+    ("h", 3, 2, None),
+    ("-h + 1", 4, 2, None),
+    ("zeta(3)*h + 1", 3, 2, None),
+]
+
+
+@pytest.mark.parametrize("text, K, D, dim", CENTER_CASES)
+def test_center_contains_the_brute_force_kernel(text, K, D, dim):
+    """Every element of the box that commutes with x, y and h is a linear
+    combination of products of the center's generators; so is every such
+    element for a seeded random affine conjugate of f (a*f((h - c)/a) + c,
+    an isomorphic algebra whose kernel on the box has the same dimension).
+    The kernel comes from the products of the rewriting core alone."""
+    rng = random.Random(f"center {text} {K} {D}")
+    f = parse_poly(text)
+    a = Fraction(rng.choice((-3, -2, 2, 3)), rng.randint(1, 3))
+    c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    dims = []
+    for g in (f, affine_conjugate(f, exact(a), exact(c))):
+        kernel, box = center_kernel(g, K, D)
+        n = g.conductor()
+        k = field(n)
+        prods = [coordinates(e, n, k) for e in generator_products(g, K, D)]
+        keys = sorted(set(box) | {key for p in prods for key in p})
+        column = {m: i for i, m in enumerate(box)}
+        spanned = [[p.get(key, k.zero) for p in prods] for key in keys]
+        rows = kernel.to_Matrix()
+        found = [
+            [k.convert(rows[r, column[key]]) if key in column else k.zero for r in range(rows.rows)]
+            for key in keys
+        ]
+        before = DomainMatrix(spanned, (len(keys), len(prods)), k).rank()
+        both = [s + t for s, t in zip(spanned, found)]
+        after = DomainMatrix(both, (len(keys), len(prods) + rows.rows), k).rank()
+        assert after == before, (str(g), K, D)
+        dims.append(rows.rows)
+    assert dims[0] == dims[1]
+    if dim is not None:
+        assert dims[0] == dim
