@@ -27,6 +27,7 @@ from operator import sub
 from .polys import (
     _ZERO,
     Poly,
+    _compose_rows,
     _exact,
     _h_power,
     _num_in,
@@ -40,9 +41,12 @@ from .scalars import (
     Scalar,
     _add_rows,
     _cyclotomic,
-    _mul_rows,
+    _mul_or_scale,
     _power,
+    _product_form,
+    _rational_drop,
     _reduced,
+    _sum_form,
     _width,
     as_scalar,
     exact,
@@ -207,18 +211,13 @@ class Presentation:
                 break
             den, g = gamma
             for d, row in (a, b, self._q_inverse(j)):
-                den, g = den * d, _mul_scalar_rows(g, row, n)
+                den, g = den * d, _mul_or_scale(g, phi, row, phi, n)
             gamma = _reduced(den, g, phi)
             while len(self._l_powers) <= j:
                 self._l_powers.append(self._l_powers[-1] * self._l_powers[1])
             lj = self._l_powers[j]
-            num = _num_in(lj, n)
-            den, g = lj._den * gamma[0], gamma[1]
-            if any(g[1:]):
-                num = _mul_rows(num, phi, g, phi, n)
-            else:
-                num = [v * g[0] for v in num]
-            out[(i - j, k - j)] = _exact(n, den, num)
+            num = _mul_or_scale(_num_in(lj, n), phi, gamma[1], phi, n)
+            out[(i - j, k - j)] = _exact(n, lj._den * gamma[0], num)
         return out
 
     def _q_integer(self, t: int):
@@ -239,7 +238,7 @@ class Presentation:
                 nxt = qs[1]
             else:
                 den = alpha[0] * qs[-1][0]
-                row = _mul_scalar_rows(alpha[1], qs[-1][1], n)
+                row = _mul_or_scale(alpha[1], phi, qs[-1][1], phi, n)
                 row[0] += den
                 nxt = _reduced(den, row, phi)
             if nxt is None:
@@ -287,8 +286,9 @@ class Presentation:
         approximate f (n = 0).  So a step multiplies numerator rows and
         builds no Poly: the entry's row is the outer one of the product
         (which fixes the order of the approximate sums), a constant with no
-        zeta part, such as the 1 of every leading term, scales the shift
-        instead, and the entry already there is added after the product.
+        zeta part, such as the 1 of every leading term, scales the other
+        factor instead (``scalars._mul_or_scale``), and the entry already
+        there is added after the product.
         The shifts are kept for one fill.
         """
         cells = self._cells
@@ -318,11 +318,7 @@ class Presentation:
                     shift = shifts[(ii, b)]
                     if shift is None:
                         continue
-                    if len(num) == phi and not any(num[1:]):
-                        c = num[0]
-                        num = [v * c for v in shift[1]]
-                    else:
-                        num = _mul_rows(num, phi, shift[1], phi, n)
+                    num = _mul_or_scale(num, phi, shift[1], phi, n)
                     den *= shift[0]
                     cur = out.get(key)
                     if cur is not None:
@@ -335,11 +331,7 @@ class Presentation:
                 cells[(kk, ii)] = out
         return cells[(k, i)]
 
-    def _mul_terms(
-        self,
-        t1: dict[tuple[int, int], Poly],
-        t2: dict[tuple[int, int], Poly],
-    ) -> dict[tuple[int, int], Poly]:
+    def _mul_terms(self, t1: dict, t2: dict) -> dict[tuple[int, int], Poly]:
         """Product of two normal forms, returned as a normal form.
 
         For x^i1 g1 y^k1 * x^i2 g2 y^k2, substitute the normal form of the
@@ -352,32 +344,43 @@ class Presentation:
         into terms x^a q y^c with q = sum p g2(f^(b)) and c = b + k2, and only
         then is each term of t1 with that k1 applied on the left as
         x^i1 g1(f^(a)).  Each composite g(f^(a)) is built at most once per
-        call; a constant g equals its own composite and is not composed.
+        call, as the form :func:`gha.polys._compose_rows` gives; a constant
+        g equals its own composite and is not composed.
+
+        Every factor and sum is an entry: a Poly, or a form (N, den, num)
+        on numerator rows that is not made canonical (``_mul_entries``,
+        ``_add_entry``).  An entry still drops to conductor 1 when its zeta
+        parts vanish, as a canonical Poly does, since the conductor of the
+        next sum or product, and so the field the result prints in, depends
+        on it.  Each output term becomes a canonical Poly once, at the end,
+        and one that is a single Poly times exact 1s is that Poly; zero
+        terms are left for ``GHAElement`` to drop.
         """
         # keyed by id(g): every g is held by t1 or t2 for the whole call
-        composites: dict[tuple[int, int], Poly] = {}
+        composites: dict = {}
 
-        def composite(g: Poly, a: int) -> Poly:
-            if a == 0 or g.is_constant():
+        def composite(g: Poly, a: int):
+            if a == 0:
                 return g
             c = composites.get((id(g), a))
             if c is None:
-                c = composites[(id(g), a)] = g.compose(self.f_iterate(a))
+                c = g if g.is_constant() else _rational_drop(*_compose_rows(g, self.f_iterate(a)))
+                composites[(id(g), a)] = c
             return c
 
         lefts: dict[int, list[tuple[int, Poly]]] = {}
         for (i1, k1), g1 in t1.items():
             lefts.setdefault(k1, []).append((i1, g1))
-        out: dict[tuple[int, int], Poly] = {}
+        out: dict = {}
         for k1, terms in lefts.items():
-            right: dict[tuple[int, int], Poly] = {}
+            right: dict = {}
             for (i2, k2), g2 in t2.items():
                 for (a, b), p in self._middle(k1, i2).items():
-                    _accumulate(right, (a, b + k2), p * composite(g2, b))
+                    _add_entry(right, (a, b + k2), _mul_entries(p, composite(g2, b)))
             for i1, g1 in terms:
                 for (a, c), q in right.items():
-                    _accumulate(out, (i1 + a, c), composite(g1, a) * q)
-        return {ik: g for ik, g in out.items() if not g.is_zero()}
+                    _add_entry(out, (i1 + a, c), _mul_entries(composite(g1, a), q))
+        return {ik: e if type(e) is Poly else _exact(*e) for ik, e in out.items()}
 
     # -- free-module oracle ---------------------------------------------------
 
@@ -411,14 +414,26 @@ class Presentation:
         return out
 
 
-def _mul_scalar_rows(x, y, n: int) -> list:
-    """The numerators of the product of two scalars given by their rows
-    over conductor n; a rational factor scales the other row."""
-    if not any(y[1:]):
-        return [v * y[0] for v in x]
-    if not any(x[1:]):
-        return [v * x[0] for v in y]
-    return _mul_rows(x, len(x), y, len(y), n)
+def _mul_entries(a, b):
+    """a*b for two entries of a product, each a Poly or a form (N, den, num),
+    a the outer factor, which fixes the order of the approximate sums; a
+    Poly that is the exact 1 returns the other entry itself."""
+    if type(b) is Poly and b._n == 1 and b._den == 1 and b._num == (1,):
+        return a
+    if type(a) is Poly and a._n == 1 and a._den == 1 and a._num == (1,):
+        return b
+    a = (a._n, a._den, a._num) if type(a) is Poly else a
+    return _product_form(a, (b._n, b._den, b._num) if type(b) is Poly else b)
+
+
+def _add_entry(terms: dict, key, e) -> None:
+    """terms[key] + e for entries, the running sum first; e for a new key."""
+    cur = terms.get(key)
+    if cur is None:
+        terms[key] = e
+        return
+    cur = (cur._n, cur._den, cur._num) if type(cur) is Poly else cur
+    terms[key] = _sum_form(cur, (e._n, e._den, e._num) if type(e) is Poly else e)
 
 
 def _is_zero_scalar(s: Scalar) -> bool:

@@ -49,7 +49,6 @@ from .scalars import (
     BackendMismatchError,
     CyclotomicNumber,
     Scalar,
-    _add_rows,
     _canonical,
     _close,
     _cyclotomic,
@@ -57,7 +56,10 @@ from .scalars import (
     _lift_rows,
     _mul_rows,
     _power,
+    _product_form,
     _rational_parts,
+    _shared_conductor,
+    _sum_form,
     _width,
     approx,
     as_scalar,
@@ -226,9 +228,8 @@ class Poly:
 
     # -- ring operations ----------------------------------------------------
 
-    # +, * and == test for a Poly operand first and for two exact forms
-    # next, which skip coercion and the backend check; a shared conductor
-    # of 0 means an approximate operand.
+    # +, * and == test for a Poly operand first, which skips coercion; +
+    # and * run on the forms of gha.scalars, which check the backends.
 
     def __add__(self, other):
         if type(other) is not Poly:
@@ -239,10 +240,8 @@ class Poly:
             return other
         if other.is_zero():
             return self
-        n = _shared_conductor(self, other)
-        if not n:
-            self._check(other)
-        return _exact(n, *_add_rows(_num_in(self, n), self._den, _num_in(other, n), other._den))
+        x, y = (self._n, self._den, self._num), (other._n, other._den, other._num)
+        return _exact(*_sum_form(x, y))
 
     __radd__ = __add__
 
@@ -276,10 +275,13 @@ class Poly:
                 return NotImplemented
         if self.is_zero() or other.is_zero():
             return _ZERO
-        n = _shared_conductor(self, other)
-        if not n:
-            self._check(other)
-        return _mul_forms(self, other, n)
+        # an exact 1 returns the other factor, if it is exact too
+        if other._n == 1 and other._den == 1 and other._num == (1,) and self._n:
+            return self
+        if self._n == 1 and self._den == 1 and self._num == (1,) and other._n:
+            return other
+        x, y = (self._n, self._den, self._num), (other._n, other._den, other._num)
+        return _exact(*_product_form(x, y))
 
     __rmul__ = __mul__
 
@@ -301,7 +303,7 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         if self.degree < other.degree:
             return _exact(self._n, 1, ()), self
-        n, inv = _shared_conductor(self, other), Poly([other.leading.inverse()])
+        n, inv = _shared_conductor(self._n, other._n), Poly([other.leading.inverse()])
         monic = other * inv
         phi, e, dd = _width(n), monic._den, other.degree
         low = _num_in(monic, n)[: dd * phi]
@@ -326,7 +328,7 @@ class Poly:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        n = _shared_conductor(self, other)
+        n = _shared_conductor(self._n, other._n)
         if n:
             # canonical integer forms: equal values have equal forms over n
             a, b = _over(self, n), _over(other, n)
@@ -350,24 +352,18 @@ class Poly:
         if not self._num:
             return zero_like(point)
         if self._n:
-            at = Poly([point])
-            return _compose_forms(self, at, _shared_conductor(self, at)).coefficient(0)
+            return _exact(*_compose_rows(self, Poly([point]))).coefficient(0)
         z, acc = point.value, 0j
         for c in reversed(self._num):
             acc = acc * z + c
         return approx(acc)
 
     def compose(self, inner: "Poly") -> "Poly":
-        """self(inner(h)), by Horner on the numerator rows, over the lcm of
-        the two conductors (0 for approximate rows); the result is made
-        canonical once.  An exact inner that is h itself, such as f^(p) of
-        a periodic f, returns self."""
-        self._check(inner)
-        if inner._n and inner.is_identity():
-            return self
-        if inner.degree > 1:
-            _check_degree(self.degree * inner.degree)
-        return _compose_forms(self, inner, _shared_conductor(self, inner))
+        """self(inner(h)): the form of :func:`_compose_rows`, made canonical
+        once.  A constant self, and an exact inner that is h itself, such
+        as f^(p) of a periodic f, return self."""
+        form = _compose_rows(self, inner)
+        return self if form[2] is self._num else _exact(*form)
 
     def derivative(self) -> "Poly":
         w = _width(self._n)
@@ -496,16 +492,6 @@ def _integer_form(coeffs) -> Poly:
     return _exact(n, den, [x * (den // d) for d, row in rows for x in row])
 
 
-def _shared_conductor(a: Poly, b: Poly) -> int:
-    """The conductor an operation on two forms runs over, the lcm of
-    theirs; 0 when either is approximate (_n is 0)."""
-    if a._n == b._n or b._n == 1:
-        return a._n
-    if a._n == 1:
-        return b._n
-    return a._n and b._n and math.lcm(a._n, b._n)
-
-
 def _num_in(p: Poly, n: int):
     """p's numerators over conductor n, a multiple of p's."""
     return _lift_rows(p._num, p._n, n)
@@ -519,43 +505,37 @@ def _over(p: Poly, n: int) -> Poly:
     return _raw(n, p._den, tuple(_num_in(p, n)))
 
 
-def _mul_forms(a: Poly, b: Poly, n: int) -> Poly:
-    """a*b for nonzero forms, over the lcm n of their conductors (0 for two
-    approximate rows)."""
-    if a._n == 1 and len(a._num) == 1:
-        return _scale(b, a._num[0], a._den)
-    if b._n == 1 and len(b._num) == 1:
-        return _scale(a, b._num[0], b._den)
-    if a._n != b._n and a._n != 1 and b._n != 1:  # two non-rational conductors
-        a, b = _over(a, n), _over(b, n)
-    digits = _mul_rows(a._num, _width(a._n), b._num, _width(b._n), n)
-    return _exact(n, a._den * b._den, digits)
-
-
-def _compose_forms(outer: Poly, inner: Poly, n: int) -> Poly:
-    """outer(inner(h)) for forms of one backend, or with a zero operand,
-    over the lcm n of their conductors (0 for approximate rows).
+def _compose_rows(outer: Poly, inner: Poly) -> tuple:
+    """outer(inner(h)) as a form (n, den, num) that is not made canonical,
+    over the lcm n of the two conductors (0 for approximate rows).
 
     With outer = sum a_k h^k / E and inner = P / D (numerator rows a_k and
     P), Horner keeps acc = A / (E * D^j) after j steps and updates the
-    numerators only, A <- A*P + a_k * D^(j+1); the result over E * D^d is
-    made canonical once."""
-    if outer.degree <= 0:
-        return outer
-    if not inner._num:
-        return _exact(outer._n, outer._den, outer._num[: _width(outer._n)])
-    if outer._n != inner._n and outer._n != 1 and inner._n != 1:  # as in _mul_forms
-        outer, inner = _over(outer, n), _over(inner, n)
-    po, pi, phi = _width(outer._n), _width(inner._n), _width(n)
-    num = outer._num
+    numerators only, A <- A*P + a_k * D^(j+1), to end over E * D^d.  A
+    constant outer, and an exact inner that is h itself, give outer's own
+    form; for an inner of degree > 1 the degree guard sees the degree of
+    the result first."""
+    outer._check(inner)
+    num, inner_num = outer._num, inner._num
+    po, pi = _width(outer._n), _width(inner._n)
+    if len(num) <= po or (inner._n and inner.is_identity()):
+        return outer._n, outer._den, num
+    if len(inner_num) > 2 * pi:  # deg inner > 1
+        _check_degree((len(num) // po - 1) * (len(inner_num) // pi - 1))
+    if not inner_num:
+        return outer._n, outer._den, num[:po]
+    n = _shared_conductor(outer._n, inner._n)
+    phi = _width(n)
+    if outer._n != inner._n and outer._n != 1 and inner._n != 1:  # as in _product_form
+        num, inner_num, po, pi = _num_in(outer, n), _num_in(inner, n), phi, phi
     acc = list(num[len(num) - po :]) + [0] * (phi - po)
     inner_den, scale = inner._den, 1
     for k in range(len(num) - 2 * po, -1, -po):
-        acc = _mul_rows(acc, phi, inner._num, pi, n)
+        acc = _mul_rows(acc, phi, inner_num, pi, n)
         scale *= inner_den
         for j in range(po):
             acc[j] += num[k + j] * scale
-    return _exact(n, outer._den * scale, acc)
+    return n, outer._den * scale, acc
 
 
 def _scale(p: Poly, num: int, den: int) -> Poly:

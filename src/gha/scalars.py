@@ -173,9 +173,19 @@ def _canonical(n: int, den: int, num):
     if form is None:
         return None
     den, num = form
-    if n > 1 and not any(any(num[j::phi]) for j in range(1, phi)):
-        n, num = 1, num[::phi]
+    if n > 1:
+        n, den, num = _rational_drop(n, den, num)
     return n, den, tuple(num)
+
+
+def _rational_drop(n: int, den: int, num) -> tuple:
+    """The form (n, den, num) over conductor 1 when n > 1 and every zeta
+    part of its rows is 0, as a canonical form has it; unchanged otherwise."""
+    if n > 1:
+        phi = euler_phi(n)
+        if not any(any(num[j::phi]) for j in range(1, phi)):
+            return 1, den, num[::phi]
+    return n, den, num
 
 
 def _reduced(den: int, num, phi: int):
@@ -234,26 +244,74 @@ def _mul_rows(x, pa: int, y, pb: int, n: int) -> list[int]:
     each row is then reduced mod Phi_n, to phi(n) numerators.
     """
     stride = pa + pb - 1
-    la, lb = len(x) // pa, len(y) // pb
-    count = (la + lb - 1) * stride
     if len(x) * len(y) <= _SCHOOLBOOK_MAX or not n:
-        sx = _spread(x, pa, stride)
-        sy = sx if y is x else _spread(y, pb, stride)
-        digits = [0 if n else 0j] * count
+        sx = x if stride == pa else _spread(x, pa, stride)
+        sy = sx if y is x else y if stride == pb else _spread(y, pb, stride)
+        digits = [0 if n else 0j] * (len(sx) + len(sy) - 1)
         for i, u in enumerate(sx):
             if u:
                 for j, v in enumerate(sy, i):
                     digits[j] += u * v
     else:
+        la, lb = len(x) // pa, len(y) // pb
         ax, ay = _max_abs(x), _max_abs(y)  # the slots hold these too: one may be all zero
         bound = max(min(la, lb) * min(pa, pb) * ax * ay, ax, ay)
         width = (bound.bit_length() + 8) // 8  # bytes per slot, sign bit included
         vx = _pack(x, pa, stride, width)
         vy = vx if y is x else _pack(y, pb, stride, width)
-        digits = _unpack(vx * vy, width, count)
-    if stride > _width(n):
+        digits = _unpack(vx * vy, width, (la + lb - 1) * stride)
+    if stride > 1 and stride > _width(n):
         digits = _reduce_mod_cyclotomic(digits, n, stride)
     return digits
+
+
+def _shared_conductor(m: int, n: int) -> int:
+    """The conductor an operation on forms over m and n runs over, the lcm
+    of the two; 0 when either is approximate (0)."""
+    if m == n or n == 1:
+        return m
+    if m == 1:
+        return n
+    return m and n and math.lcm(m, n)
+
+
+def _sum_form(x: tuple, y: tuple) -> tuple:
+    """The form of x + y for forms (N, den, num) of one backend: both rows
+    lifted to the shared conductor, x first, and the form not made
+    canonical, but over conductor 1 when no zeta part is left."""
+    (m, dx, a), (k, dy, b) = x, y
+    n = _shared_conductor(m, k)
+    if not n and m != k:
+        raise BackendMismatchError("polynomials use different scalar backends")
+    den, num = _add_rows(_lift_rows(a, m, n), dx, _lift_rows(b, k, n), dy)
+    return _rational_drop(n, den, num) if n > 1 else (n, den, num)
+
+
+def _product_form(x: tuple, y: tuple) -> tuple:
+    """The form of x*y for forms (N, den, num) of one backend, as
+    ``_sum_form`` has it, x the outer factor of ``_mul_or_scale``.  Rational
+    rows multiply as they are; two other conductors are lifted first."""
+    (m, dx, a), (k, dy, b) = x, y
+    n = _shared_conductor(m, k)
+    if not n and m != k:
+        raise BackendMismatchError("polynomials use different scalar backends")
+    if m != k and m != 1 and k != 1:
+        a, b, m, k = _lift_rows(a, m, n), _lift_rows(b, k, n), n, n
+    num = _mul_or_scale(a, _width(m), b, _width(k), n)
+    return _rational_drop(n, dx * dy, num) if n > 1 else (n, dx * dy, num)
+
+
+def _mul_or_scale(x, pa: int, y, pb: int, n: int) -> list:
+    """x*y as ``_mul_rows`` has it, except that a constant with no zeta
+    part, a single row whose numerators past the first are 0, scales the
+    other operand's numerators instead; x is tried first."""
+    if len(x) == pa and not any(x[1:]):
+        c = x[0]
+        return [v * c for v in y]
+    if len(y) == pb and not any(y[1:]):
+        c = y[0]
+        return [v * c for v in x]
+    return _mul_rows(x, pa, y, pb, n)
 
 
 def _max_abs(num) -> int:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gha import algebra
+from gha import algebra, polys, scalars
 from gha.algebra import (
     FreeModuleElement,
     GHAElement,
@@ -68,6 +68,22 @@ def compose_calls(monkeypatch):
     calls = []
     compose = Poly.compose
     monkeypatch.setattr(Poly, "compose", lambda g, inner: calls.append(1) or compose(g, inner))
+    return calls
+
+
+@pytest.fixture
+def compose_rows_calls(monkeypatch):
+    """A list that grows by one entry per call of the row Horner routine,
+    which Poly.compose and the composites of a product both run."""
+    calls = []
+    compose_rows = polys._compose_rows
+
+    def counted(outer, inner):
+        calls.append(1)
+        return compose_rows(outer, inner)
+
+    for module in (polys, algebra):
+        monkeypatch.setattr(module, "_compose_rows", counted)
     return calls
 
 
@@ -172,17 +188,34 @@ class TestRewriteEngine:
                 v = free_module_action(letter, v)
             assert free_module_action(GHAElement(oracle, pres._middle(k, i)), one) == v, (k, i)
 
-    def test_product_composes_each_composite_once(self, compose_calls):
+    def test_product_composes_each_composite_once(self, compose_rows_calls):
         pres = Presentation(parse_poly("h^2 + 1"))
         pres._middle(3, 3)
         a = parse_element("x*(h^2+1)*y^3 + (h-2)*y^2 + x^2*h*y^3", pres)
         b = parse_element("x^3*(h+1)*y + x^2*(2*h^2-1) + x^3*h*y^2", pres)
-        compose_calls.clear()
+        compose_rows_calls.clear()
         product = a * b
         # each g(f^(a)) once per product: 18 compositions, not one per middle term
-        assert len(compose_calls) == 18
+        assert len(compose_rows_calls) == 18
         one = FreeModuleElement.one()
         assert free_module_action(product, one) == free_module_action(a, free_module_action(b, one))
+
+    def test_product_of_monomials_multiplies_no_rows(self, monkeypatch):
+        # y^10 * x^10 is the middle itself: every factor of the product path
+        # is an exact 1, so it multiplies neither rows nor Polys and keeps
+        # the middle's Polys
+        pres = Presentation(parse_poly("2*h - 1"))
+        middle = pres._middle(10, 10)
+        yk, xi = pres.generator("y") ** 10, pres.generator("x") ** 10
+        calls = []
+        mul_rows, poly_mul = scalars._mul_rows, Poly.__mul__
+        monkeypatch.setattr(scalars, "_mul_rows", lambda *args: calls.append("rows") or mul_rows(*args))
+        monkeypatch.setattr(Poly, "__mul__", lambda *args: calls.append("Poly") or poly_mul(*args))
+        product = yk * xi
+        assert calls == []
+        assert product.terms == middle
+        # every term but the leading 1, which may be either factor's 1
+        assert all(product.terms[ab] is p for ab, p in middle.items() if ab != (10, 10))
 
     def test_degree_guard_refuses_up_front(self, compose_calls):
         # deg f^(13) = 2^13 exceeds the default guard of 4096

@@ -524,18 +524,40 @@ def test_golden_normalize_approx_decimal(capsys):
         assert run(capsys, *shlex.split(command)) == (0, text, ""), command
 
 
+def test_golden_normalize_products(capsys):
+    """normalize_products.txt holds command lines and their stdout for
+    products (A)*(B) of elements with non-constant coefficients: seeded
+    3-term pairs over the f of the products_warm benchmark, coefficients in
+    Q(zeta_4) and Q(zeta_5) over f with conductor 3 and 1, whose printed
+    conductors follow the order of the sums and products, a periodic f, and
+    decimal f on the approx backend, whose floats do too."""
+    lines = (GOLDEN / "normalize_products.txt").read_text().splitlines(keepends=True)
+    assert len(lines) == 2 * 64
+    for command, text in zip(lines[0::2], lines[1::2]):
+        assert run(capsys, *shlex.split(command)) == (0, text, ""), command
+
+
 @pytest.mark.parametrize(
     "f, expr, code, reason",
     [
         # f^(11) overflows the doubles: the computation fails, not the input
         ("h^2 + 1", "y^6*x^6", 3, "numeric failure: an approximate coefficient overflowed"),
+        # each factor is finite and only their product, 1e400*h^3, overflows
+        ("h^2", "(1e200*x*h^2)*(1e200*h*y)", 3, "numeric failure: an approximate coefficient overflowed"),
         ("1e999*h", "y*x", 2, "error: approximate scalars must be finite"),
         # a literal past the doubles is an input error, however it is written
         ("10^400*h", "y*x", 2, "error: number too large for the approx backend"),
         ("1" + "0" * 400 + "*h", "y*x", 2, "error: number too large for the approx backend"),
         ("h", "10^400*y*x", 2, "error: number too large for the approx backend"),
     ],
-    ids=["overflow", "infinite-literal", "power-literal", "long-literal", "power-literal-in-element"],
+    ids=[
+        "overflow",
+        "overflow-in-product",
+        "infinite-literal",
+        "power-literal",
+        "long-literal",
+        "power-literal-in-element",
+    ],
 )
 def test_approx_overflow_exit_codes(capsys, f, expr, code, reason):
     got, out, err = run(capsys, "--backend", "approx", "normalize", "-f", f, "-e", expr)
