@@ -22,8 +22,6 @@ product.
 
 from __future__ import annotations
 
-from operator import sub
-
 from .polys import (
     _ZERO,
     Poly,
@@ -39,7 +37,6 @@ from .scalars import (
     ApproxComplex,
     CyclotomicNumber,
     Scalar,
-    _add_rows,
     _cyclotomic,
     _mul_or_scale,
     _power,
@@ -61,12 +58,11 @@ class PresentationMismatchError(ValueError):
 class Presentation:
     """H(f) for a fixed defining polynomial f.
 
-    Carries per-presentation caches: the normal forms of the middles
-    y^k x^i a product has read; for an exact f of degree <= 1 the
-    q-integers of its closed form and the powers of f - h; for every other
-    f the trapezoid cells on numerator rows; and the recursive y-action on
-    free-module monomials.  The iterates f^(i) are kept with f itself, by
-    :func:`gha.polys.iterate`.
+    Carries per-presentation caches: one memo of the normal forms of the
+    middles y^k x^i, every trapezoid cell a fill computes among them; for
+    an exact f of degree <= 1 the q-integers of its closed form and the
+    powers of f - h; and the recursive y-action on free-module monomials.
+    The iterates f^(i) are kept with f itself, by :func:`gha.polys.iterate`.
 
     ``middle_reductions`` counts the trapezoid cells ``_fill`` computes,
     and nothing else.  y^k x^i with k > i is read off y^i x^k, so a fresh
@@ -78,12 +74,9 @@ class Presentation:
     """
 
     def __init__(self, f: Poly) -> None:
-        if f.is_zero():
-            f = Poly.constant(0, f.backend)
         self.f = f
         self._one = Poly.constant(1, f.backend)
         self._f_powers: list[Poly] = [self._one]
-        self._cells: dict[tuple[int, int], dict] = {}
         self._middles: dict[tuple[int, int], dict[tuple[int, int], Poly]] = {}
         self._y_actions: dict[tuple[int, int, int], dict[tuple[int, int, int], Scalar]] = {}
         self.middle_reductions = 0
@@ -163,10 +156,9 @@ class Presentation:
         """Normal form of y^k x^i as a map (a, b) -> polynomial.
 
         An exact f of degree <= 1 reads it off the closed form of
-        ``_closed_form``; every other f has ``_fill`` fill the cells on
-        numerator rows.  A cell becomes a map to canonical polynomials only
-        here, when a product reads it, and that view is kept, so a warm
-        read is one lookup.  The anti-automorphism x <-> y, h -> h sends
+        ``_closed_form``; every other f has ``_fill`` fill its trapezoid.
+        Either way the map is kept in ``_middles``, so a warm read is one
+        lookup.  The anti-automorphism x <-> y, h -> h sends
         x^a p(h) y^b to x^b p(h) y^a, so for k > i the normal form is read
         off that of y^i x^k.
         """
@@ -177,7 +169,7 @@ class Presentation:
             elif self.f._n and self.f.degree <= 1:
                 hit = self._closed_form(k, i)
             else:
-                hit = {ab: _exact(self.f._n, *e) for ab, e in self._fill(k, i).items()}
+                return self._fill(k, i)
             self._middles[(k, i)] = hit
         return hit
 
@@ -196,8 +188,7 @@ class Presentation:
         a step whose numerator factor [k-t] or [i-t] is 0 ends the sum.
         For a primitive p-th root of unity alpha that happens at
         t = min(k mod p, i mod p), before any [t+1] = 0 divides.  The terms
-        are l^j's rows scaled by g_j, each made canonical over the
-        conductor of f, as ``_fill``'s cells are.
+        are l^j's rows scaled by g_j, each made canonical once.
         """
         n = self.f._n
         phi = _width(n)
@@ -261,8 +252,9 @@ class Presentation:
             self._q_inverses[t] = hit
         return hit
 
-    def _fill(self, k: int, i: int) -> dict:
-        """The cell of y^k x^i for k <= i, filling the cells it reads first.
+    def _fill(self, k: int, i: int) -> dict[tuple[int, int], Poly]:
+        """The normal form of y^k x^i for k <= i, filling the cells it reads
+        first.
 
         The relations telescope to y x^i = x^i y + x^(i-1) (f^(i)(h) - h), so
 
@@ -280,51 +272,39 @@ class Presentation:
         the degree guard refuses before any reduction.  Every iterate is
         read through :func:`gha.polys.iterate`.
 
-        A cell maps (a, b) to the entry of p over the conductor n of f:
-        (den, the numerators of p over n), reduced as by ``_reduced`` but
-        never moved to conductor 1, or (1, the complex row of p) for an
-        approximate f (n = 0).  So a step multiplies numerator rows and
-        builds no Poly: the entry's row is the outer one of the product
-        (which fixes the order of the approximate sums), a constant with no
-        zeta part, such as the 1 of every leading term, scales the other
-        factor instead (``scalars._mul_or_scale``), and the entry already
-        there is added after the product.
-        The shifts are kept for one fill.
+        Each cell is a normal form like any other middle and is kept in
+        ``_middles``.  A step is entry * shift, the entry the outer factor
+        (which fixes the order of the approximate sums), plus the entry
+        already there.  The shifts are kept for one fill.
         """
-        cells = self._cells
+        cells = self._middles
         if (k, i) in cells:
             return cells[(k, i)]
-        f, n = self.f, self.f._n
-        phi = _width(n)
+        f = self.f
         if k:
             iterate(f, i + k - 1)
-        unit = (1, [1] + [0] * (phi - 1)) if n else (1, [1 + 0j])
-        shifts: dict = {}
+        shifts: dict[tuple[int, int], Poly] = {}
         for kk in range(k + 1):
             for ii in range(i - k + kk, i + 1):
                 if (kk, ii) in cells:
                     continue
                 self.middle_reductions += 1
                 if kk == 0:
-                    cells[(0, ii)] = {(ii, 0): unit}
+                    cells[(0, ii)] = {(ii, 0): self._one}
                     continue
                 out = {(a, b + 1): p for (a, b), p in cells[(kk - 1, ii)].items()}
-                for key, (den, num) in cells[(kk - 1, ii - 1)].items():
+                for key, p in cells[(kk - 1, ii - 1)].items():
                     b = key[1]
-                    if (ii, b) not in shifts:
-                        hi, lo = iterate(f, ii + b), iterate(f, b)
-                        rows = _add_rows(_num_in(hi, n), hi._den, _num_in(lo, n), lo._den, sub)
-                        shifts[(ii, b)] = _reduced(*rows, phi)
-                    shift = shifts[(ii, b)]
+                    shift = shifts.get((ii, b))
                     if shift is None:
+                        shift = shifts[(ii, b)] = iterate(f, ii + b) - iterate(f, b)
+                    if shift.is_zero():
                         continue
-                    num = _mul_or_scale(num, phi, shift[1], phi, n)
-                    den *= shift[0]
+                    entry = p * shift
                     cur = out.get(key)
                     if cur is not None:
-                        den, num = _add_rows(num, den, cur[1], cur[0])
-                    entry = _reduced(den, num, phi)
-                    if entry is None:
+                        entry = entry + cur
+                    if entry.is_zero():
                         out.pop(key, None)
                     else:
                         out[key] = entry
@@ -641,11 +621,10 @@ def commutator(a: GHAElement, b: GHAElement) -> GHAElement:
 
 
 def is_central(a: GHAElement) -> bool:
-    """True when a commutes with the generators x, h, y."""
+    """True when a commutes with the generators x, h, y: a*g == g*a, which
+    on approximate terms is closeness, not an exact zero commutator."""
     p = a.presentation
-    return all(
-        commutator(a, p.generator(g)).is_zero() for g in ("x", "h", "y")
-    )
+    return all(a * g == g * a for g in map(p.generator, ("x", "h", "y")))
 
 
 # ---------------------------------------------------------------------------
@@ -710,14 +689,12 @@ class FreeModuleElement:
         return f"FreeModuleElement({{{inner}}})"
 
 
-def _free_x(v: FreeModuleElement | dict) -> dict:
-    terms = v.terms if isinstance(v, FreeModuleElement) else v
+def _free_x(terms: dict) -> dict:
     return {(i + 1, j, k): c for (i, j, k), c in terms.items()}
 
 
-def _free_h(p: Presentation, v: FreeModuleElement | dict) -> dict:
+def _free_h(p: Presentation, terms: dict) -> dict:
     # h . X^i H^j Y^k = X^i f^(i)(H) H^j Y^k
-    terms = v.terms if isinstance(v, FreeModuleElement) else v
     out: dict = {}
     for (i, j, k), c in terms.items():
         for m, coef in enumerate(p.f_iterate(i).coeffs):
@@ -726,9 +703,8 @@ def _free_h(p: Presentation, v: FreeModuleElement | dict) -> dict:
     return out
 
 
-def _free_poly(p: Presentation, g: Poly, v: FreeModuleElement | dict) -> dict:
+def _free_poly(p: Presentation, g: Poly, terms: dict) -> dict:
     # g(h) acting, by Horner in the h-action
-    terms = dict(v.terms if isinstance(v, FreeModuleElement) else v)
     acc: dict = {}
     for c in reversed(g.coeffs):
         acc = _free_h(p, acc)
@@ -738,8 +714,7 @@ def _free_poly(p: Presentation, g: Poly, v: FreeModuleElement | dict) -> dict:
     return acc
 
 
-def _free_y(p: Presentation, v: FreeModuleElement | dict) -> dict:
-    terms = v.terms if isinstance(v, FreeModuleElement) else v
+def _free_y(p: Presentation, terms: dict) -> dict:
     out: dict = {}
     for (i, j, k), c in terms.items():
         for m, coef in p._y_monomial_action(i, j, k).items():

@@ -26,7 +26,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain
 from typing import Union
 
 from .config import CONFIG
@@ -206,18 +206,16 @@ def _reduced(den: int, num, phi: int):
     return den, num
 
 
-def _add_rows(x, dx: int, y, dy: int, op=operator.add) -> tuple[int, list]:
-    """(d, z) with z / d = op(x / dx, y / dy) for numerator lists, op + or
-    -, the shorter list padded with zeros and d = lcm(dx, dy)."""
+def _add_rows(x, dx: int, y, dy: int) -> tuple[int, list]:
+    """(d, z) with z / d = x / dx + y / dy for numerator lists, the longer
+    list's tail kept as it is and d = lcm(dx, dy)."""
     d = dx if dx == dy else math.lcm(dx, dy)
     if d != dx:
         x = [v * (d // dx) for v in x]
     if d != dy:
         y = [v * (d // dy) for v in y]
-    out = list(map(op, x, y))
-    out += x[len(y) :]
-    if len(y) > len(x):
-        out += map(op, repeat(0), y[len(x) :])
+    out = list(map(operator.add, x, y))
+    out += x[len(y) :] or y[len(x) :]
     return d, out
 
 

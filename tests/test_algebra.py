@@ -177,12 +177,12 @@ class TestRewriteEngine:
         fresh = Presentation(f)
         fresh._middle(3, 3)
         # every filled cell, read through the memo of normal forms
-        for cell in fresh._cells:
+        for cell in list(fresh._middles):
             assert pres._middle(*cell) == fresh._middle(*cell), cell
         oracle = Presentation(f)
         x, y = oracle.generator("x"), oracle.generator("y")
         one = FreeModuleElement.one()
-        for k, i in {c for cell in pres._cells for c in (cell, cell[::-1])}:
+        for k, i in {c for cell in list(pres._middles) for c in (cell, cell[::-1])}:
             v = one
             for letter in [x] * i + [y] * k:
                 v = free_module_action(letter, v)
@@ -201,21 +201,24 @@ class TestRewriteEngine:
         assert free_module_action(product, one) == free_module_action(a, free_module_action(b, one))
 
     def test_product_of_monomials_multiplies_no_rows(self, monkeypatch):
-        # y^10 * x^10 is the middle itself: every factor of the product path
+        # y^k * x^k is the middle itself: every factor of the product path
         # is an exact 1, so it multiplies neither rows nor Polys and keeps
-        # the middle's Polys
-        pres = Presentation(parse_poly("2*h - 1"))
-        middle = pres._middle(10, 10)
-        yk, xi = pres.generator("y") ** 10, pres.generator("x") ** 10
-        calls = []
+        # the memo's own Polys, of the closed form of a linear f and of the
+        # trapezoid fill of a quadratic one
         mul_rows, poly_mul = scalars._mul_rows, Poly.__mul__
+        calls = []
         monkeypatch.setattr(scalars, "_mul_rows", lambda *args: calls.append("rows") or mul_rows(*args))
         monkeypatch.setattr(Poly, "__mul__", lambda *args: calls.append("Poly") or poly_mul(*args))
-        product = yk * xi
-        assert calls == []
-        assert product.terms == middle
-        # every term but the leading 1, which may be either factor's 1
-        assert all(product.terms[ab] is p for ab, p in middle.items() if ab != (10, 10))
+        for f_text, k in (("2*h - 1", 10), ("h^2 + 1", 3)):
+            pres = Presentation(parse_poly(f_text))
+            middle = pres._middle(k, k)
+            yk, xi = pres.generator("y") ** k, pres.generator("x") ** k
+            calls.clear()
+            product = yk * xi
+            assert calls == [], f_text
+            assert product.terms == middle, f_text
+            # every term but the leading 1, which may be either factor's 1
+            assert all(product.terms[ab] is p for ab, p in middle.items() if ab != (k, k)), f_text
 
     def test_degree_guard_refuses_up_front(self, compose_calls):
         # deg f^(13) = 2^13 exceeds the default guard of 4096

@@ -45,8 +45,9 @@ class TestNormalize:
 
 class TestCentral:
     def test_positive(self, capsys):
-        code, out, _ = run(capsys, "central", "-f", "zeta(3)*h", "-e", "x^3")
-        assert code == 0 and out.strip() == "true"
+        for backend in ((), ("--backend", "approx")):
+            code, out, _ = run(capsys, *backend, "central", "-f", "zeta(3)*h", "-e", "x^3")
+            assert code == 0 and out.strip() == "true", backend
 
     def test_negative_shows_commutator(self, capsys):
         code, out, _ = run(capsys, "central", "-f", "zeta(3)*h", "-e", "x")

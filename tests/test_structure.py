@@ -35,10 +35,13 @@ class TestCenter:
         assert names == ["x^3", "y^3", "h^3", "x*y + (-1)*h"]
 
     def test_every_generator_is_central(self):
-        for text in ("zeta(3)*h", "-h + 4", "h", "h^2", "2*h + 3"):
-            f = parse_poly(text)
-            for g in center(f).generators:
-                assert is_central(g), f"{g} not central for f = {f}"
+        # on the approx backend the commutators carry roundoff, so centrality
+        # is closeness of a*g and g*a, not an exact zero
+        for backend, extra in (("exact", ()), ("approx", ("zeta(5)*h + 1",))):
+            for text in ("zeta(3)*h", "-h + 4", "h", "h^2", "2*h + 3", *extra):
+                f = parse_poly(text, backend)
+                for g in center(f).generators:
+                    assert is_central(g), f"{g} not central for f = {f}"
 
     def test_reflection_case(self):
         desc = center(parse_poly("-h + 4"))
