@@ -28,7 +28,6 @@ from .polys import (
     _compose_rows,
     _exact,
     _h_power,
-    _num_in,
     _terms_text,
     iterate,
 )
@@ -37,7 +36,9 @@ from .scalars import (
     ApproxComplex,
     CyclotomicNumber,
     Scalar,
+    _check_degree,
     _cyclotomic,
+    _lift_rows,
     _mul_or_scale,
     _power,
     _product_form,
@@ -207,7 +208,7 @@ class Presentation:
             while len(self._l_powers) <= j:
                 self._l_powers.append(self._l_powers[-1] * self._l_powers[1])
             lj = self._l_powers[j]
-            num = _mul_or_scale(_num_in(lj, n), phi, gamma[1], phi, n)
+            num = _mul_or_scale(_lift_rows(lj._num, lj._n, n), phi, gamma[1], phi, n)
             out[(i - j, k - j)] = _exact(n, lj._den * gamma[0], num)
         return out
 
@@ -248,7 +249,7 @@ class Presentation:
                 hit = (abs(row[0]), [den if row[0] > 0 else -den] + row[1:])
             else:
                 inv = _cyclotomic(n, den, row).inverse()
-                hit = (inv._den, list(inv._row(n)))
+                hit = (inv._den, list(_lift_rows(inv._num, inv.conductor, n)))
             self._q_inverses[t] = hit
         return hit
 
@@ -397,23 +398,25 @@ class Presentation:
 def _mul_entries(a, b):
     """a*b for two entries of a product, each a Poly or a form (N, den, num),
     a the outer factor, which fixes the order of the approximate sums; a
-    Poly that is the exact 1 returns the other entry itself."""
+    Poly that is the exact 1 returns the other entry itself.  The product
+    drops to conductor 1 when its zeta parts vanish."""
     if type(b) is Poly and b._n == 1 and b._den == 1 and b._num == (1,):
         return a
     if type(a) is Poly and a._n == 1 and a._den == 1 and a._num == (1,):
         return b
     a = (a._n, a._den, a._num) if type(a) is Poly else a
-    return _product_form(a, (b._n, b._den, b._num) if type(b) is Poly else b)
+    return _rational_drop(*_product_form(a, (b._n, b._den, b._num) if type(b) is Poly else b))
 
 
 def _add_entry(terms: dict, key, e) -> None:
-    """terms[key] + e for entries, the running sum first; e for a new key."""
+    """terms[key] + e for entries, the running sum first, dropped to
+    conductor 1 as ``_mul_entries`` has it; e for a new key."""
     cur = terms.get(key)
     if cur is None:
         terms[key] = e
         return
     cur = (cur._n, cur._den, cur._num) if type(cur) is Poly else cur
-    terms[key] = _sum_form(cur, (e._n, e._den, e._num) if type(e) is Poly else e)
+    terms[key] = _rational_drop(*_sum_form(cur, (e._n, e._den, e._num) if type(e) is Poly else e))
 
 
 def _is_zero_scalar(s: Scalar) -> bool:
@@ -521,6 +524,8 @@ class GHAElement:
             if g.is_constant() and (i == 0 or j == 0):
                 # the constant commutes with x^i and y^j: (x^i c)^k = x^(ki) c^k
                 return GHAElement(self.presentation, {(k * i, k * j): g**k})
+            if i == j == 0:
+                _check_degree(g.degree * k)  # g(h)^k, as Poly.__pow__ checks it
         return _power(self, k, self.presentation.one())
 
     def __eq__(self, other):

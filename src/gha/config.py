@@ -28,8 +28,10 @@ class NumericConfig:
         residuals) are equal when their difference is at most
         tol * max(1, size of the operands) (``--tol`` on the command line).
     max_compose_degree: largest polynomial degree that iterating or
-        composing f may reach; past it a DegreeOverflowError is raised
-        before the oversized polynomial is built.
+        composing f, or a power p ** k, may reach, and the largest degree
+        phi(N) of a cyclotomic field Q(zeta_N); past it a
+        DegreeOverflowError is raised before the oversized polynomial, or
+        the cyclotomic polynomial Phi_N, is built.
     """
 
     tol: float = 1e-9

@@ -48,17 +48,20 @@ from .scalars import (
     ApproxComplex,
     BackendMismatchError,
     CyclotomicNumber,
+    DegreeOverflowError,
     Scalar,
     _canonical,
+    _check_degree,
     _close,
     _cyclotomic,
     _embed_row,
+    _form,
     _lift_rows,
     _mul_rows,
     _power,
     _product_form,
     _rational_parts,
-    _shared_conductor,
+    _same_value,
     _sum_form,
     _width,
     approx,
@@ -71,10 +74,6 @@ from .scalars import (
     zero_like,
     zeta,
 )
-
-
-class DegreeOverflowError(ValueError):
-    """Polynomial iteration exceeded the configured degree guard."""
 
 
 class RootFindingError(RuntimeError):
@@ -288,6 +287,7 @@ class Poly:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
+        _check_degree(self.degree * k)
         return _power(self, k, Poly.constant(1, self.backend))
 
     def __divmod__(self, other: "Poly"):
@@ -303,11 +303,11 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         if self.degree < other.degree:
             return _exact(self._n, 1, ()), self
-        n, inv = _shared_conductor(self._n, other._n), Poly([other.leading.inverse()])
+        n, inv = math.lcm(self._n, other._n), Poly([other.leading.inverse()])
         monic = other * inv
         phi, e, dd = _width(n), monic._den, other.degree
-        low = _num_in(monic, n)[: dd * phi]
-        rows, den = list(_num_in(self, n)), self._den
+        low = _lift_rows(monic._num, monic._n, n)[: dd * phi]
+        rows, den = list(_lift_rows(self._num, self._n, n)), self._den
         for i in range(self.degree - dd, -1, -1):
             top = rows[(i + dd) * phi : (i + dd + 1) * phi]
             if e != 1:
@@ -328,11 +328,8 @@ class Poly:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        n = _shared_conductor(self._n, other._n)
-        if n:
-            # canonical integer forms: equal values have equal forms over n
-            a, b = _over(self, n), _over(other, n)
-            return a._n == b._n and a._den == b._den and a._num == b._num
+        if self._n and other._n:
+            return _same_value((self._n, self._den, self._num), (other._n, other._den, other._num))
         # an approximate operand: equal norm-wise, the largest coefficient
         # gap against the largest coefficient; an exact one only as zero
         a, b = self._num, other._num
@@ -479,30 +476,14 @@ def _approx_form(num) -> Poly:
 
 
 def _integer_form(coeffs) -> Poly:
-    """The exact Poly of these ints, Fractions and CyclotomicNumbers: their
-    rows of numerators lifted to the lcm N of their conductors, over one
-    common denominator.  An int or a Fraction gives its row straight."""
-    n = math.lcm(*[c.conductor for c in coeffs if isinstance(c, CyclotomicNumber)])
-    pad = [0] * (euler_phi(n) - 1)
-    rows = [
-        (c._den, c._row(n)) if isinstance(c, CyclotomicNumber) else (c.denominator, [c.numerator, *pad])
-        for c in coeffs
+    """The exact Poly of these ints, Fractions and CyclotomicNumbers: the
+    numerators of their forms lifted to the lcm N of their conductors, over
+    one common denominator."""
+    forms = [
+        _form(c) if isinstance(c, CyclotomicNumber) else (1, c.denominator, (c.numerator,)) for c in coeffs
     ]
-    den = math.lcm(*[d for d, _ in rows])
-    return _exact(n, den, [x * (den // d) for d, row in rows for x in row])
-
-
-def _num_in(p: Poly, n: int):
-    """p's numerators over conductor n, a multiple of p's."""
-    return _lift_rows(p._num, p._n, n)
-
-
-def _over(p: Poly, n: int) -> Poly:
-    """p over conductor n, a multiple of p's; a rational p stays rational.
-    The lift keeps the form canonical: it keeps the gcd of the numerators."""
-    if p._n == 1 or p._n == n:
-        return p
-    return _raw(n, p._den, tuple(_num_in(p, n)))
+    n, den = math.lcm(*[m for m, _, _ in forms]), math.lcm(*[d for _, d, _ in forms])
+    return _exact(n, den, [x * (den // d) for m, d, num in forms for x in _lift_rows(num, m, n)])
 
 
 def _compose_rows(outer: Poly, inner: Poly) -> tuple:
@@ -524,10 +505,11 @@ def _compose_rows(outer: Poly, inner: Poly) -> tuple:
         _check_degree((len(num) // po - 1) * (len(inner_num) // pi - 1))
     if not inner_num:
         return outer._n, outer._den, num[:po]
-    n = _shared_conductor(outer._n, inner._n)
+    n = math.lcm(outer._n, inner._n)
     phi = _width(n)
     if outer._n != inner._n and outer._n != 1 and inner._n != 1:  # as in _product_form
-        num, inner_num, po, pi = _num_in(outer, n), _num_in(inner, n), phi, phi
+        num, inner_num = _lift_rows(num, outer._n, n), _lift_rows(inner_num, inner._n, n)
+        po = pi = phi
     acc = list(num[len(num) - po :]) + [0] * (phi - po)
     inner_den, scale = inner._den, 1
     for k in range(len(num) - 2 * po, -1, -po):
@@ -587,17 +569,6 @@ def _coeff_body(k: int, text: str, unit: bool) -> str:
     if any(ch in text for ch in " +*/"):
         text = f"({text})"
     return f"{text}*{mono}"
-
-
-def _check_degree(degree: int) -> None:
-    """The degree guard: refuse to build a polynomial of degree past
-    CONFIG.max_compose_degree.  Callers pass the predicted degree, so the
-    refusal comes before any work is done."""
-    if degree > CONFIG.max_compose_degree:
-        raise DegreeOverflowError(
-            f"degree {degree} exceeds the degree guard {CONFIG.max_compose_degree}; "
-            "raise CONFIG.max_compose_degree to allow it"
-        )
 
 
 def iterate(f: Poly, i: int) -> Poly:

@@ -6,8 +6,9 @@ Two backends coexist but never mix inside one computation:
   case of the integer form ``(N, den, num)`` of :class:`gha.polys.Poly`:
   phi(N) integer numerators in the power basis 1, zeta, ...,
   zeta^(phi(N)-1) modulo the N-th cyclotomic polynomial, over one
-  denominator.  Arithmetic is exact; elements of different conductors are
-  lifted to the lcm before combining.
+  denominator.  Its sums, products and comparisons are those of ``Poly``
+  (:func:`_sum_form`, :func:`_product_form`, :func:`_same_value`), which
+  lift elements of different conductors to the lcm.
 * ``ApproxComplex`` is a finite complex double with tolerance-based equality.
   Every approximate equality decision of the package, on scalars, ``Poly``
   rows, matrices and relation residuals, goes through :func:`_close`.
@@ -16,7 +17,8 @@ Plain ``int``/``Fraction`` literals are backend-neutral and lift into either
 side.  Promotion exact -> approx is explicit via ``.approx()`` and one-way.
 
 The routines on rows of integer numerators (reduction mod Phi_N, lift,
-sum, product, canonical form) live here and serve ``polys`` too.
+sum, product, equality, canonical form) live here and serve ``polys`` too,
+as does the degree guard :func:`_check_degree`.
 """
 
 from __future__ import annotations
@@ -36,6 +38,21 @@ _NEUTRAL = (int, Fraction)
 
 class BackendMismatchError(TypeError):
     """Raised when exact and approximate scalars meet in one operation."""
+
+
+class DegreeOverflowError(ValueError):
+    """A polynomial or a cyclotomic field exceeded the configured degree guard."""
+
+
+def _check_degree(degree: int, subject: str = "degree") -> None:
+    """The degree guard: refuse to build a polynomial, or the field
+    Q(zeta_N), of degree past CONFIG.max_compose_degree.  Callers pass the
+    predicted degree, so the refusal comes before any work is done."""
+    if degree > CONFIG.max_compose_degree:
+        raise DegreeOverflowError(
+            f"{subject} {degree} exceeds the degree guard {CONFIG.max_compose_degree}; "
+            "raise CONFIG.max_compose_degree to allow it"
+        )
 
 
 def divisors(n: int) -> list[int]:
@@ -83,7 +100,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients (ascending) of the n-th cyclotomic polynomial.
 
     Computed by dividing x^n - 1 by the cyclotomic polynomials of the proper
-    divisors of n, which keeps everything in integer arithmetic.
+    divisors of n, which keeps everything in integer arithmetic.  A field
+    of degree phi(n) past the degree guard is refused before that work.
 
     >>> cyclotomic_polynomial(1)
     (-1, 1)
@@ -96,6 +114,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         raise ValueError("conductor must be positive")
     if n == 1:
         return (-1, 1)
+    _check_degree(euler_phi(n), f"the field Q(zeta({n})) of degree")
     num = [-1] + [0] * (n - 1) + [1]
     for d in divisors(n)[:-1]:
         num = _int_poly_div_exact(num, cyclotomic_polynomial(d))
@@ -104,7 +123,17 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    return len(cyclotomic_polynomial(n)) - 1
+    """phi(n), the degree of Q(zeta_n), from the prime factors of n."""
+    if n < 1:
+        raise ValueError("conductor must be positive")
+    phi, p = n, 2
+    while p * p <= n:
+        if n % p == 0:
+            phi -= phi // p
+            while n % p == 0:
+                n //= p
+        p += 1
+    return phi - phi // n if n > 1 else phi
 
 
 @lru_cache(maxsize=None)
@@ -183,9 +212,25 @@ def _rational_drop(n: int, den: int, num) -> tuple:
     part of its rows is 0, as a canonical form has it; unchanged otherwise."""
     if n > 1:
         phi = euler_phi(n)
-        if not any(any(num[j::phi]) for j in range(1, phi)):
+        parts = list(num)
+        del parts[::phi]  # the zeta parts, by C-level slicing
+        if not any(parts):
             return 1, den, num[::phi]
     return n, den, num
+
+
+def _same_value(x: tuple, y: tuple) -> bool:
+    """Whether the canonical exact forms (N, den, num) x and y hold the
+    same value.  Equal values have equal forms over the lcm of the
+    conductors, and a lift keeps the denominator; a rational form never
+    equals one over a conductor N > 1, which has a zeta part."""
+    (m, dx, a), (k, dy, b) = x, y
+    if m == k:
+        return dx == dy and a == b
+    if dx != dy or m == 1 or k == 1:
+        return False
+    n = math.lcm(m, k)
+    return tuple(_lift_rows(a, m, n)) == tuple(_lift_rows(b, k, n))
 
 
 def _reduced(den: int, num, phi: int):
@@ -204,19 +249,6 @@ def _reduced(den: int, num, phi: int):
             den //= g
             num = [x // g for x in num]
     return den, num
-
-
-def _add_rows(x, dx: int, y, dy: int) -> tuple[int, list]:
-    """(d, z) with z / d = x / dx + y / dy for numerator lists, the longer
-    list's tail kept as it is and d = lcm(dx, dy)."""
-    d = dx if dx == dy else math.lcm(dx, dy)
-    if d != dx:
-        x = [v * (d // dx) for v in x]
-    if d != dy:
-        y = [v * (d // dy) for v in y]
-    out = list(map(operator.add, x, y))
-    out += x[len(y) :] or y[len(x) :]
-    return d, out
 
 
 # Operand size, len(x) * len(y), up to which _mul_rows multiplies by
@@ -263,26 +295,25 @@ def _mul_rows(x, pa: int, y, pb: int, n: int) -> list[int]:
     return digits
 
 
-def _shared_conductor(m: int, n: int) -> int:
-    """The conductor an operation on forms over m and n runs over, the lcm
-    of the two; 0 when either is approximate (0)."""
-    if m == n or n == 1:
-        return m
-    if m == 1:
-        return n
-    return m and n and math.lcm(m, n)
-
-
 def _sum_form(x: tuple, y: tuple) -> tuple:
     """The form of x + y for forms (N, den, num) of one backend: both rows
-    lifted to the shared conductor, x first, and the form not made
-    canonical, but over conductor 1 when no zeta part is left."""
+    lifted to the lcm of the conductors and of the denominators, x first,
+    the longer row's tail kept as it is, and the form not made canonical."""
     (m, dx, a), (k, dy, b) = x, y
-    n = _shared_conductor(m, k)
+    den = dx if dx == dy else math.lcm(dx, dy)
+    if m == k == 1 and len(a) == len(b) == 1:  # two rational constants
+        return 1, den, [a[0] * (den // dx) + b[0] * (den // dy)]
+    n = math.lcm(m, k)  # the shared conductor, 0 when either form is approximate
     if not n and m != k:
         raise BackendMismatchError("polynomials use different scalar backends")
-    den, num = _add_rows(_lift_rows(a, m, n), dx, _lift_rows(b, k, n), dy)
-    return _rational_drop(n, den, num) if n > 1 else (n, den, num)
+    a, b = _lift_rows(a, m, n), _lift_rows(b, k, n)
+    if den != dx:
+        a = [v * (den // dx) for v in a]
+    if den != dy:
+        b = [v * (den // dy) for v in b]
+    num = list(map(operator.add, a, b))
+    num += a[len(b) :] or b[len(a) :]
+    return n, den, num
 
 
 def _product_form(x: tuple, y: tuple) -> tuple:
@@ -290,13 +321,14 @@ def _product_form(x: tuple, y: tuple) -> tuple:
     ``_sum_form`` has it, x the outer factor of ``_mul_or_scale``.  Rational
     rows multiply as they are; two other conductors are lifted first."""
     (m, dx, a), (k, dy, b) = x, y
-    n = _shared_conductor(m, k)
+    if m == k == 1 and len(a) == len(b) == 1:  # two rational constants
+        return 1, dx * dy, [a[0] * b[0]]
+    n = math.lcm(m, k)  # the shared conductor, 0 when either form is approximate
     if not n and m != k:
         raise BackendMismatchError("polynomials use different scalar backends")
     if m != k and m != 1 and k != 1:
         a, b, m, k = _lift_rows(a, m, n), _lift_rows(b, k, n), n, n
-    num = _mul_or_scale(a, _width(m), b, _width(k), n)
-    return _rational_drop(n, dx * dy, num) if n > 1 else (n, dx * dy, num)
+    return n, dx * dy, _mul_or_scale(a, _width(m), b, _width(k), n)
 
 
 def _mul_or_scale(x, pa: int, y, pb: int, n: int) -> list:
@@ -386,8 +418,8 @@ class CyclotomicNumber:
     zeta_N^(phi(N)-1).  The form is canonical: gcd(den, num) = 1, and
     N = 1 exactly when the value is rational, so 0 is (1, 1, (0,)).
     ``coords``, the rationals num[j] / den, is a view built on each access;
-    no operation reads it.  Instances are immutable; equality lifts both
-    sides to a common conductor.
+    no operation reads it.  Instances are immutable; ``+``, ``*`` and ``==``
+    are the form routines of ``Poly`` on degree 0.
 
     >>> z = CyclotomicNumber.zeta(3)
     >>> z**3 == 1
@@ -434,12 +466,6 @@ class CyclotomicNumber:
         den = self._den
         return tuple(Fraction(x, den) for x in self._num)
 
-    # -- conductor bookkeeping ------------------------------------------
-
-    def _row(self, m: int):
-        """The numerators of self over Q(zeta_m), m a multiple of N."""
-        return _lift_rows(self._num, self.conductor, m)
-
     def _coerce(self, other):
         if isinstance(other, CyclotomicNumber):
             return other
@@ -457,8 +483,7 @@ class CyclotomicNumber:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        m = math.lcm(self.conductor, other.conductor)
-        return _cyclotomic(m, *_add_rows(self._row(m), self._den, other._row(m), other._den))
+        return _cyclotomic(*_sum_form(_form(self), _form(other)))
 
     __radd__ = __add__
 
@@ -481,13 +506,7 @@ class CyclotomicNumber:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = (other, self) if other.conductor == 1 else (self, other)
-        if a.conductor == 1:  # a rational factor scales the other's numerators
-            c = a._num[0]
-            return _cyclotomic(b.conductor, a._den * b._den, [x * c for x in b._num])
-        m = math.lcm(a.conductor, b.conductor)
-        phi = euler_phi(m)
-        return _cyclotomic(m, a._den * b._den, _mul_rows(a._row(m), phi, b._row(m), phi, m))
+        return _cyclotomic(*_product_form(_form(self), _form(other)))
 
     __rmul__ = __mul__
 
@@ -537,12 +556,7 @@ class CyclotomicNumber:
             other = CyclotomicNumber.from_rational(other)
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
-        # canonical forms: equal values have equal forms over a common
-        # conductor, and lifting keeps the denominator
-        if self._den != other._den:
-            return False
-        m = math.lcm(self.conductor, other.conductor)
-        return tuple(self._row(m)) == tuple(other._row(m))
+        return _same_value(_form(self), _form(other))
 
     # -- queries ----------------------------------------------------------
 
@@ -585,6 +599,8 @@ class CyclotomicNumber:
 _set_conductor = CyclotomicNumber.conductor.__set__
 _set_den = CyclotomicNumber._den.__set__
 _set_num = CyclotomicNumber._num.__set__
+# the form (N, den, num) of a CyclotomicNumber, for the form routines above
+_form = operator.attrgetter("conductor", "_den", "_num")
 
 
 def _cyclotomic(n: int, den: int, num) -> CyclotomicNumber:

@@ -176,6 +176,23 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert "exceeds the degree guard" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # a power, of an element and of f, refused before it is built
+            ["normalize", "-f", "h^2", "-e", "h^10000000"],
+            ["normalize", "-f", "h^100000000", "-e", "y*x"],
+            # a field of degree phi(10^6) = 400000, refused before Phi_N is built
+            ["normalize", "-f", "zeta(1000000)*h", "-e", "y*x"],
+            ["--conductor", "1000000", "simples", "-f", "h^2", "-n", "2"],
+        ],
+        ids=" ".join,
+    )
+    def test_degree_guard_is_three_for_powers_and_fields(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert "exceeds the degree guard" in err
+
     def test_unparsable_json_is_two(self, capsys):
         code, out, err = run(capsys, "verify", "-f", "h^2", "--module", '{"n": ')
         assert code == 2 and out == ""

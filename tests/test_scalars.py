@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gha.polys import Poly
 from gha.scalars import (
     ApproxComplex,
     BackendMismatchError,
     CyclotomicNumber,
+    DegreeOverflowError,
     _lift_rows,
     _power,
     _reduce_mod_cyclotomic,
@@ -155,6 +157,15 @@ def test_cyclotomic_polynomial_small():
 
 def test_euler_phi():
     assert [euler_phi(n) for n in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+    assert all(euler_phi(n) == len(cyclotomic_polynomial(n)) - 1 for n in range(1, 301))
+    # from the prime factors: Phi_(10^6) is not built, and the degree guard
+    # refuses to build it
+    built = cyclotomic_polynomial.cache_info().currsize
+    assert euler_phi(10**6) == 400000
+    assert cyclotomic_polynomial.cache_info().currsize == built
+    with pytest.raises(DegreeOverflowError, match=r"Q\(zeta\(1000000\)\) of degree 400000"):
+        cyclotomic_polynomial(10**6)
+    assert cyclotomic_polynomial.cache_info().currsize == built
 
 
 @pytest.mark.parametrize("k, squares, products", [(0, 0, 0), (1, 0, 1), (2, 1, 1), (12, 3, 2), (13, 3, 3)])
@@ -380,6 +391,13 @@ def _agrees(x, ref):
     assert x.embed() == ref.embed()
 
 
+def _same_form(p, s):
+    """The degree-0 Poly p holds the canonical form and the text of the
+    scalar s; the zero Poly has no coefficient row."""
+    assert (p._n, p._den, p._num) == ((1, 1, ()) if s.is_zero() else (s.conductor, s._den, s._num))
+    assert str(p) == str(s)
+
+
 # (conductor of x, conductor of y): every field of the oracle on its own and
 # mixed pairs, whose results live over the lcm
 ORACLE_FIELDS = [(n, n) for n in (1, 3, 4, 5, 12, 17, 80)]
@@ -404,6 +422,12 @@ def test_integer_form_matches_the_fraction_tuples(nx, ny):
         _agrees(x * y, rx * ry)
         _agrees(x * 3 - Fraction(1, 2), rx * _Ref(1, [3]) - _Ref(1, ["1/2"]))
         assert (x == y) is (rx == ry)
+        # the same sums, products and equality on degree-0 Polys
+        px, py = Poly([x]), Poly([y])
+        _same_form(px + py, x + y)
+        _same_form(px - py, x - y)
+        _same_form(px * py, x * y)
+        assert (px == py) is (x == y)
         assert x == CyclotomicNumber(nx, cx) and (x == 0) is (rx == _Ref(1, [0]))
         for k in (0, 1, 2, 3):
             _agrees(x**k, rx**k)
@@ -423,6 +447,15 @@ def test_equal_values_over_different_conductors():
     assert zeta(12) ** 4 * 2 / 3 == exact(Fraction(2, 3)) * zeta(3)
     assert zeta(80, 16) == zeta(5) and zeta(80, 40) == -1 and (zeta(80, 40)).conductor == 1
     assert zeta(3) + zeta(4) - zeta(4) == zeta(3)
+    # the same rule on Polys: lifted to the lcm, or a conductor dropped to 1
+    assert Poly([zeta(4), zeta(3)]) - Poly([zeta(4)]) == Poly([0, zeta(3)])
+    assert Poly([zeta(12) ** 4]) == Poly([zeta(3)]) and Poly([zeta(80, 40)]) == Poly([-1])
+    # equal denominators, different values; equal numerators, different
+    # denominators
+    assert Poly([zeta(12) ** 4 / 2]) != Poly([zeta(3) ** 2 / 2])
+    assert Poly([exact(Fraction(1, 2))]) != Poly([zeta(4) / 2])
+    for x, y in ((zeta(12) ** 4 / 2, zeta(3)), (zeta(3) / 2, zeta(3)), (exact(Fraction(1, 2)), exact(1))):
+        assert x != y and Poly([x]) != Poly([y, 0]) and Poly([0, x]) != Poly([0, y])
 
 
 @pytest.mark.parametrize("n", [17, 80])
