@@ -64,6 +64,9 @@ class Presentation:
     an exact f of degree <= 1 the q-integers of its closed form and the
     powers of f - h; and the recursive y-action on free-module monomials.
     The iterates f^(i) are kept with f itself, by :func:`gha.polys.iterate`.
+    Fill cells, element products and sums build their terms as entries
+    (``_mul_entries``, ``_add_entry``) and the closed form as rows; then
+    ``_canonical_terms`` makes each term a canonical Poly once.
 
     ``middle_reductions`` counts the trapezoid cells ``_fill`` computes,
     and nothing else.  y^k x^i with k > i is read off y^i x^k, so a fresh
@@ -189,7 +192,8 @@ class Presentation:
         a step whose numerator factor [k-t] or [i-t] is 0 ends the sum.
         For a primitive p-th root of unity alpha that happens at
         t = min(k mod p, i mod p), before any [t+1] = 0 divides.  The terms
-        are l^j's rows scaled by g_j, each made canonical once.
+        are l^j's rows scaled by g_j, forms over the conductor of f that
+        ``_canonical_terms`` makes canonical.
         """
         n = self.f._n
         phi = _width(n)
@@ -209,8 +213,8 @@ class Presentation:
                 self._l_powers.append(self._l_powers[-1] * self._l_powers[1])
             lj = self._l_powers[j]
             num = _mul_or_scale(_lift_rows(lj._num, lj._n, n), phi, gamma[1], phi, n)
-            out[(i - j, k - j)] = _exact(n, lj._den * gamma[0], num)
-        return out
+            out[(i - j, k - j)] = (n, lj._den * gamma[0], num)
+        return _canonical_terms(out)
 
     def _q_integer(self, t: int):
         """[t] = 1 + alpha + ... + alpha^(t-1) for f = alpha*h + c, as
@@ -274,13 +278,12 @@ class Presentation:
         read through :func:`gha.polys.iterate`.
 
         Each cell is a normal form like any other middle and is kept in
-        ``_middles``.  A step is entry * shift, the entry the outer factor
-        (which fixes the order of the approximate sums), plus the entry
-        already there.  The shifts are kept for one fill.
+        ``_middles``.  A step adds ``_mul_entries(p, shift)``, the entry p the
+        outer factor (which fixes the order of the approximate sums), on
+        numerator rows; the cell's terms become Polys once, at the end.
+        The shifts are kept for one fill.
         """
         cells = self._middles
-        if (k, i) in cells:
-            return cells[(k, i)]
         f = self.f
         if k:
             iterate(f, i + k - 1)
@@ -299,17 +302,9 @@ class Presentation:
                     shift = shifts.get((ii, b))
                     if shift is None:
                         shift = shifts[(ii, b)] = iterate(f, ii + b) - iterate(f, b)
-                    if shift.is_zero():
-                        continue
-                    entry = p * shift
-                    cur = out.get(key)
-                    if cur is not None:
-                        entry = entry + cur
-                    if entry.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = entry
-                cells[(kk, ii)] = out
+                    if shift._num:
+                        _add_entry(out, key, _mul_entries(p, shift))
+                cells[(kk, ii)] = _canonical_terms(out)
         return cells[(k, i)]
 
     def _mul_terms(self, t1: dict, t2: dict) -> dict[tuple[int, int], Poly]:
@@ -333,9 +328,9 @@ class Presentation:
         ``_add_entry``).  An entry still drops to conductor 1 when its zeta
         parts vanish, as a canonical Poly does, since the conductor of the
         next sum or product, and so the field the result prints in, depends
-        on it.  Each output term becomes a canonical Poly once, at the end,
-        and one that is a single Poly times exact 1s is that Poly; zero
-        terms are left for ``GHAElement`` to drop.
+        on it.  ``_canonical_terms`` makes each output term a canonical Poly
+        once, at the end, and drops the zero ones; a term that is a single
+        Poly times exact 1s is that Poly.
         """
         # keyed by id(g): every g is held by t1 or t2 for the whole call
         composites: dict = {}
@@ -361,7 +356,7 @@ class Presentation:
             for i1, g1 in terms:
                 for (a, c), q in right.items():
                     _add_entry(out, (i1 + a, c), _mul_entries(composite(g1, a), q))
-        return {ik: e if type(e) is Poly else _exact(*e) for ik, e in out.items()}
+        return _canonical_terms(out)
 
     # -- free-module oracle ---------------------------------------------------
 
@@ -419,13 +414,15 @@ def _add_entry(terms: dict, key, e) -> None:
     terms[key] = _rational_drop(*_sum_form(cur, (e._n, e._den, e._num) if type(e) is Poly else e))
 
 
+def _canonical_terms(terms: dict) -> dict[tuple[int, int], Poly]:
+    """The entries of terms as canonical Polys, each made once, with the
+    zero ones dropped."""
+    out = {key: e if type(e) is Poly else _exact(*e) for key, e in terms.items()}
+    return {key: p for key, p in out.items() if p._num}
+
+
 def _is_zero_scalar(s: Scalar) -> bool:
     return s == zero_like(s)
-
-
-def _accumulate(terms: dict, key, g: Poly) -> None:
-    cur = terms.get(key)
-    terms[key] = g if cur is None else cur + g
 
 
 def _accumulate_scalar(terms: dict, key, c: Scalar) -> None:
@@ -472,8 +469,8 @@ class GHAElement:
         self._check(other)
         out = dict(self.terms)
         for ik, g in other.terms.items():
-            _accumulate(out, ik, g)
-        return GHAElement(self.presentation, out)
+            _add_entry(out, ik, g)
+        return GHAElement(self.presentation, _canonical_terms(out))
 
     __radd__ = __add__
 
@@ -568,8 +565,6 @@ class GHAElement:
         return i, k, self.terms[(i, k)]
 
     def __str__(self) -> str:
-        # a term whose polynomial prints as 0 (approximate coefficients all
-        # zero by scalars._close) is left out of the text, not of the terms
         pieces = []
         for (i, k) in sorted(self.terms, reverse=True):
             pieces.extend(_term_strings(i, self.terms[(i, k)], k))
@@ -588,12 +583,10 @@ def _scalar_atom(negative: bool | None, text: str) -> str:
 
 
 def _term_strings(i: int, g: Poly, k: int) -> list[str]:
-    """Render x^i * g(h) * y^k as canonical summands, none when g prints as 0."""
+    """Render x^i * g(h) * y^k, g nonzero, as canonical summands."""
     xpart = "" if i == 0 else ("x" if i == 1 else f"x^{i}")
     ypart = "" if k == 0 else ("y" if k == 1 else f"y^{k}")
     terms = g._terms()
-    if not terms:
-        return []
     if i == 0 and k == 0:
         # splice the polynomial into the sum directly
         out = []
@@ -628,8 +621,18 @@ def commutator(a: GHAElement, b: GHAElement) -> GHAElement:
 def is_central(a: GHAElement) -> bool:
     """True when a commutes with the generators x, h, y: a*g == g*a, which
     on approximate terms is closeness, not an exact zero commutator."""
-    p = a.presentation
-    return all(a * g == g * a for g in map(p.generator, ("x", "h", "y")))
+    return _noncommuting_generator(a) is None
+
+
+def _noncommuting_generator(a: GHAElement):
+    """(name, a*g, g*a) for the first generator g of x, h, y with
+    a*g != g*a, or None when a is central."""
+    for name in ("x", "h", "y"):
+        g = a.presentation.generator(name)
+        ag, ga = a * g, g * a
+        if ag != ga:
+            return name, ag, ga
+    return None
 
 
 # ---------------------------------------------------------------------------

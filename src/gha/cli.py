@@ -16,7 +16,7 @@ import math
 import os
 import sys
 
-from .algebra import Presentation
+from .algebra import Presentation, _noncommuting_generator
 from .config import CONFIG, SCHEMA_VERSION
 from .parser import parse_element, parse_poly
 from .polys import CoefficientOverflowError, DegreeOverflowError, RootFindingError
@@ -78,14 +78,9 @@ def _cmd_central(args) -> int:
     f = _poly(args)
     pres = Presentation(f)
     elem = parse_element(args.expr, pres)
-    failing = None
-    for name in ("x", "h", "y"):
-        g = pres.generator(name)
-        eg, ge = elem * g, g * elem
-        if eg != ge:  # closeness on approximate terms, as in is_central
-            failing = {"generator": name, "commutator": str(eg - ge)}
-            break
-    central = failing is None
+    hit = _noncommuting_generator(elem)
+    central = hit is None
+    failing = None if central else {"generator": hit[0], "commutator": str(hit[1] - hit[2])}
     if args.json:
         _emit(
             {

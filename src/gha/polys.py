@@ -70,7 +70,6 @@ from .scalars import (
     divisors,
     euler_phi,
     exact,
-    one_like,
     zero_like,
     zeta,
 )
@@ -263,17 +262,14 @@ class Poly:
 
     def __mul__(self, other):
         if type(other) is not Poly:
-            if self._n and isinstance(other, _NEUTRAL):
-                return _scale(self, other.numerator, other.denominator)
-            if not self._n and isinstance(other, (ApproxComplex,) + _NEUTRAL):
-                v = as_scalar(other, "approx").value
-                return _approx_form([x * v for x in self._num])
-            if isinstance(other, (CyclotomicNumber, ApproxComplex)):
-                return self * Poly([other])
-            if not isinstance(other, Poly):
+            other = self._coerce(other)
+            if other is None:
                 return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return _ZERO
+        # a zero operand is the product, so a scalar 0 keeps the backend
+        if not self._num:
+            return self
+        if not other._num:
+            return other
         # an exact 1 returns the other factor, if it is exact too
         if other._n == 1 and other._den == 1 and other._num == (1,) and self._n:
             return self
@@ -392,8 +388,8 @@ class Poly:
         A rational integer form reads them off its numerators and
         denominator and builds no scalar.  The cyclotomic one tells a zero
         coefficient by its numerators, so it builds a scalar only for the
-        nonzero ones; an approximate coefficient that is zero by
-        :func:`gha.scalars._close` builds none."""
+        nonzero ones.  An approximate coefficient is left out only when it
+        is exactly 0, so that the text parses back to the same Poly."""
         if self._n == 1:
             den = self._den
             return [(k, *_rational_parts(x, den)) for k, x in enumerate(self._num) if x]
@@ -404,9 +400,7 @@ class Poly:
                 for k in range(len(num) // phi)
                 if any(num[k * phi : (k + 1) * phi])
             ]
-        return [
-            (k, *_scalar_parts(approx(v))) for k, v in enumerate(self._num) if not _close(abs(v), abs(v))
-        ]
+        return [(k, *_scalar_parts(approx(v))) for k, v in enumerate(self._num) if v]
 
     def __str__(self) -> str:
         return _terms_text(self._terms())
@@ -520,26 +514,19 @@ def _compose_rows(outer: Poly, inner: Poly) -> tuple:
     return n, outer._den * scale, acc
 
 
-def _scale(p: Poly, num: int, den: int) -> Poly:
-    """p * num/den for integers num and den > 0."""
-    if num == den:
-        return p
-    return _exact(p._n, p._den * den, [x * num for x in p._num])
-
-
 def _scalar_parts(c: Scalar) -> tuple[bool | None, str, bool]:
     """What the text of a nonzero coefficient c is made from.
 
-    (whether c < 0, the text of |c|, whether |c| == 1) when c has a clean
-    sign, that is when it is rational or a real approximate value;
-    otherwise (None, the text of c, whether c == 1)."""
+    (whether c < 0, the text of |c|, whether |c| is exactly 1) when c has
+    a clean sign, that is when it is rational or a real approximate value;
+    otherwise (None, the text of c, False), as such a c is not 1.  An
+    approximate value within tol of 1 keeps its digits."""
     if isinstance(c, CyclotomicNumber) and c.is_rational():
         return _rational_parts(c._num[0], c._den)
     if isinstance(c, ApproxComplex) and c.value.imag == 0:
         v = c.value.real
-        mag = approx(-v) if v < 0 else c
-        return v < 0, str(mag), mag == 1
-    return None, str(c), c == one_like(c)
+        return v < 0, str(approx(abs(v))), abs(v) == 1
+    return None, str(c), False
 
 
 def _h_power(k: int) -> str:

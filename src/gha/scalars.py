@@ -334,11 +334,12 @@ def _product_form(x: tuple, y: tuple) -> tuple:
 def _mul_or_scale(x, pa: int, y, pb: int, n: int) -> list:
     """x*y as ``_mul_rows`` has it, except that a constant with no zeta
     part, a single row whose numerators past the first are 0, scales the
-    other operand's numerators instead; x is tried first."""
-    if len(x) == pa and not any(x[1:]):
+    other operand's numerators instead, when those rows are at least as
+    wide as its own; x is tried first."""
+    if len(x) == pa and pb >= pa and not any(x[1:]):
         c = x[0]
         return [v * c for v in y]
-    if len(y) == pb and not any(y[1:]):
+    if len(y) == pb and pa >= pb and not any(y[1:]):
         c = y[0]
         return [v * c for v in x]
     return _mul_rows(x, pa, y, pb, n)

@@ -220,6 +220,21 @@ class TestRewriteEngine:
             # every term but the leading 1, which may be either factor's 1
             assert all(product.terms[ab] is p for ab, p in middle.items() if ab != (k, k)), f_text
 
+    @pytest.mark.parametrize("f_text, backend, k", [("h^2 + 1", "exact", 3), ("zeta(3)*h + 1", "approx", 6)])
+    def test_fill_multiplies_no_poly(self, monkeypatch, f_text, backend, k):
+        # each trapezoid step is a product and a sum of entries on numerator
+        # rows: once the iterates are built, a fresh fill calls no
+        # Poly.__mul__, and every cell it keeps maps its terms to Polys
+        f = parse_poly(f_text, backend)
+        iterate(f, 2 * k - 1)
+        pres = Presentation(f)
+        poly_mul = Poly.__mul__
+        calls = []
+        monkeypatch.setattr(Poly, "__mul__", lambda *args: calls.append(args) or poly_mul(*args))
+        pres._middle(k, k)
+        assert calls == [] and pres.middle_reductions == (k + 1) * (k + 2) // 2
+        assert all(type(p) is Poly and not p.is_zero() for cell in pres._middles.values() for p in cell.values())
+
     def test_degree_guard_refuses_up_front(self, compose_calls):
         # deg f^(13) = 2^13 exceeds the default guard of 4096
         f = parse_poly("h^2")
@@ -744,12 +759,15 @@ class TestPrinting:
         assert str(H2.scalar(0)) == "0"
         assert str(H2.one()) == "1"
 
-    def test_terms_that_print_as_zero_are_left_out(self):
-        # a coefficient within CONFIG.tol of 0 prints as 0; the term stays
+    def test_terms_near_zero_print_in_full(self):
+        # a coefficient within CONFIG.tol of 0 is a term like any other: it
+        # prints, and the text parses back to the same terms
         pres = Presentation(parse_poly("0.5*h", "approx"))
         tiny = Poly([approx(1e-12)])
         e = pres.monomial(1, tiny, 1)
-        assert str(tiny) == "0"
-        assert str(e) == "0" and not e.is_zero()
-        assert str(e + pres.generator("x")) == "x"
-        assert str(pres.from_poly(tiny)) == "0"
+        assert str(tiny) == "1e-12" and str(pres.from_poly(tiny)) == "1e-12"
+        assert str(e) == "x*1e-12*y" and not e.is_zero()
+        total = e + pres.generator("x")
+        assert str(total) == "x*1e-12*y + x"
+        back = parse_element(str(total), pres)
+        assert {ik: g._num for ik, g in back.terms.items()} == {ik: g._num for ik, g in total.terms.items()}

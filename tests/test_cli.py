@@ -303,25 +303,28 @@ class TestBackends:
         code, out, _ = run(capsys, "--backend", "approx", "normalize", "-f", "0.5*h", "-e", "y*x")
         assert code == 0 and out.strip() == "x*y + (-0.5)*h"
 
-    def test_approx_zero_terms_are_left_out(self, capsys):
-        # the lower terms of y^k x^k over zeta(3)*h vanish up to rounding
+    def test_approx_terms_near_zero_print_in_full(self, capsys):
+        # the lower terms of y^k x^k over zeta(3)*h vanish up to rounding;
+        # they are terms all the same, and print with every digit
         code, out, _ = run(capsys, "--backend", "approx", "normalize", "-f", "zeta(3)*h", "-e", "y^4*x^4")
         assert code == 0 and "()" not in out
-        assert out.startswith("x^4*y^4 + x^3*(") and out.strip().endswith(")*h*y^3")
-        assert out.count(" + x") == 1
+        assert out.startswith("x^4*y^4 + x^3*(") and out.strip().endswith(")*h^4")
+        assert out.count(" + x") == 3 and "e-15" in out
         code, out, _ = run(
             capsys, "--json", "--backend", "approx", "normalize", "-f", "zeta(3)*h", "-e", "y^3*x^3"
         )
         doc = json.loads(out)
         jsonschema.validate(doc, schemas.NORMALIZE_SCHEMA)
-        assert code == 0 and doc["normal_form"] == "x^3*y^3"
+        assert code == 0 and doc["normal_form"].startswith("x^3*y^3 + x^2*(")
+        assert doc["normal_form"].count(" + ") == 3
 
     def test_tol_holds_for_one_call(self, capsys):
+        # [x, h] = x*(-0.5)*h over 0.5*h is within a tol of 0.5 of 0
         before = CONFIG.tol
-        argv = ["--backend", "approx", "normalize", "-f", "0.5*h", "-e", "y*x"]
-        assert run(capsys, "--tol", "0.5", *argv)[1].strip() == "x*y"
+        argv = ["--backend", "approx", "central", "-f", "0.5*h", "-e", "h"]
+        assert run(capsys, "--tol", "0.5", *argv)[:2] == (0, "true\n")
         assert CONFIG.tol == before
-        assert run(capsys, *argv)[1].strip() == "x*y + (-0.5)*h"
+        assert run(capsys, *argv)[:2] == (1, "false\n[x, e] = x*(-0.5)*h\n")
         assert run(capsys, "--tol", "0.5", "normalize", "-f", "h^2", "-e", "y*")[0] == 2
         assert CONFIG.tol == before
 

@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 import pickle
 import random
@@ -370,10 +371,46 @@ class TestIntegerPrinter:
         p = Poly([exact(1), exact(-3), exact(1), -zeta(3)])
         assert str(p) == "-zeta(3)*h^3 + h^2 - 3*h + 1"
         assert str(GHAElement(self.PRES, {(0, 0): p})) == "(-zeta(3))*h^3 + h^2 + (-3)*h + 1"
+        # an approximate coefficient within tol of 1 is not a unit
         q = Poly([approx(-1j), approx(0), approx(1 + 1e-12j)])
-        assert str(q) == "h^2 + -i"
+        assert str(q) == "(1.0 + 1e-12*i)*h^2 + -i"
         pres = Presentation(Poly([approx(0), approx(0), approx(1)]))
-        assert str(GHAElement(pres, {(0, 0): q})) == "h^2 + (-i)"
+        assert str(GHAElement(pres, {(0, 0): q})) == "(1.0 + 1e-12*i)*h^2 + (-i)"
+        r = Poly([approx(1), approx(-1), approx(1 - 1e-12), approx(-1 - 1e-12)])
+        assert str(r) == "-1.000000000001*h^3 + 0.999999999999*h^2 - h + 1.0"
+
+
+class TestApproxText:
+    """The text of an approximate Poly keeps every nonzero coefficient and
+    every digit, so it parses back to the same degree and coefficients."""
+
+    @staticmethod
+    def _parses_back(p):
+        back = parse_poly(str(p), "approx")
+        assert back.degree == p.degree and back._num == p._num, str(p)
+
+    @pytest.mark.parametrize(
+        "text", ["1e-10*h^2 + h", "1.0000000001*h + 1e-12", "-0.9999999999999999*h^3 + 1e-300", "h + 1"]
+    )
+    def test_examples(self, text):
+        self._parses_back(parse_poly(text, "approx"))
+
+    def test_iso_of_a_degree_mismatch_prints_both_degrees(self, capsys):
+        assert main(["--json", "--backend", "approx", "iso", "-f1", "1e-10*h^2 + h", "-f2", "h"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["f1"], doc["f2"], doc["detail"]) == ("1e-10*h^2 + h", "h", "degree mismatch")
+
+    def test_seeded_coefficients(self):
+        rng = random.Random(2718)
+        pool = [1.0, -1.0, 1 + 1e-12, -1 - 1e-13, 1e-12, -3e-17, 0.5, 2.0, 1e20, 0.0]
+        for _ in range(200):
+            cs = [
+                complex(rng.choice(pool) * rng.uniform(0.5, 2) ** rng.randint(0, 1), rng.choice(pool))
+                for _ in range(rng.randint(1, 6))
+            ]
+            if not cs[-1]:
+                cs[-1] = 1j
+            self._parses_back(Poly([approx(c) for c in cs]))
 
 
 class TestComposeEvaluate:

@@ -17,6 +17,7 @@ from gha.scalars import (
     DegreeOverflowError,
     _lift_rows,
     _power,
+    _product_form,
     _reduce_mod_cyclotomic,
     approx,
     as_scalar,
@@ -456,6 +457,16 @@ def test_equal_values_over_different_conductors():
     assert Poly([exact(Fraction(1, 2))]) != Poly([zeta(4) / 2])
     for x, y in ((zeta(12) ** 4 / 2, zeta(3)), (zeta(3) / 2, zeta(3)), (exact(Fraction(1, 2)), exact(1))):
         assert x != y and Poly([x]) != Poly([y, 0]) and Poly([0, x]) != Poly([0, y])
+
+
+def test_scaled_forms_keep_the_width_of_their_conductor():
+    # 2 held over conductor 4, with no zeta part, times the rational 3: the
+    # product keeps two numerators per coefficient, not the one of the 3
+    assert _product_form((4, 1, [2, 0]), (1, 1, (3,))) == (4, 1, [6, 0])
+    assert _product_form((1, 1, (3,)), (4, 1, [2, 0])) == (4, 1, [6, 0])
+    # a rational constant still scales rows as wide as its own or wider
+    assert _product_form((1, 2, [5]), (4, 1, [1, 2, 3, 0])) == (4, 2, [5, 10, 15, 0])
+    assert _product_form((4, 1, [1, 2, 3, 0]), (4, 1, [2, 0])) == (4, 1, [2, 4, 6, 0])
 
 
 @pytest.mark.parametrize("n", [17, 80])
