@@ -36,16 +36,14 @@ from .scalars import (
     ApproxComplex,
     CyclotomicNumber,
     Scalar,
+    _canonical,
     _check_degree,
-    _cyclotomic,
-    _lift_rows,
-    _mul_or_scale,
+    _form,
+    _inverse_form,
     _power,
     _product_form,
     _rational_drop,
-    _reduced,
     _sum_form,
-    _width,
     as_scalar,
     exact,
     zero_like,
@@ -61,12 +59,12 @@ class Presentation:
 
     Carries per-presentation caches: one memo of the normal forms of the
     middles y^k x^i, every trapezoid cell a fill computes among them; for
-    an exact f of degree <= 1 the q-integers of its closed form and the
-    powers of f - h; and the recursive y-action on free-module monomials.
-    The iterates f^(i) are kept with f itself, by :func:`gha.polys.iterate`.
-    Fill cells, element products and sums build their terms as entries
-    (``_mul_entries``, ``_add_entry``) and the closed form as rows; then
-    ``_canonical_terms`` makes each term a canonical Poly once.
+    an exact f of degree <= 1 the q-integers of its closed form; and the
+    recursive y-action on free-module monomials.  The iterates f^(i) are
+    kept with f itself, by :func:`gha.polys.iterate`.  Fill cells, the
+    closed form, element products and sums build their terms as entries
+    (``_mul_entries``, ``_add_entry``); then ``_canonical_terms`` makes
+    each term a canonical Poly once.
 
     ``middle_reductions`` counts the trapezoid cells ``_fill`` computes,
     and nothing else.  y^k x^i with k > i is read off y^i x^k, so a fresh
@@ -84,16 +82,14 @@ class Presentation:
         self._middles: dict[tuple[int, int], dict[tuple[int, int], Poly]] = {}
         self._y_actions: dict[tuple[int, int, int], dict[tuple[int, int, int], Scalar]] = {}
         self.middle_reductions = 0
-        # the closed form of an exact f = alpha*h + c: alpha as (den, row),
-        # None for 0; the q-integers [0], [1], ..., [0] = 0 as None; their
-        # inverses; the period p of alpha once [p] = 0; the powers of f - h
+        # the closed form of an exact f = alpha*h + c: alpha as a form; the
+        # q-integers [0], [1], ... as canonical forms, [0] = 0 as None; the
+        # period p of alpha once [p] = 0; l = f - h
         if f._n and f.degree <= 1:
-            phi = _width(f._n)
-            self._alpha = _reduced(f._den, list(f._num[phi:]), phi) if f.degree == 1 else None
-            self._q_integers: list = [None, (1, [1] + [0] * (phi - 1))]
-            self._q_inverses: dict = {}
+            self._alpha = _form(f.coefficient(1))
+            self._q_integers: list = [None, _ONE_FORM]
             self._q_period: int | None = None
-            self._l_powers = [self._one, f - Poly.variable()]
+            self._l = f - Poly.variable()
 
     def __eq__(self, other):
         if not isinstance(other, Presentation):
@@ -188,74 +184,47 @@ class Presentation:
 
         the Gaussian-binomial form of a generalized Weyl algebra (Bavula,
         1993): alpha = 1 is the Weyl algebra, with g_j = j! C(k,j) C(i,j).
-        The g_j are built on rows over the conductor of f, one step each;
-        a step whose numerator factor [k-t] or [i-t] is 0 ends the sum.
-        For a primitive p-th root of unity alpha that happens at
-        t = min(k mod p, i mod p), before any [t+1] = 0 divides.  The terms
-        are l^j's rows scaled by g_j, forms over the conductor of f that
-        ``_canonical_terms`` makes canonical.
+        Each g_j is g_(j-1) [k-j+1] [i-j+1] / [j] by the form routines of
+        ``gha.scalars``, made canonical; a step whose numerator factor
+        [k-t] or [i-t] is 0 ends the sum.  For a primitive p-th root of
+        unity alpha that happens at t = min(k mod p, i mod p), before any
+        [t+1] = 0 divides.  Term j is the entry l^j g_j, with l^j a running
+        product of entries, and ``_canonical_terms`` makes the terms
+        canonical.
         """
-        n = self.f._n
-        phi = _width(n)
         out = {(i, k): self._one}
-        if self._l_powers[1].is_zero():  # f = h: x and y commute
+        l = self._l
+        if l.is_zero():  # f = h: x and y commute
             return out
-        gamma = (1, [1] + [0] * (phi - 1))
+        gamma, lj = _ONE_FORM, self._one
         for j in range(1, k + 1):
             a, b = self._q_integer(k - j + 1), self._q_integer(i - j + 1)
             if a is None or b is None:
                 break
-            den, g = gamma
-            for d, row in (a, b, self._q_inverse(j)):
-                den, g = den * d, _mul_or_scale(g, phi, row, phi, n)
-            gamma = _reduced(den, g, phi)
-            while len(self._l_powers) <= j:
-                self._l_powers.append(self._l_powers[-1] * self._l_powers[1])
-            lj = self._l_powers[j]
-            num = _mul_or_scale(_lift_rows(lj._num, lj._n, n), phi, gamma[1], phi, n)
-            out[(i - j, k - j)] = (n, lj._den * gamma[0], num)
+            gamma = _product_form(_product_form(gamma, a), b)
+            gamma = _canonical(*_product_form(gamma, _inverse_form(self._q_integer(j))))
+            lj = _mul_entries(lj, l)
+            out[(i - j, k - j)] = _mul_entries(lj, gamma)
         return _canonical_terms(out)
 
     def _q_integer(self, t: int):
-        """[t] = 1 + alpha + ... + alpha^(t-1) for f = alpha*h + c, as
-        (den, row) over the conductor of f; None for [t] = 0.
+        """[t] = 1 + alpha + ... + alpha^(t-1) for f = alpha*h + c, as a
+        canonical form; None for [t] = 0.
 
-        The table is built once per presentation by [t+1] = 1 + alpha*[t].
-        A first [p] = 0 with p >= 1 means alpha^p = 1, so the table stops
-        there and [t] is read as [t mod p]."""
+        The table is built once per presentation by [t+1] = 1 + alpha*[t],
+        on the form routines of ``gha.scalars``.  A first [p] = 0 with
+        p >= 1 means alpha^p = 1, so the table stops there and [t] is read
+        as [t mod p]."""
         qs = self._q_integers
         if self._q_period:
             return qs[t % self._q_period]
-        n = self.f._n
-        phi = _width(n)
-        alpha = self._alpha
         while len(qs) <= t:
-            if alpha is None:  # a constant f: [t] = 1 for t >= 1
-                nxt = qs[1]
-            else:
-                den = alpha[0] * qs[-1][0]
-                row = _mul_or_scale(alpha[1], phi, qs[-1][1], phi, n)
-                row[0] += den
-                nxt = _reduced(den, row, phi)
+            nxt = _canonical(*_sum_form(_ONE_FORM, _product_form(self._alpha, qs[-1])))
             if nxt is None:
                 self._q_period = len(qs)
                 return qs[t % self._q_period]
             qs.append(nxt)
         return qs[t]
-
-    def _q_inverse(self, t: int):
-        """1/[t] as (den, row), for a [t] != 0."""
-        hit = self._q_inverses.get(t)
-        if hit is None:
-            den, row = self._q_integer(t)
-            n = self.f._n
-            if not any(row[1:]):
-                hit = (abs(row[0]), [den if row[0] > 0 else -den] + row[1:])
-            else:
-                inv = _cyclotomic(n, den, row).inverse()
-                hit = (inv._den, list(_lift_rows(inv._num, inv.conductor, n)))
-            self._q_inverses[t] = hit
-        return hit
 
     def _fill(self, k: int, i: int) -> dict[tuple[int, int], Poly]:
         """The normal form of y^k x^i for k <= i, filling the cells it reads
@@ -388,6 +357,10 @@ class Presentation:
                 _accumulate_scalar(out, mon, c)
         self._y_actions[key] = out
         return out
+
+
+# the form of the exact 1
+_ONE_FORM = (1, 1, (1,))
 
 
 def _mul_entries(a, b):

@@ -8,7 +8,8 @@ Two backends coexist but never mix inside one computation:
   zeta^(phi(N)-1) modulo the N-th cyclotomic polynomial, over one
   denominator.  Its sums, products and comparisons are those of ``Poly``
   (:func:`_sum_form`, :func:`_product_form`, :func:`_same_value`), which
-  lift elements of different conductors to the lcm.
+  lift elements of different conductors to the lcm; its inverse is
+  :func:`_inverse_form`.
 * ``ApproxComplex`` is a finite complex double with tolerance-based equality.
   Every approximate equality decision of the package, on scalars, ``Poly``
   rows, matrices and relation residuals, goes through :func:`_close`.
@@ -17,7 +18,7 @@ Plain ``int``/``Fraction`` literals are backend-neutral and lift into either
 side.  Promotion exact -> approx is explicit via ``.approx()`` and one-way.
 
 The routines on rows of integer numerators (reduction mod Phi_N, lift,
-sum, product, equality, canonical form) live here and serve ``polys`` too,
+sum, product, inverse, equality, canonical form) live here and serve ``polys`` too,
 as does the degree guard :func:`_check_degree`.
 """
 
@@ -345,6 +346,27 @@ def _mul_or_scale(x, pa: int, y, pb: int, n: int) -> list:
     return _mul_rows(x, pa, y, pb, n)
 
 
+def _inverse_form(x: tuple) -> tuple:
+    """The form of 1/x for a nonzero exact form x = (N, den, num) of one
+    value, not made canonical.  With x = A / d, the product P of the
+    Galois conjugates zeta -> zeta^k (gcd(k, N) = 1, k != 1) of A makes
+    A*P the rational norm of A, so 1/x = d*P / (A*P); a rational x is
+    its reciprocal.  For N >= 3 the conjugates pair off with their complex
+    conjugates, so the norm is a product of squared moduli, positive."""
+    n, den, num = x
+    if n == 1:
+        return 1, abs(num[0]), [den if num[0] > 0 else -den]
+    phi, conj = len(num), None
+    for k in range(2, n):
+        if math.gcd(k, n) == 1:
+            raw = [0] * n
+            for j, c in enumerate(num):
+                raw[j * k % n] = c
+            row = _reduce_mod_cyclotomic(raw, n)
+            conj = row if conj is None else _mul_rows(conj, phi, row, phi, n)
+    return n, _mul_rows(num, phi, conj, phi, n)[0], [c * den for c in conj]
+
+
 def _max_abs(num) -> int:
     return max(max(num), -min(num))
 
@@ -512,26 +534,10 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
-        """1/self: with self = A / d, the product P of the Galois conjugates
-        zeta -> zeta^k (gcd(k, N) = 1, k != 1) of A makes A*P the rational
-        norm of A, so 1/self = d*P / (A*P)."""
+        """1/self, the form :func:`_inverse_form` gives."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
-        n, den, num = self.conductor, self._den, self._num
-        if n == 1:
-            return _cyclotomic(1, abs(num[0]), [den if num[0] > 0 else -den])
-        phi, conj = len(num), None
-        for k in range(2, n):
-            if math.gcd(k, n) == 1:
-                raw = [0] * n
-                for j, x in enumerate(num):
-                    raw[j * k % n] = x
-                row = _reduce_mod_cyclotomic(raw, n)
-                conj = row if conj is None else _mul_rows(conj, phi, row, phi, n)
-        norm = _mul_rows(num, phi, conj, phi, n)[0]
-        if norm < 0:
-            norm, den = -norm, -den
-        return _cyclotomic(n, norm, [x * den for x in conj])
+        return _cyclotomic(*_inverse_form(_form(self)))
 
     def __truediv__(self, other):
         other = self._coerce(other)

@@ -235,6 +235,22 @@ class TestRewriteEngine:
         assert calls == [] and pres.middle_reductions == (k + 1) * (k + 2) // 2
         assert all(type(p) is Poly and not p.is_zero() for cell in pres._middles.values() for p in cell.values())
 
+    @pytest.mark.parametrize(
+        "f_text, k, i", [("2*h - 1", 7, 9), ("zeta(5)*h + 1/2", 12, 12), ("2*zeta(5)*h + 1/3", 6, 8)]
+    )
+    def test_closed_form_multiplies_no_poly(self, monkeypatch, f_text, k, i):
+        # the q-integers, the g_j and the powers of f - h are all forms
+        # multiplied by the shared form routines, so the closed form of a
+        # linear f calls no Poly.__mul__ and reduces no cell
+        f = parse_poly(f_text)
+        pres = Presentation(f)
+        poly_mul = Poly.__mul__
+        calls = []
+        monkeypatch.setattr(Poly, "__mul__", lambda *args: calls.append(args) or poly_mul(*args))
+        middle = pres._middle(k, i)
+        assert calls == [] and pres.middle_reductions == 0
+        assert all(type(p) is Poly and not p.is_zero() for p in middle.values())
+
     def test_degree_guard_refuses_up_front(self, compose_calls):
         # deg f^(13) = 2^13 exceeds the default guard of 4096
         f = parse_poly("h^2")

@@ -15,6 +15,8 @@ from gha.scalars import (
     BackendMismatchError,
     CyclotomicNumber,
     DegreeOverflowError,
+    _canonical,
+    _inverse_form,
     _lift_rows,
     _power,
     _product_form,
@@ -483,3 +485,22 @@ def test_dense_inverse_in_large_fields(n):
         assert x * inv == 1 and inv * x == exact(1)
         assert inv.inverse() == x
         assert (x / x) == 1 and x**-1 == inv
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 12, 80])
+def test_inverse_form_is_the_inverse(n):
+    """x * _inverse_form(x) is the form of 1, and the inverse's denominator
+    is positive, for seeded draws of canonical forms and for rationals held
+    over conductor n, negative ones among them.  Over Q a negative x has a
+    negative norm, itself; for n >= 3 every norm is positive."""
+    rng = random.Random(n)
+    phi = euler_phi(n)
+    draws = [(n, rng.randint(1, 9), [-rng.randint(1, 99)] + [0] * (phi - 1)) for _ in range(2)]
+    for _ in range(4):
+        num = [rng.randint(-20, 20) if rng.random() < 0.6 else 0 for _ in range(phi)]
+        num[rng.randrange(phi)] = rng.choice([-1, 1]) * rng.randint(1, 20)
+        draws.append(_canonical(n, rng.randint(1, 9), num))
+    for x in draws:
+        inv = _inverse_form(x)
+        assert inv[1] > 0, x
+        assert _canonical(*_product_form(x, inv)) == (1, 1, (1,)), x
