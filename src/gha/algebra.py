@@ -37,7 +37,6 @@ from .scalars import (
     CyclotomicNumber,
     Scalar,
     _canonical,
-    _check_degree,
     _form,
     _inverse_form,
     _power,
@@ -491,11 +490,10 @@ class GHAElement:
             return NotImplemented
         if len(self.terms) == 1:
             [((i, j), g)] = self.terms.items()
-            if g.is_constant() and (i == 0 or j == 0):
-                # the constant commutes with x^i and y^j: (x^i c)^k = x^(ki) c^k
+            if i == j == 0 or g.is_constant() and (i == 0 or j == 0):
+                # g(h)^k is Poly.__pow__, which runs the degree guard; a constant
+                # commutes with x^i and y^j: (x^i c)^k = x^(ki) c^k
                 return GHAElement(self.presentation, {(k * i, k * j): g**k})
-            if i == j == 0:
-                _check_degree(g.degree * k)  # g(h)^k, as Poly.__pow__ checks it
         return _power(self, k, self.presentation.one())
 
     def __eq__(self, other):

@@ -24,13 +24,16 @@ routines live in :mod:`gha.scalars`, whose scalars are the same form.
 Root finding comes in two flavours:
 
 * :func:`roots` finds all complex roots with multiplicity, by simultaneous
-  Aberth-Ehrlich iteration followed by Newton polishing.
+  Aberth-Ehrlich iteration followed by Newton polishing; an m-fold root
+  comes back as m equal copies, sharpened by Newton on the (m-1)-th
+  derivative.
 * :func:`exact_roots` finds the roots lying in Q(zeta_N), by recognising
   numeric roots of each squarefree part as field elements and verifying by
   exact division.
 
 ``_split`` keeps every root exact_roots finds and runs :func:`roots` on the
-unsplit rest only; :func:`periodic_points` builds on it to enumerate the
+unsplit rest only, or on all of an approximate polynomial;
+:func:`periodic_points` builds on it on either backend to enumerate the
 exact-period-n orbits of the self-map h -> f(h).
 """
 
@@ -621,20 +624,6 @@ def _horner(cs: list[complex]):
     return val, dval
 
 
-def _groups(values: list[complex], radius: float) -> list[list[complex]]:
-    """values in (re, im) order, each joined to the first group whose first
-    member lies within radius of it."""
-    groups: list[list[complex]] = []
-    for v in sorted(values, key=lambda z: (z.real, z.imag)):
-        for g in groups:
-            if abs(v - g[0]) <= radius:
-                g.append(v)
-                break
-        else:
-            groups.append([v])
-    return groups
-
-
 _ROOT_MAX_ITER = 400  # Aberth sweeps before RootFindingError
 
 
@@ -698,46 +687,59 @@ def _aberth(cs: list[complex]) -> list[complex]:
 
 
 def _refine_multiples(cs: list[complex], zs: list[complex]) -> list[complex]:
-    """Collapse loose root clusters to sharp repeated roots.
+    """Sharpen the loose clusters Aberth leaves of repeated roots.
 
     Aberth leaves an m-fold root as m values spread like residual**(1/m).
-    Grouping those and running the multiplicity-aware Newton step
-    z -= m*p(z)/p'(z) from the centroid restores fast convergence, so the
-    cluster can be reported as m equal, accurate copies.
+    In (re, im) order, each value joins the first cluster whose first
+    member lies within 1e-3 * (1 + max|z|) of it.  An m-fold root is a
+    simple root of the (m-1)-th derivative of p (scaled by 1/(m-1)!, its
+    coefficients binomial), so Newton on that from the cluster's centroid
+    reaches full precision.  The cluster becomes m
+    equal copies of the refined point only when the point stays inside
+    the cluster and |p| there is no larger than at any raw member: close
+    simple roots, such as 1 and 1.0001, fail that test at their critical
+    point and are kept as they came.
     """
-    val, dval = _horner(cs)
+    val = _horner(cs)[0]
     scale = 1 + max(abs(z) for z in zs)
     radius = 1e-3 * scale
+    clusters: list[list[complex]] = []
+    for v in sorted(zs, key=lambda z: (z.real, z.imag)):
+        g = next((g for g in clusters if abs(v - g[0]) <= radius), None)
+        if g is None:
+            clusters.append([v])
+        else:
+            g.append(v)
     out: list[complex] = []
-    for g in _groups(zs, radius):
-        if len(g) == 1:
-            out.append(g[0])
-            continue
+    for g in clusters:
         m = len(g)
-        c = sum(g) / m
-        z = c
+        if m == 1:
+            out.extend(g)
+            continue
+        z = c = sum(g) / m
+        q, dq = _horner([math.comb(k, m - 1) * a for k, a in enumerate(cs)][m - 1 :])
         for _ in range(60):
-            dp = dval(z)
+            dp = dq(z)
             if dp == 0:
                 break
-            step = m * val(z) / dp
+            step = q(z) / dp
             z -= step
             if abs(step) <= 1e-15 * scale:
                 break
-        # keep the refinement only if it stayed inside the cluster
-        if abs(z - c) <= 2 * radius:
-            out.extend([z] * m)
-        else:
-            out.extend(g)
+        sharp = abs(z - c) <= radius and all(abs(val(z)) <= abs(val(w)) for w in g)
+        out.extend([z] * m if sharp else g)
     return out
 
 
 def roots(p: Poly) -> list[ApproxComplex]:
     """All complex roots of p with multiplicity (approximate values).
 
-    An m-fold root is reported as m equal copies; its residual, not the
-    spacing of the raw iteration, is what meets the tolerance.  When p has
-    real coefficients, a root within tol of its own conjugate is real.
+    Aberth-Ehrlich iteration with Newton polishing finds them, and an
+    m-fold root comes back as m equal, accurate copies (see
+    :func:`_refine_multiples`), so that the closeness rule of the scalars
+    counts it once.  When p has real coefficients, a root within tol of
+    its own conjugate is real.  A value that is not finite, left by an
+    overflow of the iteration, raises :class:`RootFindingError`.
     """
     if p.is_zero() or p.degree < 1:
         raise ValueError("root finding needs a nonconstant polynomial")
@@ -750,6 +752,11 @@ def roots(p: Poly) -> list[ApproxComplex]:
         out.append(-cs[0] / cs[1])
     elif len(cs) > 2:
         out.extend(_refine_multiples(cs, _aberth(cs)))
+    if not all(map(cmath.isfinite, out)):
+        raise RootFindingError(
+            f"root finder broke down on a degree-{p.degree} polynomial: a value is not finite",
+            partial=out,
+        )
     if not any(c.imag for c in cs):
         out = [complex(z.real) if _close(2 * abs(z.imag), abs(z)) else z for z in out]
     out.sort(key=lambda z: (round(z.real, 12), round(z.imag, 12)))
@@ -971,11 +978,6 @@ def orbit_through(f: Poly, seed: Scalar, n: int) -> Orbit | None:
     return Orbit(tuple(vals))
 
 
-# relative radius within which numeric roots count as one (a multiple root
-# comes back as a loose cluster, not as exact repeats)
-_CLUSTER_SCALE = 1e-5
-
-
 def _place(s: Scalar) -> tuple[float, float]:
     """The (re, im) order orbits and orbit points are listed in."""
     z = s.embed()
@@ -1037,8 +1039,8 @@ def periodic_points(
     conductors): every root found in that field stays exact, and only the
     roots of the unsplit rest are numeric, grouped under f.approx().  So an
     exact f can have exact and numeric orbits side by side.  Approximate
-    backend: the roots of f^(n) - h, clustered, with those near a root of
-    some f^(d) - h dropped.
+    backend: the distinct roots of f^(n) - h, as :func:`_split` counts
+    them, less each root z with f^(d)(z) == z for a proper divisor d of n.
 
     Either way the roots are chained into orbits by scalar equality, as
     ``classify`` chains an h-spectrum.  Orbits are returned
@@ -1088,18 +1090,10 @@ def periodic_points(
         assert not residuals, "exact orbit grouping must consume every root"
         pool, fa = [z for z, _ in numeric], f.approx()
     else:
-        # numeric roots of f^(n) - h, clusters replaced by their centroids,
-        # with those near a root of some f^(d) - h dropped
-        zs = [r.value for r in roots(g)]
-        radius = _CLUSTER_SCALE * (1 + max(abs(z) for z in zs))
-        centers = [sum(c) / len(c) for c in _groups(zs, radius)]
-        for d in divisors(n)[:-1]:
-            gd = iterate(f, d) - h
-            if gd == 0:
-                return OrbitSet(())
-            fixed = [r.value for r in roots(gd)]
-            centers = [c for c in centers if all(abs(c - w) > radius for w in fixed)]
-        orbits, pool, fa = [], [approx(c) for c in centers], f
+        # the distinct roots of f^(n) - h, less those of smaller period
+        lower = [iterate(f, d) for d in divisors(n)[:-1]]
+        orbits, fa = [], f
+        pool = [z for z, _ in _split(g)[1] if all(fd.evaluate(z) != z for fd in lower)]
     more, residuals = _group_orbits(fa, pool, n)
     orbits = sorted(orbits + more, key=lambda o: _place(o.values[0]))
     return OrbitSet(tuple(orbits), tuple(residuals))

@@ -701,9 +701,10 @@ def power_calls(monkeypatch):
 
 
 class TestMonomialPowers:
-    """x^a*c and c*y^b with c constant are raised to a power directly; every
-    other element goes through repeated squaring.  Both must agree with
-    repeated products and with the free-module action."""
+    """x^a*c and c*y^b with c constant are raised to a power directly, and
+    an element g(h) in h alone as the Poly g; every other element goes
+    through repeated squaring.  All must agree with repeated products and
+    with the free-module action."""
 
     @staticmethod
     def check(a, k):
@@ -734,7 +735,25 @@ class TestMonomialPowers:
         a = parse_element(text, Presentation(parse_poly("h^2 + 1", backend)))
         for k in (2, 3):
             self.check(a, k)
-        assert len(power_calls) == 2
+        # g(h) squares as a Poly, not through the element products
+        assert len(power_calls) == (0 if set(a.terms) == {(0, 0)} else 2)
+
+    @pytest.mark.parametrize(
+        "backend, f, text, k",
+        [
+            ("exact", "h^2 + 1", "h + 1", 30),
+            ("exact", "zeta(3)*h + 1", "zeta(4)*h - 1/3", 17),
+            ("approx", "h^2 + 1", "0.5*h + 1.25", 9),
+        ],
+    )
+    def test_powers_in_h_alone_are_poly_powers(self, monkeypatch, backend, f, text, k):
+        a = parse_element(text, Presentation(parse_poly(f, backend)))
+        calls = []
+        mul_terms = Presentation._mul_terms
+        monkeypatch.setattr(Presentation, "_mul_terms", lambda *args: calls.append(1) or mul_terms(*args))
+        got = a**k
+        assert calls == []
+        assert got.terms == {(0, 0): parse_poly(text, backend) ** k}
 
     def test_examples(self):
         x, h, y = gens(H2)

@@ -193,6 +193,15 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert "exceeds the degree guard" in err
 
+    @pytest.mark.parametrize("backend", ["exact", "approx"])
+    def test_root_finder_breakdown_is_three(self, capsys, backend):
+        # Aberth's starting circle overflows Horner on f^(4) - h, of degree 81
+        # (72 once the points of lower period are divided out): a numeric
+        # failure, not an input error
+        code, out, err = run(capsys, "--backend", backend, "simples", "-f", "h^3 - h", "-n", "4")
+        assert code == 3 and out == ""
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1
+
     def test_unparsable_json_is_two(self, capsys):
         code, out, err = run(capsys, "verify", "-f", "h^2", "--module", '{"n": ')
         assert code == 2 and out == ""

@@ -527,8 +527,7 @@ class TestEnumerate:
         reason="the approx backend's root searches still run Aberth on the whole "
         "polynomials, not on squarefree parts or a remainder: it finds 10 of the "
         "12 nilpotent zdots (the pair near 2.4382 +- 0.0577i misses the closure "
-        "test by about 1e-10) and leaves one root of f^(4) - h ungrouped, a "
-        "cyclic_x family with no instantiation",
+        "test by about 1e-10)",
     )
     def test_approx_zdots_match_exact(self):
         def zdots(fams):

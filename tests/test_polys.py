@@ -849,6 +849,18 @@ class TestNumericRoots:
         for r in rs:
             assert abs(r.value - 1) < 1e-5
 
+    def test_triple_root_is_three_sharp_copies(self):
+        # (h + 1/2)(h - 3/2)^3: Aberth alone leaves 3/2 spread by about 1e-5
+        rs = roots(parse_poly("h^4 - 4.0*h^3 + 4.5*h^2 - 1.6875", "approx"))
+        assert [r.value for r in rs] == pytest.approx([-0.5, 1.5, 1.5, 1.5], abs=1e-12)
+
+    def test_close_simple_roots_stay_apart(self):
+        # 1 and 1.0001 group as one cluster, but |p| at their critical point
+        # is larger than at either root, so they are not merged into a double root
+        rs = roots(parse_poly("(h - 1)*(h - 1.0001)*(h + 2)", "approx"))
+        assert len({r.value for r in rs}) == 3
+        assert [r.value for r in rs] == pytest.approx([-2, 1, 1.0001], abs=1e-9)
+
     def test_complex_pair(self):
         p = H * H + P(1)
         rs = sorted(r.value.imag for r in roots(p.approx()))
