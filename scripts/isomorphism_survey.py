@@ -35,9 +35,8 @@ def witness_reproduces(f1, f2, verdict):
         return verdict.case == 1
     base = compositional_inverse_linear(f1) if w.swapped else f1
     if verdict.numeric_witness:
-        g = affine_conjugate(base.approx(), w.a, w.c)
-        diff = g - f2.approx()
-        return all(abs(c.value) < 1e-6 for c in diff.coeffs)
+        # the closeness rule of the approximate scalars
+        return affine_conjugate(base.approx(), w.a, w.c) == f2.approx()
     return affine_conjugate(base, w.a, w.c) == f2
 
 

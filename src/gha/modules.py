@@ -45,7 +45,7 @@ from .linalg import (
 )
 from .polys import Orbit, Poly, _group_orbits, _split, iterate, least_period
 from .polys import periodic_points
-from .scalars import BackendMismatchError, Scalar, _close, as_scalar, backend_of
+from .scalars import BackendMismatchError, Scalar, as_scalar, backend_of
 
 CYCLIC_X = "cyclic_x"
 CYCLIC_Y = "cyclic_y"
@@ -104,10 +104,6 @@ class MatrixModule:
     @property
     def backend(self) -> str:
         return backend_of(self.X[0][0])
-
-
-def _mag(s: Scalar) -> float:
-    return abs(s.embed())
 
 
 def _orbit_problems(orbit: Orbit, f: Poly) -> list[str]:
@@ -251,11 +247,12 @@ RELATION_NAMES = ("h*x = x*f(h)", "y*h = f(h)*y", "y*x - x*y = f(h) - h")
 def verify_relations(m: MatrixModule, f: Poly) -> RelationReport:
     """Check the three defining relations on the matrices of m.
 
-    Exact backend: entries must vanish identically.  Approx backend: the
-    largest embedded residual of each relation must be zero by
-    :func:`gha.scalars._close` against the largest entry of the matrices
-    the relation compares, so a module with large entries is held to the
-    same relative precision as one with small entries.
+    Each relation's residual must be a zero matrix by
+    :func:`gha.linalg.is_zero_matrix` against the largest entry of the
+    matrices the relation compares: identically on the exact backend, and
+    by :func:`gha.scalars._close` on the approx one, so that a module with
+    large entries is held to the same relative precision as one with small
+    entries.
     """
     fH = poly_at_matrix(f, m.H)
     HX, XfH = mat_mul(m.H, m.X), mat_mul(m.X, fH)
@@ -270,19 +267,14 @@ def verify_relations(m: MatrixModule, f: Poly) -> RelationReport:
     residuals = {}
     failed = []
     for name, (diff, compared) in diffs.items():
-        r = _largest(diff)
-        residuals[name] = r
-        if m.backend == "exact":
-            ok = is_zero_matrix(diff)
-        else:
-            ok = _close(r, max(map(_largest, compared)))
-        if not ok:
+        residuals[name] = _largest(diff)
+        if not is_zero_matrix(diff, max(map(_largest, compared))):
             failed.append(name)
     return RelationReport(not failed, residuals, tuple(failed))
 
 
 def _largest(mat: Matrix) -> float:
-    return max((_mag(x) for row in mat for x in row), default=0.0)
+    return max((abs(x) for row in mat for x in row), default=0.0)
 
 
 def is_simple(m: MatrixModule) -> bool:

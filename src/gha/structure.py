@@ -7,7 +7,8 @@ other f the center is generated by z alone.
 Two algebras H(f1), H(f2) are isomorphic in exactly five situations, by
 the degree-1-or-less shape of the polynomials or, for degrees >= 2, by an
 affine change of variable h -> a*h + c carrying f1 to f2.  ``iso_check``
-decides which and produces a witness where one exists.
+decides which by field operations only, so exactly on exact input, and
+produces a witness where one exists.
 """
 
 from __future__ import annotations
@@ -97,8 +98,8 @@ class IsoVerdict:
     ``case`` labels which of the five shapes applied when isomorphic.
     For case 4 with ``swapped``, the witness (a, c) conjugates the
     compositional inverse of f1 onto f2 (the x/y-swap is applied first).
-    ``numeric_witness`` marks verdicts whose verification was done in
-    floating point rather than exactly.
+    ``numeric_witness`` marks a numeric witness; the verdict on an exact
+    pair is exact all the same.
     """
 
     isomorphic: bool
@@ -119,45 +120,50 @@ def compositional_inverse_linear(f: Poly) -> Poly:
     return Poly([-b / a, one / a])
 
 
-def _solve_shift(f1: Poly, f2: Poly, a: Scalar) -> Scalar | None:
-    """The unique c making the degree-(d-1) coefficients agree.
-
-    That coefficient of affine_conjugate(f1, a, c) is linear in c with
-    nonzero slope, so two evaluations pin it down.
-    """
-    d = f1.degree
-    zero = as_scalar(0, f1.backend)
-    one = as_scalar(1, f1.backend)
-    p0 = affine_conjugate(f1, a, zero).coefficient(d - 1)
-    p1 = affine_conjugate(f1, a, one).coefficient(d - 1)
-    slope = p1 - p0
-    if slope == zero:
-        return None
-    return (f2.coefficient(d - 1) - p0) / slope
+def _centred(f: Poly) -> tuple[Poly, Scalar]:
+    """(g, t) with g(h) = f(h + t) - t and t = -f_(d-1)/(d*f_d), so that g
+    has no h^(d-1) term and f(h) = g(h - t) + t."""
+    t = -f.coefficient(f.degree - 1) / (f.leading * f.degree)
+    return f.compose(Poly([t, 1])) - Poly([t]), t
 
 
 def _case5(f1: Poly, f2: Poly, conductor: int | None) -> IsoVerdict:
-    """Degree >= 2: a witness scale a is a root of t^(d-1) - lead(f1)/lead(f2).
+    """Degree d >= 2: is f2(a*h + c) = a*f1(h) + c for some a != 0 and c?
 
-    Each root found in the working cyclotomic field is tried on (f1, f2);
-    each numeric one, on their approx() images, and a match there is a
-    numeric witness.
+    Between the centred forms (:func:`_centred`) c = 0, so g2(a*h) = a*g1(h):
+    g1 and g2 have the same zero coefficients, and one a solves
+    a^(k-1) = g1_k/g2_k (k >= 1, k != d-1) and a = g2_0/g1_0.  Euclid on
+    the exponents, (E, S), (e, r) -> (e, r), (E - m*e, S/r^m) with
+    m = E // e, folds each equation into a^E = S until a^0 = r' is left,
+    which holds iff r' = 1: field operations only, exact on exact input.
+    The witness a is the first root of t^E - S that :func:`_split` gives,
+    numeric only when none lies in the working field, and c = t2 - a*t1.
     """
     d = f1.degree
-    one, zero = as_scalar(1, f1.backend), as_scalar(0, f1.backend)
-    pol = Poly([-(f1.leading / f2.leading)] + [zero] * (d - 2) + [one])
+    (g1, t1), (g2, t2) = _centred(f1), _centred(f2)
+    no = IsoVerdict(False, detail="no affine conjugation matches")
+    E, S = d - 1, g1.leading / g2.leading
+    for k in range(d - 1):
+        x, y = g1.coefficient(k), g2.coefficient(k)
+        if x.is_zero() != y.is_zero():
+            return no
+        if x.is_zero():
+            continue
+        e, r = (1, y / x) if k == 0 else (k - 1, x / y)
+        while e:
+            m = E // e
+            (E, S), (e, r) = (e, r), (E - m * e, S / r**m)
+        if r != 1:
+            return no
     if f1.backend == "exact":
         conductor = lcm(f1.conductor(), f2.conductor(), conductor or 1)
-    found, numeric, _note = _split(pol, conductor)
-    g1, g2 = f1.approx(), f2.approx()
-    for a, h1, h2 in [(a, f1, f2) for a, _ in found] + [(a, g1, g2) for a, _ in numeric]:
-        c = _solve_shift(h1, h2, a)
-        if c is not None and affine_conjugate(h1, a, c) == h2:
-            verdict = IsoVerdict(True, 5, IsoWitness(a, c), numeric_witness=h1.backend == "approx")
-            if h1 is not f1:  # a numeric scale of an exact pair
-                verdict.detail = "witness found numerically; no exact witness in the working field"
-            return verdict
-    return IsoVerdict(False, detail="no affine conjugation matches")
+    found, numeric, _note = _split(Poly([-S] + [0] * (E - 1) + [1]), conductor)
+    a = (found or numeric)[0][0]
+    if found:
+        return IsoVerdict(True, 5, IsoWitness(a, t2 - a * t1))
+    detail = "witness found numerically; no exact witness in the working field"
+    witness = IsoWitness(a, t2.approx() - a * t1.approx())
+    return IsoVerdict(True, 5, witness, True, detail if f1.backend == "exact" else "")
 
 
 def iso_check(f1: Poly, f2: Poly, conductor: int | None = None) -> IsoVerdict:

@@ -109,6 +109,12 @@ class TestExitCodes:
         assert code == 1
         assert json.loads(out)["isomorphic"] is False
 
+    def test_nearly_conjugate_pair_is_one(self, capsys):
+        # conjugate to h^3 but for the h coefficient 10^-13, which is not 0
+        code, out, _ = run(capsys, "iso", "-f1", "h^3", "-f2", "2*h^3 + h/10000000000000")
+        assert code == 1
+        assert '"isomorphic": false' in out
+
     def test_parse_error_is_two(self, capsys):
         code, _, err = run(capsys, "normalize", "-f", "h^^2", "-e", "x")
         assert code == 2 and "error" in err

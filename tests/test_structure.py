@@ -231,15 +231,46 @@ class TestIsoHigherDegree:
         v = iso_check(parse_poly("h^3"), parse_poly("h^3 + h"))
         assert not v.isomorphic
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="_case5 tries each numeric root a of t^2 - 1/2 on the approx images of "
-        "f1 and f2, where affine_conjugate(...) == f2 holds within tol, so a pair that is "
-        "only nearly conjugate is called isomorphic (ROADMAP item 21)",
-    )
     def test_nearly_conjugate_pair_is_not_isomorphic(self):
         # f2(a*h + c) = a*f1(h) + c forces c = 0 from the h^2 coefficient,
         # and then the h coefficient a/10^13 is not 0
         v = iso_check(parse_poly("h^3"), parse_poly("2*h^3 + h/10000000000000"))
         assert not v.isomorphic
+
+    @pytest.mark.parametrize(
+        "f1_text, f2_text",
+        [("h^3 + h", "2*h^3 + h + 1/10000000000000"), ("h^4", "3*h^4 + h^2/10000000000000")],
+    )
+    def test_other_nearly_conjugate_pairs_are_not_isomorphic(self, f1_text, f2_text):
+        # each pair is conjugate up to one coefficient of size 10^-13, which
+        # the closeness rule of the approx backend would not see
+        v = iso_check(parse_poly(f1_text), parse_poly(f2_text))
+        assert not v.isomorphic and v.witness is None
+
+    def test_euclid_on_exponents_finds_a_clash(self):
+        # a^3 = 8 from h^4 and a = -2 from h^2 have no common solution
+        v = iso_check(parse_poly("h^4 + h^2"), parse_poly("h^4/8 - h^2/2"))
+        assert not v.isomorphic
+
+    def test_euclid_on_exponents_finds_the_common_root(self):
+        # a^4 = 16 from h^5 and a = -2 from h^2 agree on a = -2
+        f1, f2 = parse_poly("h^5 + h^2"), parse_poly("h^5/16 - h^2/2")
+        v = iso_check(f1, f2)
+        assert v.isomorphic and v.case == 5 and not v.numeric_witness
+        assert (v.witness.a, v.witness.c) == (exact(-2), exact(0))
+        assert affine_conjugate(f1, v.witness.a, v.witness.c) == f2
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_approx_witness_conjugates(self, seed):
+        # seeded conjugate pairs of degree 2 and 3, drawn as the census draws
+        # its isomorphism pairs, decided on the approx backend
+        rng = random.Random(seed)
+        small = [-3, -2, -1, 0, 1, 2, 3, Fraction(1, 2), Fraction(-1, 3)]
+        nonzero = [-2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-2, 3)]
+        for deg in (2, 3):
+            f1 = Poly([exact(rng.choice(small)) for _ in range(deg)] + [exact(rng.choice(nonzero))])
+            f2 = affine_conjugate(f1, exact(rng.choice(nonzero)), exact(rng.choice(small)))
+            g1, g2 = f1.approx(), f2.approx()
+            v = iso_check(g1, g2)
+            assert v.isomorphic and v.case == 5 and v.numeric_witness, (str(f1), str(f2))
+            assert affine_conjugate(g1, v.witness.a, v.witness.c) == g2, (str(f1), str(f2))
