@@ -4,11 +4,16 @@ Three experiments:
 
 1. conjugates: draw f of degree 2..max-degree and a random affine change
    of variable, ask whether H(f) and H(conjugate) are recognized as
-   isomorphic, and re-verify every returned witness independently.
+   isomorphic, and re-verify every returned witness independently.  Every
+   second pair, when max-degree is at least 3, has an irrational scale
+   a = sqrt(q), whose witness is numeric.
 2. unrelated: draw independent pairs and record the verdict; any positive
    is re-verified, never trusted.
 3. linear zoo: partition a small grid of linear polynomials a*h + b into
    isomorphism classes by pairwise decision.
+
+A missed conjugate, a witness that does not reproduce f2 and a positive
+that fails re-verification are each reported, and make the script exit 1.
 
 Usage:
     python3 scripts/isomorphism_survey.py
@@ -22,11 +27,36 @@ from fractions import Fraction
 
 from gha import Poly, affine_conjugate, compositional_inverse_linear, exact, iso_check, parse_poly
 
+# rational q that are not squares, so that a = sqrt(q) lies outside Q
+NON_SQUARES = [2, 3, 5, -2, -3, Fraction(1, 2), Fraction(2, 3), Fraction(-5, 2)]
+
 
 def rand_poly(rng, degree):
     coeffs = [exact(Fraction(rng.randint(-3, 3))) for _ in range(degree)]
     lead = exact(Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 2])))
     return Poly(coeffs + [lead])
+
+
+def rational_conjugate(rng, max_degree):
+    f1 = rand_poly(rng, rng.randint(2, max_degree))
+    a = exact(Fraction(rng.choice([1, -1, 2]), rng.choice([1, 2, 3])))
+    c = exact(Fraction(rng.randint(-3, 3)))
+    return f1, affine_conjugate(f1, a, c)
+
+
+def irrational_conjugate(rng, max_degree):
+    """f1 with odd powers of h only and f2 = a*f1((h - c)/a) + c for
+    a = sqrt(q): f2 = sum_k f1_k q^((1 - k)/2) (h - c)^k + c has rational
+    coefficients, since every k is odd."""
+    f1 = rand_poly(rng, rng.choice(range(3, max_degree + 1, 2)))
+    f1 = Poly([v if k % 2 else exact(0) for k, v in enumerate(f1.coeffs)])
+    q = Fraction(rng.choice(NON_SQUARES))
+    c = exact(Fraction(rng.randint(-3, 3)))
+    shift = Poly([-c, exact(1)])
+    f2 = Poly([c])
+    for k in range(1, f1.degree + 1, 2):
+        f2 = f2 + shift**k * (f1.coefficient(k) * exact(q ** ((1 - k) // 2)))
+    return f1, f2
 
 
 def witness_reproduces(f1, f2, verdict):
@@ -45,11 +75,9 @@ def survey_conjugates(rng, trials, max_degree):
     bad_witness = 0
     numeric = 0
     t0 = time.perf_counter()
-    for _ in range(trials):
-        f1 = rand_poly(rng, rng.randint(2, max_degree))
-        a = exact(Fraction(rng.choice([1, -1, 2]), rng.choice([1, 2, 3])))
-        c = exact(Fraction(rng.randint(-3, 3)))
-        f2 = affine_conjugate(f1, a, c)
+    for trial in range(trials):
+        draw = irrational_conjugate if trial % 2 and max_degree >= 3 else rational_conjugate
+        f1, f2 = draw(rng, max_degree)
         v = iso_check(f1, f2)
         if v.isomorphic:
             hits += 1
@@ -64,6 +92,7 @@ def survey_conjugates(rng, trials, max_degree):
         f"conjugate pairs: {hits}/{trials} recognized, "
         f"{numeric} numeric witnesses, {bad_witness} witness failures, {dt:.1f}s"
     )
+    return trials - hits + bad_witness
 
 
 def survey_unrelated(rng, trials, max_degree):
@@ -83,6 +112,7 @@ def survey_unrelated(rng, trials, max_degree):
         print(f"  {key}: {verdicts[key]}")
     if surprises:
         print(f"  {surprises} positives failed re-verification")
+    return surprises
 
 
 def linear_zoo(grid):
@@ -125,11 +155,13 @@ def main():
         ap.error("--max-degree must be at least 2")
 
     rng = random.Random(args.seed)
-    survey_conjugates(rng, args.trials, args.max_degree)
+    failures = survey_conjugates(rng, args.trials, args.max_degree)
     print()
-    survey_unrelated(rng, args.trials, args.max_degree)
+    failures += survey_unrelated(rng, args.trials, args.max_degree)
     print()
     linear_zoo(args.grid)
+    if failures:
+        raise SystemExit(f"{failures} isomorphism checks failed")
 
 
 if __name__ == "__main__":

@@ -45,7 +45,7 @@ from .linalg import (
 )
 from .polys import Orbit, Poly, _group_orbits, _split, iterate, least_period
 from .polys import periodic_points
-from .scalars import BackendMismatchError, Scalar, as_scalar, backend_of
+from .scalars import BackendMismatchError, Scalar, as_scalar, backend_of, zero_like
 
 CYCLIC_X = "cyclic_x"
 CYCLIC_Y = "cyclic_y"
@@ -114,23 +114,10 @@ def _orbit_problems(orbit: Orbit, f: Poly) -> list[str]:
         if f.evaluate(vals[i]) != vals[(i + 1) % n]:
             problems.append(f"orbit is not an f-cycle: f(orbit[{i}]) != orbit[{(i + 1) % n}]")
             break
-    return problems + _period_problems(orbit)
-
-
-def _period_problems(orbit: Orbit) -> list[str]:
-    n = len(orbit.values)
-    d = least_period(orbit.values)
-    return [f"orbit period is {d}, not the full length {n}"] if d < n else []
-
-
-def _exclusion_problems(zdot: Scalar, weights: list[Scalar]) -> list[str]:
-    """The nilpotent_x exclusions zdot + f^(i)(-zdot) != 0 for 0 < i < n,
-    read off the weights f^(0..n-1)(-zdot)."""
-    return [
-        f"exclusion fails: zdot + f^({i})(-zdot) = 0 (module not simple)"
-        for i in range(1, len(weights))
-        if zdot == -weights[i]
-    ]
+    d = least_period(vals)
+    if d < n:
+        problems.append(f"orbit period is {d}, not the full length {n}")
+    return problems
 
 
 def descriptor_problems(d: ModuleDescriptor, f: Poly, *, strict: bool = True) -> list[str]:
@@ -165,7 +152,12 @@ def descriptor_problems(d: ModuleDescriptor, f: Poly, *, strict: bool = True) ->
             f"closure fails: zdot + f^({d.n})(-zdot) = {d.zdot + last}, expected 0"
         )
     if strict:
-        problems.extend(_exclusion_problems(d.zdot, pres))
+        # the exclusions zdot + f^(i)(-zdot) != 0 for 0 < i < n
+        problems.extend(
+            f"exclusion fails: zdot + f^({i})(-zdot) = 0 (module not simple)"
+            for i in range(1, d.n)
+            if d.zdot == -pres[i]
+        )
     return problems
 
 
@@ -332,71 +324,67 @@ def _multiset_equal(xs: list[Scalar], ys: list[Scalar]) -> bool:
     return not pool
 
 
-def _invertible(mat: Matrix, backend: str) -> bool:
-    eb = EchelonBasis(len(mat), backend)
-    return all(eb.insert(list(row)) for row in mat)
+def _power(mat: Matrix, n: int) -> Scalar | None:
+    """mat^n as a scalar, judged against |mat|^n, the size its rounding
+    grows with, not against its own entries: 0 when mat^n = 0, None when
+    mat^n is not a nonzero scalar matrix."""
+    p, size = mat_pow(mat, n), power_size(mat, n)
+    if is_zero_matrix(p, size):
+        return zero_like(p[0][0])
+    s = is_scalar_matrix(p, size)
+    return None if s is None or s.is_zero() else s
 
 
 def classify(m: MatrixModule, f: Poly) -> ModuleDescriptor:
     """Decide which family m belongs to and recover its descriptor.
 
-    The trichotomy: x^n != 0 puts m in cyclic_x; otherwise an invertible y
-    puts it in cyclic_y; otherwise it is nilpotent_x.  The orbit is the
-    h-spectrum itself, chained into one f-orbit by scalar equality as
+    x*y - h must act as the scalar zdot.  The family is read off x^n and
+    y^n: a nonzero scalar x^n = a puts m in cyclic_x; otherwise a nonzero
+    scalar y^n = 1/a puts it in cyclic_y (y^n is computed only when
+    x^n = 0); x^n = y^n = 0 puts it in nilpotent_x; anything else is no
+    module of the three families.  A cyclic orbit is the h-spectrum
+    itself, chained into one f-orbit by scalar equality as
     periodic_points chains roots (each f(lambda) is matched to a remaining
-    eigenvalue, never iterated further), and the result always satisfies
-    modules_isomorphic(classify(build(d)), d).  A module whose descriptor
-    breaks its family's simplicity conditions (an orbit of period less
-    than n, a failed nilpotent_x exclusion), such as a direct sum of two
-    copies of one simple module, raises ClassifyError.
+    eigenvalue, never iterated further); a nilpotent_x h-spectrum must be
+    the forward iterates of -zdot.  Simplicity is then decided by
+    :func:`descriptor_problems`, the rule ``build`` enforces, so a module
+    whose descriptor build would refuse, such as a direct sum of two
+    copies of one simple module, raises ClassifyError.  The result always
+    satisfies modules_isomorphic(classify(build(d)), d).
     """
     n = m.n
-    zmat = mat_sub(mat_mul(m.X, m.Y), m.H)
-    zdot = is_scalar_matrix(zmat)
+    zdot = is_scalar_matrix(mat_sub(mat_mul(m.X, m.Y), m.H))
     if zdot is None:
         raise ClassifyError(
             "x*y - h does not act as a scalar: not a simple module of these families"
         )
-    zero = as_scalar(0, m.backend)
-    # x^n and y^n are judged against |X|^n and |Y|^n, the size their
-    # rounding grows with, not against their own entries
-    xn = mat_pow(m.X, n)
-    size = power_size(m.X, n)
-    if not is_zero_matrix(xn, size):
-        a = is_scalar_matrix(xn, size)
-        if a is None or a == zero:
-            raise ClassifyError("x^n is neither zero nor an invertible scalar")
-        orbit = _orbit_from_spectrum(m, f)
-        return CyclicXDescriptor(orbit, zdot, a)
-    if _invertible(m.Y, m.backend):
-        yn = is_scalar_matrix(mat_pow(m.Y, n), power_size(m.Y, n))
-        if yn is None or yn == zero:
+    a = _power(m.X, n)
+    if a is None:
+        raise ClassifyError("x^n is neither zero nor an invertible scalar")
+    if not a.is_zero():
+        d = CyclicXDescriptor(_orbit_from_spectrum(m, f), zdot, a)
+    else:
+        yn = _power(m.Y, n)
+        if yn is None:
             raise ClassifyError("y^n is not an invertible scalar")
-        a = as_scalar(1, m.backend) / yn
-        orbit = _orbit_from_spectrum(m, f)
-        return CyclicYDescriptor(orbit, zdot, a)
-    expected = _weights(f, zdot, n)
-    if not _multiset_equal(_h_eigenvalues(m, f), expected):
-        raise ClassifyError(
-            "h-spectrum does not match the forward iterates of -zdot"
-        )
-    _raise_if_not_simple(_exclusion_problems(zdot, expected))
-    return NilpotentXDescriptor(zdot, n)
+        if not yn.is_zero():
+            d = CyclicYDescriptor(_orbit_from_spectrum(m, f), zdot, as_scalar(1, m.backend) / yn)
+        else:
+            d = NilpotentXDescriptor(zdot, n)
+            if not _multiset_equal(_h_eigenvalues(m, f), _weights(f, zdot, n)):
+                raise ClassifyError("h-spectrum does not match the forward iterates of -zdot")
+    problems = descriptor_problems(d, f)
+    if problems:
+        raise ClassifyError(f"not a simple module: {problems[0]}")
+    return d
 
 
 def _orbit_from_spectrum(m: MatrixModule, f: Poly) -> Orbit:
-    """The eigenvalues of H as one f-orbit of exact period n, in canonical
-    rotation."""
+    """The eigenvalues of H as one f-orbit, in canonical rotation."""
     orbits, residuals = _group_orbits(f, _h_eigenvalues(m, f), m.n)
     if len(orbits) != 1 or residuals:
         raise ClassifyError("h-spectrum is not a single f-orbit")
-    _raise_if_not_simple(_period_problems(orbits[0]))
     return orbits[0]
-
-
-def _raise_if_not_simple(problems: list[str]) -> None:
-    if problems:
-        raise ClassifyError(f"not a simple module: {problems[0]}")
 
 
 def modules_isomorphic(d1: ModuleDescriptor, d2: ModuleDescriptor) -> bool:

@@ -683,7 +683,7 @@ def _aberth(cs: list[complex]) -> list[complex]:
             else:
                 break
         zs[j] = z
-    return sorted(zs, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
+    return zs
 
 
 def _refine_multiples(cs: list[complex], zs: list[complex]) -> list[complex]:

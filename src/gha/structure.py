@@ -21,6 +21,7 @@ from .polys import Poly, _split
 from .scalars import (
     BackendMismatchError,
     Scalar,
+    _close,
     as_scalar,
     root_of_unity_order,
     zero_like,
@@ -136,26 +137,41 @@ def _case5(f1: Poly, f2: Poly, conductor: int | None) -> IsoVerdict:
     the exponents, (E, S), (e, r) -> (e, r), (E - m*e, S/r^m) with
     m = E // e, folds each equation into a^E = S until a^0 = r' is left,
     which holds iff r' = 1: field operations only, exact on exact input.
+    On approximate rows every coefficient is known to within tol times
+    the largest coefficient of f1 and f2, the rule of ``Poly.__eq__``: a
+    centred coefficient is zero within that, and r' = 1 within the
+    relative error its equations carry, each ratio x/y adding
+    size/|x| + size/|y| times its Euclid multiplier.
     The witness a is the first root of t^E - S that :func:`_split` gives,
     numeric only when none lies in the working field, and c = t2 - a*t1.
     """
     d = f1.degree
     (g1, t1), (g2, t2) = _centred(f1), _centred(f2)
     no = IsoVerdict(False, detail="no affine conjugation matches")
-    E, S = d - 1, g1.leading / g2.leading
+    exact = f1.backend == "exact"
+    size = 0.0 if exact else max(map(abs, f1.embed_coeffs() + f2.embed_coeffs()))
+
+    def is_zero(x: Scalar) -> bool:
+        return x.is_zero() if exact else _close(abs(x), size)
+
+    def error(x: Scalar, y: Scalar) -> float:
+        return 0.0 if exact else size / abs(x) + size / abs(y)
+
+    E, S, dS = d - 1, g1.leading / g2.leading, error(g1.leading, g2.leading)
     for k in range(d - 1):
         x, y = g1.coefficient(k), g2.coefficient(k)
-        if x.is_zero() != y.is_zero():
+        if is_zero(x) != is_zero(y):
             return no
-        if x.is_zero():
+        if is_zero(x):
             continue
         e, r = (1, y / x) if k == 0 else (k - 1, x / y)
+        dr = error(x, y)
         while e:
             m = E // e
-            (E, S), (e, r) = (e, r), (E - m * e, S / r**m)
-        if r != 1:
+            (E, S, dS), (e, r, dr) = (e, r, dr), (E - m * e, S / r**m, dS + m * dr)
+        if not (r == 1 if exact else _close(abs(r - 1), dr)):
             return no
-    if f1.backend == "exact":
+    if exact:
         conductor = lcm(f1.conductor(), f2.conductor(), conductor or 1)
     found, numeric, _note = _split(Poly([-S] + [0] * (E - 1) + [1]), conductor)
     a = (found or numeric)[0][0]
@@ -163,7 +179,7 @@ def _case5(f1: Poly, f2: Poly, conductor: int | None) -> IsoVerdict:
         return IsoVerdict(True, 5, IsoWitness(a, t2 - a * t1))
     detail = "witness found numerically; no exact witness in the working field"
     witness = IsoWitness(a, t2.approx() - a * t1.approx())
-    return IsoVerdict(True, 5, witness, True, detail if f1.backend == "exact" else "")
+    return IsoVerdict(True, 5, witness, True, detail if exact else "")
 
 
 def iso_check(f1: Poly, f2: Poly, conductor: int | None = None) -> IsoVerdict:

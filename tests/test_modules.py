@@ -275,6 +275,36 @@ class TestClassifyNonSimple:
         with pytest.raises(ClassifyError, match=message):
             classify(s, f)
 
+    @pytest.mark.parametrize(
+        "f_text, backend",
+        [("zeta(3)*h", "exact"), ("zeta(3)*h", "approx"), ("h^2 - 2", "approx")],
+    )
+    def test_two_modules_with_disjoint_spectra(self, f_text, backend):
+        # cyclic_x modules on two different 3-cycles, with the same zdot and
+        # a: x^6 = a^2, but the h-spectrum is two orbits
+        f = parse_poly(f_text, backend)
+        fams = [fam for fam in enumerate_simples(f, 3) if fam.variant == CYCLIC_X]
+        d1, d2 = (fam.instantiations[0] for fam in fams[:2])
+        assert d1.zdot == d2.zdot and d1.a == d2.a
+        assert all(u != v for u in d1.orbit.values for v in d2.orbit.values)
+        s = direct_sum(build(d1, f), build(d2, f))
+        assert verify_relations(s, f).ok and not is_simple(s)
+        with pytest.raises(ClassifyError, match="h-spectrum is not a single f-orbit"):
+            classify(s, f)
+
+    @pytest.mark.parametrize("backend, conductor", [("exact", 3), ("approx", None)])
+    def test_cyclic_y_plus_nilpotent_x(self, backend, conductor):
+        # one zdot for both summands, so x*y - h is a scalar and x^4 = 0, but
+        # y is invertible on the first summand and nilpotent on the second
+        f = parse_poly("h^2", backend)
+        fams = enumerate_simples(f, 2, conductor=conductor)
+        d2 = next(fam for fam in fams if fam.variant == NILPOTENT_X).instantiations[0]
+        d1 = next(fam for fam in fams if fam.variant == CYCLIC_Y and fam.zdot == d2.zdot).instantiations[0]
+        s = direct_sum(build(d1, f), build(d2, f))
+        assert verify_relations(s, f).ok and not is_simple(s)
+        with pytest.raises(ClassifyError, match=r"y\^n is not an invertible scalar"):
+            classify(s, f)
+
 
 class TestVerifyApprox:
     """On the approx backend a relation holds when its residual is within tol

@@ -7,6 +7,9 @@ import sys
 
 import pytest
 
+import gha
+from gha.structure import IsoVerdict
+
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -60,9 +63,19 @@ def test_survey_refuses_bad_arguments(monkeypatch, capsys, argv, message):
 
 
 def test_survey_smallest_run(monkeypatch, capsys):
+    # the second pair has an irrational scale, so its witness is numeric
     code, out, _ = run_script(
-        monkeypatch, capsys, "isomorphism_survey.py", "--trials", "2", "--max-degree", "2", "--grid", "1"
+        monkeypatch, capsys, "isomorphism_survey.py", "--trials", "2", "--max-degree", "3", "--grid", "1"
     )
     assert code == 0
-    assert "conjugate pairs: 2/2 recognized" in out
+    assert "conjugate pairs: 2/2 recognized, 1 numeric witnesses, 0 witness failures" in out
     assert "linear zoo on a*h + b, a,b in [-1, 1]: 6 algebras, 3 classes" in out
+
+
+def test_survey_exits_1_on_a_missed_conjugate(monkeypatch, capsys):
+    monkeypatch.setattr(gha, "iso_check", lambda f1, f2: IsoVerdict(False, detail="no"))
+    code, out, _ = run_script(
+        monkeypatch, capsys, "isomorphism_survey.py", "--trials", "2", "--max-degree", "2", "--grid", "0"
+    )
+    assert code == "2 isomorphism checks failed"
+    assert out.count("MISSED CONJUGATE") == 2

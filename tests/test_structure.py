@@ -274,3 +274,38 @@ class TestIsoHigherDegree:
             v = iso_check(g1, g2)
             assert v.isomorphic and v.case == 5 and v.numeric_witness, (str(f1), str(f2))
             assert affine_conjugate(g1, v.witness.a, v.witness.c) == g2, (str(f1), str(f2))
+
+    @pytest.mark.parametrize(
+        "f1_text, f2_text",
+        [
+            # a = -1/3, c = 3: the centred constant 0.0551 of f2 comes out of
+            # coefficients of size 7e4, so it carries an error near 4e-11
+            (
+                "2*h^5 + 2*h^4 + h^3 + h^2 - 3*h - 1",
+                "162*h^5 - 2484*h^4 + 15237*h^3 - 46740*h^2 + 71700*h - 131993/3",
+            ),
+            (
+                "3*h^5 - (1/3)*h^4 - 3*h^3 - 2*h^2 - 2*h",
+                "243*h^5 + 3654*h^4 + 21951*h^3 + 65859*h^2 + 98692*h + 59094",
+            ),
+            (
+                "(1/2)*h^5 + 2*h^4 + (1/2)*h^3 - 2*h - 3",
+                "(81/2)*h^5 - (1323/2)*h^4 + (8595/2)*h^3 - (27783/2)*h^2 + 22354*h - 14327",
+            ),
+        ],
+    )
+    def test_approx_conjugates_with_large_coefficients(self, f1_text, f2_text):
+        # each equation of the centred forms is judged against the size of
+        # the coefficients of f1 and f2, as Poly.__eq__ judges the witness
+        assert iso_check(parse_poly(f1_text), parse_poly(f2_text)).isomorphic
+        g1, g2 = parse_poly(f1_text, "approx"), parse_poly(f2_text, "approx")
+        v = iso_check(g1, g2)
+        assert v.isomorphic and v.case == 5 and v.numeric_witness
+        assert affine_conjugate(g1, v.witness.a, v.witness.c) == g2
+
+    def test_approx_conjugate_moved_past_the_tolerance(self):
+        # the first pair above with the constant of f2 moved by 10^-3, about
+        # 1.4e-8 of its largest coefficient
+        f1 = parse_poly("2*h^5 + 2*h^4 + h^3 + h^2 - 3*h - 1", "approx")
+        f2 = parse_poly("162*h^5 - 2484*h^4 + 15237*h^3 - 46740*h^2 + 71700*h - 131993/3 - 1/1000", "approx")
+        assert not iso_check(f1, f2).isomorphic
