@@ -137,11 +137,9 @@ def _case5(f1: Poly, f2: Poly, conductor: int | None) -> IsoVerdict:
     the exponents, (E, S), (e, r) -> (e, r), (E - m*e, S/r^m) with
     m = E // e, folds each equation into a^E = S until a^0 = r' is left,
     which holds iff r' = 1: field operations only, exact on exact input.
-    On approximate rows every coefficient is known to within tol times
-    the largest coefficient of f1 and f2, the rule of ``Poly.__eq__``: a
-    centred coefficient is zero within that, and r' = 1 within the
-    relative error its equations carry, each ratio x/y adding
-    size/|x| + size/|y| times its Euclid multiplier.
+    On approximate rows an equation whose coefficient is zero within tol
+    times the largest coefficient of f1 and f2 is left out, and the
+    verdict is ``Poly.__eq__`` on the witness: does it carry f1 to f2?
     The witness a is the first root of t^E - S that :func:`_split` gives,
     numeric only when none lies in the working field, and c = t2 - a*t1.
     """
@@ -154,22 +152,19 @@ def _case5(f1: Poly, f2: Poly, conductor: int | None) -> IsoVerdict:
     def is_zero(x: Scalar) -> bool:
         return x.is_zero() if exact else _close(abs(x), size)
 
-    def error(x: Scalar, y: Scalar) -> float:
-        return 0.0 if exact else size / abs(x) + size / abs(y)
-
-    E, S, dS = d - 1, g1.leading / g2.leading, error(g1.leading, g2.leading)
+    E, S = d - 1, g1.leading / g2.leading
     for k in range(d - 1):
         x, y = g1.coefficient(k), g2.coefficient(k)
-        if is_zero(x) != is_zero(y):
+        zx, zy = is_zero(x), is_zero(y)
+        if exact and zx != zy:
             return no
-        if is_zero(x):
+        if zx or zy:
             continue
         e, r = (1, y / x) if k == 0 else (k - 1, x / y)
-        dr = error(x, y)
         while e:
             m = E // e
-            (E, S, dS), (e, r, dr) = (e, r, dr), (E - m * e, S / r**m, dS + m * dr)
-        if not (r == 1 if exact else _close(abs(r - 1), dr)):
+            (E, S), (e, r) = (e, r), (E - m * e, S / r**m)
+        if exact and r != 1:
             return no
     if exact:
         conductor = lcm(f1.conductor(), f2.conductor(), conductor or 1)
@@ -179,6 +174,8 @@ def _case5(f1: Poly, f2: Poly, conductor: int | None) -> IsoVerdict:
         return IsoVerdict(True, 5, IsoWitness(a, t2 - a * t1))
     detail = "witness found numerically; no exact witness in the working field"
     witness = IsoWitness(a, t2.approx() - a * t1.approx())
+    if not exact and affine_conjugate(f1, a, witness.c) != f2:
+        return no
     return IsoVerdict(True, 5, witness, True, detail if exact else "")
 
 

@@ -401,6 +401,35 @@ class TestClassifyExpandingCycle:
         assert checked == (27 if backend == "exact" else 25)
 
 
+class TestClassifyNumericNilpotent:
+    """classify tests the closure zdot + f^(n)(-zdot) = 0 on the zdot it reads
+    back from x*y - h; on numeric closure roots at the census's largest
+    dimension, n = 4, that test must still pass."""
+
+    @pytest.mark.parametrize(
+        "f_text, backend, count",
+        [
+            ("h^2", "exact", 12),
+            ("h^2", "approx", 12),
+            ("h^3", "approx", 72),
+            ("h^2 - 1", "exact", 12),
+            ("h^2 - 1", "approx", 12),
+        ],
+    )
+    def test_every_instantiation_round_trips(self, f_text, backend, count):
+        f = parse_poly(f_text, backend)
+        zdots = [
+            d.zdot
+            for fam in enumerate_simples(f, 4, samples=1)
+            if fam.variant == NILPOTENT_X
+            for d in fam.instantiations
+        ]
+        assert len(zdots) == count and all(backend_of(z) == "approx" for z in zdots)
+        for zdot in zdots:
+            d = NilpotentXDescriptor(zdot=zdot, n=4)
+            assert classify(build(d, f.approx()), f.approx()) == d, zdot
+
+
 class TestClassifyConjugated:
     """With H not diagonal, the h-spectrum comes from charpoly(H).  Over
     f = h^2 that is h^2 + h + 1, which splits only in Q(zeta(3)): the field

@@ -303,6 +303,20 @@ class TestIsoHigherDegree:
         assert v.isomorphic and v.case == 5 and v.numeric_witness
         assert affine_conjugate(g1, v.witness.a, v.witness.c) == g2
 
+    @pytest.mark.parametrize(
+        "f1_text, f2_text",
+        [
+            # constants a few times tol: the equation a = 2 holds, but
+            # 2*f1(h/2) = h^3/4 + 6e-9 is not f2
+            ("h^3 + 3/1000000000", "h^3 + 6/1000000000"),
+            ("h^3 + 15/10000000000", "h^3 + 3/1000000000"),
+        ],
+    )
+    def test_approx_small_constants_are_not_conjugate(self, f1_text, f2_text):
+        assert not iso_check(parse_poly(f1_text), parse_poly(f2_text)).isomorphic
+        g1, g2 = parse_poly(f1_text, "approx"), parse_poly(f2_text, "approx")
+        assert not iso_check(g1, g2).isomorphic
+
     def test_approx_conjugate_moved_past_the_tolerance(self):
         # the first pair above with the constant of f2 moved by 10^-3, about
         # 1.4e-8 of its largest coefficient
